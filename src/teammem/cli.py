@@ -20,7 +20,7 @@ from .embedding import provider_from_config
 from .harness import ConfigError, load_sim_config, run_sim, sweep
 from .lifecycle import ConsolidationConfig, StubGenerator, consolidate
 from .metrics import cma, cost_summary, read_runlog, series_from_log
-from .store import StoreError, open_store
+from .store import StoreError, Topology, open_store
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -87,7 +87,7 @@ def _cmd_consolidate(args: argparse.Namespace) -> int:
         created = consolidate(view, cfg, generator, embedder)
         total += len(created)
         print(f"{agent_id}: {len(created)} new procedures")
-        if view.topology.value != "local":
+        if view.topology is Topology.SHARED:
             break  # one pass covers the shared episodic pool
     print(f"total new procedures: {total}")
     return 0

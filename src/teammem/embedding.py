@@ -20,13 +20,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Protocol
 
 DEFAULT_DIM = 256
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# Every empty bucket of a built vector is this one float object, so a vector
+# kept in a memo holds a float object only per nonzero entry.
+_ZERO = 0.0
 
 
 def tokenize(text: str) -> list[str]:
@@ -36,7 +42,11 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """Fixed-dimension embedding; unit L2 norm or the all-zero vector."""
+    """Fixed-dimension embedding; unit L2 norm or the all-zero vector.
+
+    The norm and the nonzero entries are derived once, on first use; they are
+    not dataclass fields, so equality, hashing and ``values`` ignore them.
+    """
 
     values: tuple[float, ...]
 
@@ -44,8 +54,17 @@ class EmbeddingVector:
     def dim(self) -> int:
         return len(self.values)
 
-    def norm(self) -> float:
+    @cached_property
+    def _norm(self) -> float:
         return math.sqrt(sum(v * v for v in self.values))
+
+    @cached_property
+    def _nonzero(self) -> tuple[int, ...]:
+        """Indices of the nonzero entries, ascending."""
+        return tuple(i for i, v in enumerate(self.values) if v != 0.0)
+
+    def norm(self) -> float:
+        return self._norm
 
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
@@ -68,8 +87,8 @@ def hash_embed(text: str, dim: int = DEFAULT_DIM) -> EmbeddingVector:
         buckets[index] += sign
     norm = math.sqrt(sum(v * v for v in buckets))
     if norm == 0.0:
-        return EmbeddingVector(values=tuple(buckets))
-    return EmbeddingVector(values=tuple(v / norm for v in buckets))
+        return EmbeddingVector(values=(_ZERO,) * dim)
+    return EmbeddingVector(values=tuple(v / norm if v else _ZERO for v in buckets))
 
 
 def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
@@ -80,14 +99,22 @@ def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
     norm_v = v.norm()
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
-    dot = sum(a * b for a, b in zip(u.values, v.values))
+    if not math.isfinite(norm_u * norm_v):
+        return sum(a * b for a, b in zip(u.values, v.values)) / (norm_u * norm_v)
+    # Sparse dot, bit-identical to the dense sum above: with finite entries
+    # every skipped term is an exact +-0.0, and adding +-0.0 never changes a
+    # float sum that starts at +0. The kept terms are summed in index order.
+    indices = min(u._nonzero, v._nonzero, key=len)
+    kept_u = map(u.values.__getitem__, indices)
+    kept_v = map(v.values.__getitem__, indices)
+    dot = sum(map(operator.mul, kept_u, kept_v))
     return dot / (norm_u * norm_v)
 
 
 def mean_vector(vectors: list[EmbeddingVector], dim: int) -> EmbeddingVector:
     """Plain componentwise mean; zero vector for an empty list."""
     if not vectors:
-        return EmbeddingVector(values=(0.0,) * dim)
+        return EmbeddingVector(values=(_ZERO,) * dim)
     acc = [0.0] * dim
     for vec in vectors:
         if vec.dim != dim:
@@ -95,7 +122,7 @@ def mean_vector(vectors: list[EmbeddingVector], dim: int) -> EmbeddingVector:
         for i, value in enumerate(vec.values):
             acc[i] += value
     n = len(vectors)
-    return EmbeddingVector(values=tuple(v / n for v in acc))
+    return EmbeddingVector(values=tuple(v / n if v else _ZERO for v in acc))
 
 
 class EmbeddingProvider(Protocol):
@@ -108,19 +135,27 @@ class EmbeddingProvider(Protocol):
 
 
 class HashEmbedder:
-    """Default provider: deterministic signed feature hashing."""
+    """Default provider: deterministic signed feature hashing.
+
+    Vectors are memoized by text on the instance; a vector depends only on
+    the text and ``dim``, so a hit returns exactly what a miss would build.
+    """
 
     def __init__(self, dim: int = DEFAULT_DIM) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self._dim = dim
+        self._memo: dict[str, EmbeddingVector] = {}
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def embed(self, text: str) -> EmbeddingVector:
-        return hash_embed(text, self._dim)
+        vector = self._memo.get(text)
+        if vector is None:
+            vector = self._memo[text] = hash_embed(text, self._dim)
+        return vector
 
 
 _PROVIDER_FACTORIES: dict[str, Callable[[int], EmbeddingProvider]] = {

@@ -312,10 +312,20 @@ class SimRunner:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         config_path = self.out_dir / "config.json"
-        if not config_path.exists():
+        current = config_to_dict(cfg)
+        if config_path.exists():
+            stored = json.loads(config_path.read_text(encoding="utf-8"))
+            differing = sorted(
+                key for key in set(stored) | set(current) if stored.get(key) != current.get(key)
+            )
+            if differing:
+                raise ConfigError(
+                    f"{config_path}: cannot resume under a different config; "
+                    f"differing keys: {', '.join(differing)}"
+                )
+        else:
             config_path.write_text(
-                json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
+                json.dumps(current, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
         self.runlog_path = self.out_dir / "runlog.jsonl"
         self.completed = (

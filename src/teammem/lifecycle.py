@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .embedding import EmbeddingProvider, cosine, mean_vector
-from .store import SHARED_OWNER, MemoryView, Topology
+from .embedding import EmbeddingProvider, EmbeddingVector, cosine, mean_vector
+from .store import SHARED_OWNER, MemoryView, Topology, _now_iso
 from .types import Episode, Outcome, Procedure, derive_reliability
 
 logger = logging.getLogger(__name__)
@@ -57,10 +56,6 @@ class ConsolidationConfig:
             raise ValueError("interval_n must be >= 1")
         if self.min_cluster < 1 or self.min_successes < 1:
             raise ValueError("cluster minimums must be >= 1")
-
-
-def _now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _task_digest(task: str) -> int:
@@ -199,6 +194,60 @@ def lesson_vector(episode: Episode, embedder: EmbeddingProvider):
     return mean_vector(vectors, embedder.dim)
 
 
+@dataclass
+class _SingleLink:
+    """Single-link clustering of an episode sequence, extended as it grows.
+
+    Single-link clusters only ever merge when points are appended (Sibson's
+    SLINK), so each new episode is compared with the earlier ones and earlier
+    pairs are never revisited. Union keeps the lower index as root, so a
+    cluster's root is its first member whatever the order of unions, and the
+    clusters equal a from-scratch pass exactly.
+    """
+
+    embedder: EmbeddingProvider
+    threshold: float
+    lessons: list[tuple[str, ...]] = field(default_factory=list)
+    vectors: list[EmbeddingVector] = field(default_factory=list)
+    parent: list[int] = field(default_factory=list)
+
+    def fits(
+        self, episodes: Sequence[Episode], embedder: EmbeddingProvider, threshold: float
+    ) -> bool:
+        """Whether this state is a prefix of ``episodes`` under the same settings."""
+        n = len(self.lessons)
+        return (
+            self.embedder is embedder
+            and self.threshold == threshold
+            and n <= len(episodes)
+            and self.lessons == [e.lessons for e in episodes[:n]]
+        )
+
+    def _find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def clusters(self, episodes: Sequence[Episode]) -> list[list[Episode]]:
+        """Extend over the episodes past the known prefix; return every cluster."""
+        for j in range(len(self.lessons), len(episodes)):
+            vector = lesson_vector(episodes[j], self.embedder)
+            self.parent.append(j)
+            for i, earlier in enumerate(self.vectors):
+                if cosine(earlier, vector) >= self.threshold:
+                    ri, rj = self._find(i), self._find(j)
+                    if ri != rj:
+                        self.parent[max(ri, rj)] = min(ri, rj)
+            self.lessons.append(episodes[j].lessons)
+            self.vectors.append(vector)
+        groups: dict[int, list[Episode]] = {}
+        for i, episode in enumerate(episodes):
+            groups.setdefault(self._find(i), []).append(episode)
+        return [groups[root] for root in sorted(groups)]
+
+
 def cluster_by_lessons(
     episodes: Sequence[Episode], embedder: EmbeddingProvider, threshold: float
 ) -> list[list[Episode]]:
@@ -208,30 +257,24 @@ def cluster_by_lessons(
     similarities at or above ``threshold`` connects them. Clusters are
     ordered by their first member's position; members keep input order.
     """
-    n = len(episodes)
-    vectors = [lesson_vector(e, embedder) for e in episodes]
-    parent = list(range(n))
+    return _SingleLink(embedder, threshold).clusters(episodes)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+def _view_clusters(
+    view: MemoryView, embedder: EmbeddingProvider, threshold: float
+) -> list[list[Episode]]:
+    """:func:`cluster_by_lessons` over the view's episodes, kept incrementally.
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cosine(vectors[i], vectors[j]) >= threshold:
-                union(i, j)
-
-    groups: dict[int, list[Episode]] = {}
-    for i, episode in enumerate(episodes):
-        groups.setdefault(find(i), []).append(episode)
-    return [groups[root] for root in sorted(groups)]
+    The state lives on the store set that owns the episodes and is rebuilt
+    when the lessons, the embedder or the threshold no longer match it.
+    """
+    episodes = view.episodes()
+    store = view.episodic_store()
+    if store.cluster_state is None or not store.cluster_state.fits(
+        episodes, embedder, threshold
+    ):
+        store.cluster_state = _SingleLink(embedder, threshold)
+    return store.cluster_state.clusters(episodes)
 
 
 def _prune_dominated(view: MemoryView) -> set[str]:
@@ -278,11 +321,10 @@ def consolidate(
     with one success per source episode. The episodic store is never
     modified. Returns the new procedures that survive pruning.
     """
-    episodes = view.episodes()
     owner = view.agent_id if view.topology is Topology.LOCAL else SHARED_OWNER
     stamp = timestamp or _now_iso()
     created: list[Procedure] = []
-    for cluster in cluster_by_lessons(episodes, embedder, cfg.cluster_threshold):
+    for cluster in _view_clusters(view, embedder, cfg.cluster_threshold):
         if len(cluster) < cfg.min_cluster:
             continue
         successful = [e for e in cluster if e.outcome.success]

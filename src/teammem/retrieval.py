@@ -132,19 +132,14 @@ def _zscores(values: Sequence[float]) -> list[float]:
     return [(v - mean) / std for v in values]
 
 
-def score_pool(
+def _relevances(
     query: Query, pool: Sequence[MemoryItem], embedder: EmbeddingProvider
-) -> list[ScoredItem]:
-    """Score and rank one pool of a single memory kind.
-
-    Both relevance and importance are standardized over this pool. Output is
-    sorted by descending score; ties fall back to higher raw relevance, then
-    to the lexicographically lower item id.
-    """
-    if not pool:
-        return []
+) -> list[float]:
     query_vec = embedder.embed(query.text)
-    rels = [cosine(query_vec, embedder.embed(item.text_for_embedding)) for item in pool]
+    return [cosine(query_vec, embedder.embed(item.text_for_embedding)) for item in pool]
+
+
+def _rank(pool: Sequence[MemoryItem], rels: Sequence[float]) -> list[ScoredItem]:
     imps = [item.importance_raw for item in pool]
     rel_z = _zscores(rels)
     imp_z = _zscores(imps)
@@ -163,6 +158,20 @@ def score_pool(
     return scored
 
 
+def score_pool(
+    query: Query, pool: Sequence[MemoryItem], embedder: EmbeddingProvider
+) -> list[ScoredItem]:
+    """Score and rank one pool of a single memory kind.
+
+    Both relevance and importance are standardized over this pool. Output is
+    sorted by descending score; ties fall back to higher raw relevance, then
+    to the lexicographically lower item id.
+    """
+    if not pool:
+        return []
+    return _rank(pool, _relevances(query, pool, embedder))
+
+
 def retrieve_from_pools(
     query: Query,
     procedural_pool: Sequence[MemoryItem],
@@ -173,16 +182,13 @@ def retrieve_from_pools(
 
     Procedures win when any of them reaches the raw-relevance threshold;
     otherwise episodes are used. Empty pools yield an empty result, never an
-    error.
+    error. Procedural relevances are computed once and serve both the
+    threshold test and the ranking.
     """
     if procedural_pool:
-        query_vec = embedder.embed(query.text)
-        best_rel = max(
-            cosine(query_vec, embedder.embed(item.text_for_embedding))
-            for item in procedural_pool
-        )
-        if best_rel >= query.proc_fallback_threshold:
-            ranked = score_pool(query, procedural_pool, embedder)
+        rels = _relevances(query, procedural_pool, embedder)
+        if max(rels) >= query.proc_fallback_threshold:
+            ranked = _rank(procedural_pool, rels)
             return RetrievalResult(kind_used="procedural", items=tuple(ranked[: query.k]))
     ranked = score_pool(query, episodic_pool, embedder)
     return RetrievalResult(kind_used="episodic", items=tuple(ranked[: query.k]))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import copy
 import enum
 import json
-import logging
 import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -47,8 +46,6 @@ from .types import (
     team_pattern_from_dict,
     team_pattern_to_dict,
 )
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 SHARED_OWNER = "shared"
@@ -76,6 +73,9 @@ class StoreSet:
 
     ``consolidation_watermark`` records the episodic length at the last
     consolidation; ``next_procedure_seq`` feeds deterministic procedure ids.
+    ``cluster_state`` is consolidation's incremental clustering of
+    ``episodic``: derived, never persisted, and rebuilt whenever it no longer
+    matches the episodes.
     """
 
     episodic: list[Episode] = field(default_factory=list)
@@ -84,6 +84,7 @@ class StoreSet:
     team_patterns: dict[tuple[str, ...], TeamPattern] = field(default_factory=dict)
     consolidation_watermark: int = 0
     next_procedure_seq: int = 1
+    cluster_state: Any = field(default=None, compare=False, repr=False)
 
 
 def _dump_json(path: Path, document: dict[str, Any]) -> None:
@@ -286,10 +287,7 @@ class MemoryView:
         return SHARED_OWNER if self.topology is Topology.SHARED else self.agent_id
 
     def _procedural_owner(self) -> str:
-        return self.agent_id if self.topology is Topology.LOCAL else SHARED_OWNER
-
-    def _aggregate_owner(self) -> str:
-        # Profile aggregates and team patterns follow the procedural rule.
+        """Owner of procedures; profile aggregates and team patterns follow it."""
         return self.agent_id if self.topology is Topology.LOCAL else SHARED_OWNER
 
     def _collab_owner(self, agent_id: str) -> str:
@@ -301,6 +299,10 @@ class MemoryView:
 
     def episodes(self) -> tuple[Episode, ...]:
         return tuple(self._store.store_set(self._episodic_owner()).episodic)
+
+    def episodic_store(self) -> StoreSet:
+        """The live store set holding this view's episodes; not a copy."""
+        return self._store.store_set(self._episodic_owner())
 
     def procedures(self) -> dict[str, Procedure]:
         return dict(self._store.store_set(self._procedural_owner()).procedural)
@@ -316,7 +318,7 @@ class MemoryView:
         from that agent's private store.
         """
         if self.topology is not Topology.HYBRID:
-            owner = self._aggregate_owner()
+            owner = self._procedural_owner()
             return dict(self._store.store_set(owner).profiles)
         shared = self._store.store_set(SHARED_OWNER).profiles
         local = self._store.store_set(self.agent_id).profiles
@@ -335,7 +337,7 @@ class MemoryView:
         return self.profiles().get(agent_id)
 
     def team_patterns(self) -> dict[tuple[str, ...], TeamPattern]:
-        return dict(self._store.store_set(self._aggregate_owner()).team_patterns)
+        return dict(self._store.store_set(self._procedural_owner()).team_patterns)
 
     def snapshot(self) -> StoreSet:
         """Deep copy of everything this view can currently see."""
@@ -454,7 +456,7 @@ class MemoryView:
         owner = episode.agent_id
         success = episode.outcome.success
 
-        agg_owner = self._aggregate_owner()
+        agg_owner = self._procedural_owner()
         agg_store = self._store.store_set(agg_owner)
         profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
         agg_store.profiles[owner] = profile.with_task_result(task_type, success)

@@ -112,6 +112,20 @@ def test_consolidate_command(tmp_path, capsys):
     assert "total new procedures: 1" in out
 
 
+def test_consolidate_command_covers_every_hybrid_agent(tmp_path, capsys):
+    # hybrid episodes are private, so each agent needs its own pass
+    config = write_config(tmp_path, topology="hybrid", team_size=2, consolidation={"n": 100})
+    out_dir = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out_dir)])
+    capsys.readouterr()
+    rc = main(["consolidate", "--store", str(out_dir / "store")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "agent-1: 1 new procedures" in out
+    assert "agent-2: 1 new procedures" in out
+    assert "total new procedures: 2" in out
+
+
 def test_sweep_command(tmp_path, capsys):
     config = write_config(tmp_path, n_tasks=4)
     out_dir = tmp_path / "sweep"

@@ -167,3 +167,81 @@ def test_ascii_case_insensitive(text):
 def test_cosine_bounded(words_a, words_b):
     c = cosine(hash_embed(" ".join(words_a)), hash_embed(" ".join(words_b)))
     assert -1.0 - 1e-9 <= c <= 1.0 + 1e-9
+
+
+# -- derived state: memo, cached norm, sparse dot -------------------------------
+
+
+def dense_cosine(u, v):
+    """The dense formula, term for term, as the contract states it."""
+    norm_u = math.sqrt(sum(a * a for a in u.values))
+    norm_v = math.sqrt(sum(b * b for b in v.values))
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    return sum(a * b for a, b in zip(u.values, v.values)) / (norm_u * norm_v)
+
+
+WORDS = st.lists(
+    st.sampled_from("alpha beta gamma delta epsilon zeta eta theta iota kappa".split()),
+    max_size=10,
+)
+TEXTS = WORDS.map(" ".join) | st.text(max_size=80)
+
+
+@given(TEXTS, TEXTS, st.sampled_from([4, 16, DEFAULT_DIM]))
+def test_cosine_equals_dense_sum_exactly_on_texts(text_a, text_b, dim):
+    u, v = hash_embed(text_a, dim), hash_embed(text_b, dim)
+    assert cosine(u, v) == dense_cosine(u, v)
+    assert cosine(v, u) == dense_cosine(v, u)
+
+
+@given(st.lists(TEXTS, max_size=4), st.lists(TEXTS, max_size=4), st.sampled_from([8, DEFAULT_DIM]))
+def test_cosine_equals_dense_sum_exactly_on_mean_vectors(texts_a, texts_b, dim):
+    u = mean_vector([hash_embed(t, dim) for t in texts_a], dim)
+    v = mean_vector([hash_embed(t, dim) for t in texts_b], dim)
+    assert cosine(u, v) == dense_cosine(u, v)
+    assert cosine(u, hash_embed(" ".join(texts_b), dim)) == dense_cosine(
+        u, hash_embed(" ".join(texts_b), dim)
+    )
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0) | st.just(0.0), min_size=6, max_size=6),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0) | st.just(0.0), min_size=6, max_size=6),
+)
+def test_cosine_equals_dense_sum_exactly_on_raw_vectors(a, b):
+    u, v = EmbeddingVector(values=tuple(a)), EmbeddingVector(values=tuple(b))
+    assert cosine(u, v) == dense_cosine(u, v)
+
+
+def test_cosine_with_zero_vectors_is_zero():
+    zero = EmbeddingVector(values=(0.0,) * 8)
+    negative_zero = EmbeddingVector(values=(-0.0,) * 8)
+    some = hash_embed("alpha beta", 8)
+    for u, v in [(zero, some), (some, zero), (zero, zero), (negative_zero, some)]:
+        assert cosine(u, v) == dense_cosine(u, v) == 0.0
+
+
+def test_cosine_with_non_finite_entries_matches_dense_sum():
+    u = EmbeddingVector(values=(float("inf"), 0.0, 1.0))
+    v = EmbeddingVector(values=(0.0, 1.0, 1.0))
+    assert math.isnan(cosine(u, v)) and math.isnan(dense_cosine(u, v))
+
+
+def test_derived_state_stays_out_of_equality_and_hash():
+    fresh = hash_embed("alpha beta gamma")
+    used = hash_embed("alpha beta gamma")
+    cosine(used, hash_embed("beta"))
+    assert used.norm() == fresh.norm()
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_hash_embedder_memoizes_by_text():
+    embedder = HashEmbedder(dim=32)
+    first = embedder.embed("payment gateway retry")
+    assert embedder.embed("payment gateway retry") is first
+    assert first == hash_embed("payment gateway retry", 32)
+    # the memo belongs to the instance: another embedder builds its own vector
+    assert HashEmbedder(dim=32).embed("payment gateway retry") is not first
+    assert HashEmbedder(dim=16).embed("payment gateway retry").dim == 16

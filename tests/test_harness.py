@@ -1,6 +1,7 @@
 """Simulation harness: config parsing, task generation, runs, resume, sweep."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,21 @@ def test_resumed_run_matches_uninterrupted_run(tmp_path):
 
     full = (tmp_path / "full" / "runlog.jsonl").read_bytes()
     assert (resumed_dir / "runlog.jsonl").read_bytes() == full
+
+
+def test_resume_under_a_different_config_fails_loudly(tmp_path):
+    cfg = SimConfig(n_tasks=4, seed=5)
+    out = tmp_path / "run"
+    SimRunner(cfg, out).step()
+    written = (out / "config.json").read_bytes()
+    changed = replace(cfg, seed=6, retrieval_k=2)
+    with pytest.raises(ConfigError) as exc:
+        SimRunner(changed, out)
+    assert "differing keys: retrieval, seed" in str(exc.value)
+    assert (out / "config.json").read_bytes() == written
+    # the same config still resumes, and leaves config.json untouched
+    assert SimRunner(cfg, out).completed == 1
+    assert (out / "config.json").read_bytes() == written
 
 
 def test_step_after_completion_raises(tmp_path):

@@ -1,14 +1,20 @@
 """Lifecycle tests: per-task updates, clustering, consolidation, pruning."""
 
 import logging
+import tempfile
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from teammem.embedding import HashEmbedder
+from teammem.embedding import EmbeddingVector, HashEmbedder, cosine, hash_embed, mean_vector
 from teammem.lifecycle import (
     EXTRACTION_FAILED_LESSON,
     ConsolidationConfig,
     StubGenerator,
+    _view_clusters,
     cluster_by_lessons,
     consolidate,
     maybe_consolidate,
@@ -292,6 +298,143 @@ def test_lessonless_episodes_do_not_cluster_with_anything():
     clusters = cluster_by_lessons(eps, EMBEDDER, 0.80)
     # zero vectors have cosine 0 with everything, including each other
     assert [len(c) for c in clusters] == [1, 1, 1]
+
+
+# -- incremental clustering --------------------------------------------------------
+
+
+class CountingEmbedder:
+    """Unmemoized hash embeddings that count every request by text."""
+
+    def __init__(self, dim=256):
+        self.dim = dim
+        self.calls = Counter()
+
+    def embed(self, text):
+        self.calls[text] += 1
+        return hash_embed(text, self.dim)
+
+
+def oracle_clusters(episodes, embedder, threshold):
+    """Connected components of the similarity graph by BFS, in first-member order."""
+    vectors = [
+        mean_vector([embedder.embed(lesson) for lesson in e.lessons], embedder.dim)
+        for e in episodes
+    ]
+    assigned, clusters = set(), []
+    for start in range(len(episodes)):
+        if start in assigned:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(len(episodes)):
+                if j not in component and cosine(vectors[i], vectors[j]) >= threshold:
+                    component.add(j)
+                    frontier.append(j)
+        assigned |= component
+        clusters.append([episodes[k] for k in sorted(component)])
+    return clusters
+
+
+LESSON_POOL = [
+    "keep alpha keep beta gamma",
+    "keep alpha keep beta delta",
+    "keep alpha keep omega delta",
+    "start zulu route echo canyon",
+    "start zulu route echo harbor",
+    "alpha beta gamma",
+]
+
+
+class ConstantEmbedder:
+    """Every text gets the same vector, so all lessoned episodes cluster."""
+
+    dim = 4
+
+    def embed(self, text):
+        return EmbeddingVector(values=(1.0, 0.0, 0.0, 0.0))
+
+
+# Two distinct embedders with equal settings, one with another dim, and one
+# that disagrees with all of them.
+EMBEDDERS = (HashEmbedder(), HashEmbedder(), HashEmbedder(dim=16), ConstantEmbedder())
+LESSONS = st.lists(st.sampled_from(LESSON_POOL), max_size=3)
+OPS = st.one_of(
+    st.tuples(st.just("append"), st.lists(LESSONS, min_size=1, max_size=4)),
+    st.tuples(st.just("cluster"), st.integers(0, 3), st.sampled_from([0.5, 0.8, 0.95])),
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("rewrite"), st.integers(0, 50), LESSONS),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(OPS, max_size=12))
+def test_incremental_clusters_equal_from_scratch(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        view = open_store(root, "local", ["agent-1"])["agent-1"]
+        next_index = 1
+        for op in [*ops, ("cluster", 0, 0.80)]:
+            if op[0] == "append":
+                for lessons in op[1]:
+                    view.append_episode(episode("agent-1", next_index, lessons))
+                    next_index += 1
+            elif op[0] == "reopen":
+                view = open_store(root)["agent-1"]
+            elif op[0] == "rewrite":
+                # edit an already-clustered episode in place: the cached
+                # lesson prefix no longer matches and must be rebuilt
+                live = view.episodic_store().episodic
+                if live:
+                    i = op[1] % len(live)
+                    live[i] = replace(live[i], lessons=tuple(op[2]))
+            else:
+                embedder, threshold = EMBEDDERS[op[1]], op[2]
+                got = _view_clusters(view, embedder, threshold)
+                episodes = view.episodes()
+                assert got == cluster_by_lessons(episodes, embedder, threshold)
+                assert got == oracle_clusters(episodes, embedder, threshold)
+
+
+def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
+    view = one_agent_view(tmp_path)
+    embedder = CountingEmbedder()
+    for i in range(1, 7):
+        view.append_episode(episode("agent-1", i, [f"lesson {i % 3}", "alpha beta gamma"]))
+    consolidate(view, CFG, StubGenerator(), embedder)
+    assert sum(embedder.calls.values()) == 12
+
+    embedder.calls.clear()
+    new = [episode("agent-1", i, [f"fresh lesson {i}"]) for i in range(7, 10)]
+    for e in new:
+        view.append_episode(e)
+    consolidate(view, CFG, StubGenerator(), embedder)
+    assert embedder.calls == Counter(lesson for e in new for lesson in e.lessons)
+
+    # a reopened store rebuilds the state once, then extends it again
+    view = open_store(tmp_path / "store")["agent-1"]
+    embedder.calls.clear()
+    consolidate(view, CFG, StubGenerator(), embedder)
+    assert sum(embedder.calls.values()) == 15
+    embedder.calls.clear()
+    consolidate(view, CFG, StubGenerator(), embedder)
+    assert sum(embedder.calls.values()) == 0
+
+
+def test_cluster_state_is_derived_only(tmp_path):
+    view = one_agent_view(tmp_path)
+    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
+    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"]))
+    files = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*.json")}
+    _view_clusters(view, EMBEDDER, 0.80)
+    live = view.episodic_store()
+    assert live.cluster_state is not None
+    assert view.snapshot().cluster_state is None
+    assert view.snapshot() == live  # equality ignores the derived state
+    assert "cluster_state" not in repr(live)
+    view.persist()
+    assert {p: p.read_bytes() for p in (tmp_path / "store").rglob("*.json")} == files
 
 
 # -- consolidation ----------------------------------------------------------------

@@ -6,6 +6,7 @@ frozen; see the score constants in test_pool_of_five_frozen_ranking.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -249,6 +250,42 @@ def test_query_case_does_not_change_results():
     lower = retrieve_from_pools(Query(text="alpha beta gamma"), [], pool, EMBEDDER)
     upper = retrieve_from_pools(Query(text="ALPHA BETA GAMMA"), [], pool, EMBEDDER)
     assert lower.ids == upper.ids
+
+
+class CountingEmbedder:
+    """Unmemoized hash embeddings that count every request by text."""
+
+    dim = 256
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def embed(self, text):
+        self.calls[text] += 1
+        return hash_embed(text, self.dim)
+
+
+@pytest.mark.parametrize(
+    "query_text, kind_used",
+    [("deploy the payment service", "procedural"), ("quarterly audit", "episodic")],
+)
+def test_each_item_is_embedded_once_per_query(query_text, kind_used):
+    procs = [
+        item("procedural", "p1", "deploy payment service checklist", 0.8),
+        item("procedural", "p2", "rotate the database credentials", 0.4),
+        item("procedural", "p3", "payment service rollback plan", 0.6),
+    ]
+    eps = [
+        item("episodic", "e1", "quarterly finance audit went fine", 0.7),
+        item("episodic", "e2", "audit the quarterly report", 0.2),
+    ]
+    embedder = CountingEmbedder()
+    result = retrieve_from_pools(Query(text=query_text), procs, eps, embedder)
+    assert result.kind_used == kind_used
+    for p in procs:
+        assert embedder.calls[p.text_for_embedding] == 1
+    for e in eps:
+        assert embedder.calls[e.text_for_embedding] == (kind_used == "episodic")
 
 
 # -- end to end through a store --------------------------------------------------

@@ -414,25 +414,27 @@ class SimRunner:
         if self.views is not None:
             view = self.views[executor]
             stamp = sim_timestamp(index)
-            post_task_update(
-                view,
-                task.description,
-                task.actions,
-                outcome,
-                procedures_used,
-                self.generator,
-                task.task_type,
-                team_composition=agents,
-                task_index=index + 1,
-                timestamp=stamp,
-            )
-            new_procedures = maybe_consolidate(
-                view,
-                self.consolidation_cfg,
-                self.generator,
-                self.embedder,
-                timestamp=stamp,
-            )
+            # one store flush per task, finished before the run-log append
+            with view.batch():
+                post_task_update(
+                    view,
+                    task.description,
+                    task.actions,
+                    outcome,
+                    procedures_used,
+                    self.generator,
+                    task.task_type,
+                    team_composition=agents,
+                    task_index=index + 1,
+                    timestamp=stamp,
+                )
+                new_procedures = maybe_consolidate(
+                    view,
+                    self.consolidation_cfg,
+                    self.generator,
+                    self.embedder,
+                    timestamp=stamp,
+                )
             if new_procedures:
                 self.consolidations.append((index + 1, len(new_procedures)))
 

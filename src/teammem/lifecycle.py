@@ -161,8 +161,8 @@ def post_task_update(
     """Fold one finished task into memory; returns the stored episode.
 
     Extraction failures never lose the episode: a placeholder lesson is
-    stored and a warning logged. All three store kinds are persisted before
-    return.
+    stored and a warning logged. All three store kinds are persisted in one
+    flush before return (at the end of the caller's batch, inside one).
     """
     lessons = _safe_lessons(generator, task, actions, outcome, role)
     if task_index is None:
@@ -181,10 +181,11 @@ def post_task_update(
         lessons=lessons,
         related_procedures=frozenset(procedures_used),
     )
-    view.append_episode(episode)
-    for procedure_id in procedures_used:
-        view.record_procedure_outcome(procedure_id, outcome.success, timestamp=stamp)
-    view.update_transactive(episode, task_type)
+    with view.batch():
+        view.append_episode(episode)
+        for procedure_id in procedures_used:
+            view.record_procedure_outcome(procedure_id, outcome.success, timestamp=stamp)
+        view.update_transactive(episode, task_type)
     return episode
 
 
@@ -319,42 +320,44 @@ def consolidate(
     Clusters of at least ``min_cluster`` episodes whose successful members
     number at least ``min_successes`` are generalized into procedures seeded
     with one success per source episode. The episodic store is never
-    modified. Returns the new procedures that survive pruning.
+    modified. Every upsert and the prune are flushed once, at the end.
+    Returns the new procedures that survive pruning.
     """
-    owner = view.agent_id if view.topology is Topology.LOCAL else SHARED_OWNER
-    stamp = timestamp or _now_iso()
-    created: list[Procedure] = []
-    for cluster in _view_clusters(view, embedder, cfg.cluster_threshold):
-        if len(cluster) < cfg.min_cluster:
-            continue
-        successful = [e for e in cluster if e.outcome.success]
-        if len(successful) < cfg.min_successes:
-            continue
-        try:
-            title, knowledge = generator.generalize(successful)
-            if not title or not knowledge:
-                raise ValueError("generalization returned empty title or knowledge")
-        except Exception:
-            logger.warning(
-                "generalization failed for a cluster of %d episodes; skipping",
-                len(cluster),
+    with view.batch():
+        owner = view.agent_id if view.topology is Topology.LOCAL else SHARED_OWNER
+        stamp = timestamp or _now_iso()
+        created: list[Procedure] = []
+        for cluster in _view_clusters(view, embedder, cfg.cluster_threshold):
+            if len(cluster) < cfg.min_cluster:
+                continue
+            successful = [e for e in cluster if e.outcome.success]
+            if len(successful) < cfg.min_successes:
+                continue
+            try:
+                title, knowledge = generator.generalize(successful)
+                if not title or not knowledge:
+                    raise ValueError("generalization returned empty title or knowledge")
+            except Exception:
+                logger.warning(
+                    "generalization failed for a cluster of %d episodes; skipping",
+                    len(cluster),
+                )
+                continue
+            procedure = Procedure(
+                procedure_id=view.allocate_procedure_id(),
+                owner_id=owner,
+                created_at=stamp,
+                updated_at=stamp,
+                title=title,
+                knowledge=knowledge,
+                successes=len(successful),
+                failures=0,
+                source_episodes=frozenset(e.episode_id for e in successful),
             )
-            continue
-        procedure = Procedure(
-            procedure_id=view.allocate_procedure_id(),
-            owner_id=owner,
-            created_at=stamp,
-            updated_at=stamp,
-            title=title,
-            knowledge=knowledge,
-            successes=len(successful),
-            failures=0,
-            source_episodes=frozenset(e.episode_id for e in successful),
-        )
-        view.upsert_procedure(procedure, timestamp=stamp)
-        created.append(procedure)
-    removed = _prune_dominated(view)
-    return [p for p in created if p.procedure_id not in removed]
+            view.upsert_procedure(procedure, timestamp=stamp)
+            created.append(procedure)
+        removed = _prune_dominated(view)
+        return [p for p in created if p.procedure_id not in removed]
 
 
 def maybe_consolidate(

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from .types import read_jsonl
+
 TOKEN_PROXY_NOTE = "whitespace token proxy, not a tokenizer count"
 
 
@@ -186,13 +188,8 @@ def append_runlog_entry(path: Path | str, entry: RunLogEntry) -> None:
 
 
 def read_runlog(path: Path | str) -> RunLog:
-    entries = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                entries.append(entry_from_dict(json.loads(line)))
-    return RunLog(entries=tuple(entries))
+    """Read a run log; a torn or malformed line raises ValueError naming it."""
+    return RunLog(entries=tuple(read_jsonl(path, entry_from_dict)))
 
 
 def emit_report(

@@ -3,8 +3,9 @@
 On disk a store root looks like::
 
     root/
-      store_meta.json              # topology + agent roster
-      <owner>/episodic.json        # owner is an agent id or "shared"
+      store_meta.json              # schema version + topology + agent roster
+      <owner>/episodic.jsonl       # owner is an agent id or "shared"
+      <owner>/episodic.json
       <owner>/procedural.json
       <owner>/transactive.json
 
@@ -15,13 +16,26 @@ Three topologies decide which owner each view resolves to:
 * ``hybrid``: episodic memory and collaboration histories stay private;
   procedures, profile aggregates, and team patterns live in "shared".
 
-All writes go through an agent's :class:`MemoryView` and are flushed to disk
-before the mutating call returns (single writer, write-through). Files are
-written atomically via a temp file plus rename.
+Episodes are never modified once stored, so they live in an append-only log,
+``episodic.jsonl``: one compact sorted-key JSON line per episode, in append
+order. A flush appends only the episodes added since the previous flush, and
+reading rejects a malformed or truncated (torn) line. ``episodic.json``
+holds only the schema version and the consolidation watermark and is
+rewritten when the watermark moves. Every other file is rewritten whole and
+atomically, via a temp file plus rename.
+
+All writes go through an agent's :class:`MemoryView` (single writer). Outside
+a batch, each mutating call flushes before it returns (write-through). Inside
+:meth:`MemoryView.batch`, mutating calls only mark their files dirty, and
+leaving the outermost batch writes each dirty file once.
+
+Schema version 1 kept the episodes inside ``episodic.json``. Such a store is
+still read, and its first flush rewrites it in the current layout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import enum
 import json
@@ -29,7 +43,7 @@ import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .types import (
     AgentProfile,
@@ -43,11 +57,13 @@ from .types import (
     episode_to_dict,
     procedure_from_dict,
     procedure_to_dict,
+    read_jsonl,
     team_pattern_from_dict,
     team_pattern_to_dict,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_READABLE_VERSIONS = (1, SCHEMA_VERSION)
 SHARED_OWNER = "shared"
 
 _KINDS = ("episodic", "procedural", "transactive")
@@ -98,11 +114,18 @@ def _load_json(path: Path) -> dict[str, Any]:
         document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StoreError(f"corrupt JSON in {path}: {exc}") from exc
-    if document.get("schema_version") != SCHEMA_VERSION:
+    if document.get("schema_version") not in _READABLE_VERSIONS:
         raise StoreError(
             f"unsupported schema_version in {path}: {document.get('schema_version')!r}"
         )
     return document
+
+
+def _episode_lines(episodes: Iterable[Episode]) -> str:
+    return "".join(
+        json.dumps(episode_to_dict(e), sort_keys=True, separators=(",", ":")) + "\n"
+        for e in episodes
+    )
 
 
 class MemoryStore:
@@ -118,6 +141,13 @@ class MemoryStore:
         self.agents = list(agents)
         self._sets: dict[str, StoreSet] = {}
         self._dirty: set[tuple[str, str]] = set()
+        self._batch_depth = 0
+        # What each owner's episode files hold: the number of episodes in
+        # episodic.jsonl (None: rewrite the log whole, after a v1 load) and
+        # the watermark in episodic.json (None: not yet written as v2).
+        self._logged: dict[str, int | None] = {}
+        self._logged_watermark: dict[str, int | None] = {}
+        self._meta_version = SCHEMA_VERSION
         self._load_or_init()
 
     # -- layout -------------------------------------------------------------
@@ -131,6 +161,9 @@ class MemoryStore:
 
     def _path(self, owner: str, kind: str) -> Path:
         return self.root / owner / f"{kind}.json"
+
+    def _log_path(self, owner: str) -> Path:
+        return self.root / owner / "episodic.jsonl"
 
     # -- load / save ---------------------------------------------------------
 
@@ -148,16 +181,10 @@ class MemoryStore:
                     f"{meta_path}: store was created for agents "
                     f"{meta.get('agents')!r}, reopened with {sorted(self.agents)!r}"
                 )
+            self._meta_version = meta["schema_version"]
         else:
             self.root.mkdir(parents=True, exist_ok=True)
-            _dump_json(
-                meta_path,
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "topology": self.topology.value,
-                    "agents": sorted(self.agents),
-                },
-            )
+            self._write_meta()
 
         expected = set(self._owners())
         for entry in sorted(self.root.iterdir()):
@@ -168,14 +195,45 @@ class MemoryStore:
 
         for owner in self._owners():
             self._sets[owner] = self._load_owner(owner)
+            if self._meta_version != SCHEMA_VERSION:
+                # an older store: the first flush rewrites every file it has
+                for kind in _KINDS:
+                    if self._path(owner, kind).exists():
+                        self.mark_dirty(owner, kind)
+
+    def _write_meta(self) -> None:
+        _dump_json(
+            self.root / "store_meta.json",
+            {
+                "schema_version": SCHEMA_VERSION,
+                "topology": self.topology.value,
+                "agents": sorted(self.agents),
+            },
+        )
+        self._meta_version = SCHEMA_VERSION
 
     def _load_owner(self, owner: str) -> StoreSet:
         store = StoreSet()
+        logged: int | None = 0
+        logged_watermark: int | None = None
         episodic_path = self._path(owner, "episodic")
         if episodic_path.exists():
             doc = _load_json(episodic_path)
-            store.episodic = [episode_from_dict(d) for d in doc["episodes"]]
             store.consolidation_watermark = doc.get("consolidation_watermark", 0)
+            if doc["schema_version"] == 1:
+                store.episodic = [episode_from_dict(d) for d in doc["episodes"]]
+                logged = None
+            else:
+                logged_watermark = store.consolidation_watermark
+        log_path = self._log_path(owner)
+        if logged is not None and log_path.exists():
+            try:
+                store.episodic = read_jsonl(log_path, episode_from_dict)
+            except ValueError as exc:
+                raise StoreError(str(exc)) from exc
+            logged = len(store.episodic)
+        self._logged[owner] = logged
+        self._logged_watermark[owner] = logged_watermark
         procedural_path = self._path(owner, "procedural")
         if procedural_path.exists():
             doc = _load_json(procedural_path)
@@ -201,7 +259,6 @@ class MemoryStore:
             return {
                 "schema_version": SCHEMA_VERSION,
                 "consolidation_watermark": store.consolidation_watermark,
-                "episodes": [episode_to_dict(e) for e in store.episodic],
             }
         if kind == "procedural":
             return {
@@ -229,13 +286,55 @@ class MemoryStore:
             raise ValueError(f"unknown store kind {kind!r}")
         self._dirty.add((owner, kind))
 
+    def _flush_episodic(self, owner: str) -> None:
+        """Append the episodes not yet logged; rewrite the watermark if it moved."""
+        store = self._sets[owner]
+        logged = self._logged[owner]
+        # After a v1 load the log is written whole. Until episodic.json is
+        # replaced below, the v1 file still holds the episodes, so a rewrite
+        # cut short is simply redone after the next open.
+        if logged is None or logged < len(store.episodic):
+            mode = "w" if logged is None else "a"
+            with open(self._log_path(owner), mode, encoding="utf-8") as handle:
+                handle.write(_episode_lines(store.episodic[logged or 0 :]))
+        self._logged[owner] = len(store.episodic)
+        if self._logged_watermark[owner] != store.consolidation_watermark:
+            _dump_json(self._path(owner, "episodic"), self._document(owner, "episodic"))
+            self._logged_watermark[owner] = store.consolidation_watermark
+
     def flush(self) -> None:
-        """Write every dirty store file; a no-op when nothing changed."""
+        """Write every dirty store file once.
+
+        A no-op when nothing changed, and deferred to the end of the
+        outermost :meth:`batch` when called inside one.
+        """
+        if self._batch_depth:
+            return
         for owner, kind in sorted(self._dirty):
-            directory = self.root / owner
-            directory.mkdir(parents=True, exist_ok=True)
-            _dump_json(self._path(owner, kind), self._document(owner, kind))
+            (self.root / owner).mkdir(parents=True, exist_ok=True)
+            if kind == "episodic":
+                self._flush_episodic(owner)
+            else:
+                _dump_json(self._path(owner, kind), self._document(owner, kind))
         self._dirty.clear()
+        if self._meta_version != SCHEMA_VERSION:
+            self._write_meta()
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Defer flushes to the end of the block, then flush once.
+
+        Batches nest; only leaving the outermost one flushes. It flushes
+        also when the block raises, so whatever the block applied in memory
+        reaches disk, as it would have outside a batch.
+        """
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if not self._batch_depth:
+                self.flush()
 
     def store_set(self, owner: str) -> StoreSet:
         return self._sets[owner]
@@ -280,6 +379,10 @@ class MemoryView:
     @property
     def topology(self) -> Topology:
         return self._store.topology
+
+    def batch(self) -> contextlib.AbstractContextManager[None]:
+        """One store flush at the end of the block; see :meth:`MemoryStore.batch`."""
+        return self._store.batch()
 
     # -- owner resolution ----------------------------------------------------
 
@@ -371,7 +474,7 @@ class MemoryView:
     # -- writes ---------------------------------------------------------------
 
     def append_episode(self, episode: Episode) -> str:
-        """Append one episode; durable before return. Returns the episode id."""
+        """Append one episode; durable before return outside a batch. Returns its id."""
         if episode.agent_id != self.agent_id:
             raise StoreError(
                 f"view of {self.agent_id!r} cannot append an episode owned by "
@@ -483,5 +586,5 @@ class MemoryView:
         self._store.flush()
 
     def persist(self) -> None:
-        """Flush any pending writes; no-op on a clean store."""
+        """Flush any pending writes; no-op on a clean store and inside a batch."""
         self._store.flush()

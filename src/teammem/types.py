@@ -12,8 +12,12 @@ The three memory kinds are:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Literal, NamedTuple
+from pathlib import Path
+from typing import Any, Callable, Iterable, Literal, NamedTuple, TypeVar
+
+T = TypeVar("T")
 
 # Combined task score is on a 0-100 scale; success compares the rescaled
 # score (S/100) against this threshold.
@@ -398,3 +402,24 @@ def team_pattern_from_dict(d: dict[str, Any]) -> TeamPattern:
             for k, v in d["suited_task_types"].items()
         },
     )
+
+
+def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
+    """Decode every line of a JSONL file, reading it one line at a time.
+
+    Blank lines are skipped. A line that is not JSON or that ``decode``
+    rejects, and a last line without its newline (a torn append), raise
+    :class:`ValueError` naming the file and the 1-based line.
+    """
+    items = []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}, line {number}: truncated record (no final newline)")
+            try:
+                items.append(decode(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}, line {number}: malformed record: {exc!r}") from exc
+    return items

@@ -1,6 +1,7 @@
 """Simulation harness: config parsing, task generation, runs, resume, sweep."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from teammem.harness import (
     sim_timestamp,
     sweep,
 )
+import teammem.store as store_module
 from teammem.metrics import cma
 from teammem.store import Topology
 
@@ -335,3 +337,52 @@ def test_baseline_prompt_grows_with_team_size(tmp_path):
     small_avg = sum(e.tokens_in for e in small.log.entries) / 4
     large_avg = sum(e.tokens_in for e in large.log.entries) / 4
     assert large_avg > small_avg
+
+
+# -- store writes per step ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("topology", ["shared", "hybrid"])
+def test_each_step_flushes_every_store_file_once(tmp_path, monkeypatch, topology):
+    real_dump = store_module._dump_json
+    dumped = []
+
+    def counting_dump(path, document):
+        dumped.append(path)
+        real_dump(path, document)
+
+    monkeypatch.setattr(store_module, "_dump_json", counting_dump)
+    cfg = SimConfig(topology=topology, n_tasks=100, seed=3)
+    store = tmp_path / "run" / "store"
+    runner = SimRunner(cfg, tmp_path / "run")
+    written = {}
+    for task in range(1, cfg.n_tasks + 1):
+        executor = cfg.agent_ids[(task - 1) % cfg.team_size]
+        own_log = store / ("shared" if topology == "shared" else executor) / "episodic.jsonl"
+        logs = {p: p.read_bytes() for p in store.rglob("*.jsonl")}
+        dumped.clear()
+        runner.step()
+        assert max(Counter(dumped).values()) == 1, f"task {task}: {Counter(dumped)}"
+        after = own_log.read_bytes()
+        before = logs.get(own_log, b"")
+        assert after.startswith(before)
+        assert after[len(before):].count(b"\n") == 1
+        assert all(p.read_bytes() == data for p, data in logs.items() if p != own_log)
+        written[task] = sum(p.stat().st_size for p in dumped) + len(after) - len(before)
+    # procedures list their source episodes, so a little growth remains; whole
+    # history rewrites would add tens of KiB over these 80 tasks
+    assert written[100] <= written[20] + 4096
+
+
+def test_resume_over_a_torn_runlog_line_names_the_line(tmp_path):
+    cfg = SimConfig(n_tasks=4, seed=5)
+    out = tmp_path / "run"
+    runner = SimRunner(cfg, out)
+    runner.step()
+    runner.step()
+    runlog = out / "runlog.jsonl"
+    runlog.write_bytes(runlog.read_bytes()[:-10])
+    with pytest.raises(ValueError) as exc:
+        SimRunner(cfg, out)
+    assert not isinstance(exc.value, json.JSONDecodeError)
+    assert f"{runlog}, line 2" in str(exc.value)

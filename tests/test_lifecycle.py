@@ -426,7 +426,7 @@ def test_cluster_state_is_derived_only(tmp_path):
     view = one_agent_view(tmp_path)
     view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
     view.append_episode(episode("agent-1", 2, ["alpha beta gamma"]))
-    files = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*.json")}
+    files = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*") if p.is_file()}
     _view_clusters(view, EMBEDDER, 0.80)
     live = view.episodic_store()
     assert live.cluster_state is not None
@@ -434,7 +434,7 @@ def test_cluster_state_is_derived_only(tmp_path):
     assert view.snapshot() == live  # equality ignores the derived state
     assert "cluster_state" not in repr(live)
     view.persist()
-    assert {p: p.read_bytes() for p in (tmp_path / "store").rglob("*.json")} == files
+    assert {p: p.read_bytes() for p in (tmp_path / "store").rglob("*") if p.is_file()} == files
 
 
 # -- consolidation ----------------------------------------------------------------

@@ -188,6 +188,25 @@ def test_runlog_lines_have_sorted_keys(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "damage, line, problem",
+    [
+        (lambda text: text[:-9], 3, "truncated"),  # torn last append
+        (lambda text: text.replace("\n", "\n{garbage\n", 1), 2, "malformed"),
+        (lambda text: text.replace("\n", '\n{"task_index": 2}\n', 1), 2, "malformed"),
+    ],
+    ids=["truncated-last-line", "garbage-line", "not-an-entry"],
+)
+def test_damaged_runlog_names_file_and_line(tmp_path, damage, line, problem):
+    path = tmp_path / "runlog.jsonl"
+    write_runlog(path, log_of([55, 65, 70]))
+    path.write_text(damage(path.read_text()), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_runlog(path)
+    assert not isinstance(exc.value, json.JSONDecodeError)
+    assert f"{path}, line {line}: {problem}" in str(exc.value)
+
+
 def test_read_runlog_from_golden_fixture():
     golden = Path(__file__).parent / "golden" / "runlog_method.jsonl"
     log = read_runlog(golden)

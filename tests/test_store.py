@@ -55,7 +55,7 @@ def test_store_meta_written_on_create(tmp_path):
     meta = json.loads((tmp_path / "store" / "store_meta.json").read_text())
     assert meta == {
         "agents": ["agent-1", "agent-2"],
-        "schema_version": 1,
+        "schema_version": 2,
         "topology": "hybrid",
     }
 
@@ -365,12 +365,13 @@ def test_snapshot_is_isolated_from_the_store(tmp_path):
 def test_persist_is_a_noop_on_clean_store(tmp_path):
     views = open_views(tmp_path, "local")
     views["agent-1"].append_episode(episode_for("agent-1", 1))
-    target = tmp_path / "store" / "agent-1" / "episodic.json"
-    before = target.read_bytes()
-    mtime = target.stat().st_mtime_ns
+    owner_dir = tmp_path / "store" / "agent-1"
+    targets = [owner_dir / "episodic.json", owner_dir / "episodic.jsonl"]
+    before = {t: t.read_bytes() for t in targets}
+    mtime = {t: t.stat().st_mtime_ns for t in targets}
     views["agent-1"].persist()
-    assert target.read_bytes() == before
-    assert target.stat().st_mtime_ns == mtime
+    assert {t: t.read_bytes() for t in targets} == before
+    assert {t: t.stat().st_mtime_ns for t in targets} == mtime
 
 
 def test_shared_store_has_single_owner_directory(tmp_path):
@@ -378,3 +379,157 @@ def test_shared_store_has_single_owner_directory(tmp_path):
     views["agent-1"].append_episode(episode_for("agent-1", 1))
     dirs = sorted(p.name for p in (tmp_path / "store").iterdir() if p.is_dir())
     assert dirs == ["shared"]
+
+
+# -- episode log, batches and schema v1 ------------------------------------------
+
+
+def log_lines(tmp_path, owner="agent-1"):
+    return (tmp_path / "store" / owner / "episodic.jsonl").read_text().splitlines()
+
+
+def test_episodes_are_appended_as_one_line_each(tmp_path):
+    views = open_views(tmp_path, "local")
+    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    log = tmp_path / "store" / "agent-1" / "episodic.jsonl"
+    first = log.read_bytes()
+    views["agent-1"].append_episode(episode_for("agent-1", 2))
+    assert log.read_bytes().startswith(first)
+    lines = log_lines(tmp_path)
+    assert [json.loads(line)["task_index"] for line in lines] == [1, 2]
+    assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True, separators=(",", ":"))
+    meta = json.loads((tmp_path / "store" / "agent-1" / "episodic.json").read_text())
+    assert meta == {"consolidation_watermark": 0, "schema_version": 2}
+
+
+def test_episodic_json_is_rewritten_only_when_the_watermark_moves(tmp_path):
+    views = open_views(tmp_path, "local")
+    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    meta = tmp_path / "store" / "agent-1" / "episodic.json"
+    inode = meta.stat().st_ino  # a rewrite renames a new file into place
+    views["agent-1"].append_episode(episode_for("agent-1", 2))
+    assert meta.stat().st_ino == inode
+    views["agent-1"].set_consolidation_watermark(2)
+    assert json.loads(meta.read_text())["consolidation_watermark"] == 2
+    assert len(log_lines(tmp_path)) == 2
+
+
+@pytest.mark.parametrize(
+    "damage, line",
+    [
+        (lambda lines: lines[:-1] + [lines[-1][:-7]], 3),  # torn last append
+        (lambda lines: lines[:1] + ["garbage"] + lines[1:], 2),
+        (lambda lines: lines[:1] + ['{"agent_id": "agent-1"}'] + lines[1:], 2),
+    ],
+    ids=["truncated-last-line", "garbage-line", "not-an-episode"],
+)
+def test_damaged_episode_log_names_file_and_line(tmp_path, damage, line):
+    views = open_views(tmp_path, "local")
+    for i in (1, 2, 3):
+        views["agent-1"].append_episode(episode_for("agent-1", i))
+    log = tmp_path / "store" / "agent-1" / "episodic.jsonl"
+    lines = log.read_text().splitlines()
+    damaged = damage(lines)
+    text = "\n".join(damaged) + ("" if damaged[-1] != lines[-1] else "\n")
+    log.write_text(text, encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert f"{log}, line {line}" in str(exc.value)
+
+
+def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, monkeypatch):
+    import teammem.store as store_module
+
+    real_dump = store_module._dump_json
+    dumped = []
+    monkeypatch.setattr(
+        store_module, "_dump_json", lambda path, doc: (dumped.append(path), real_dump(path, doc))
+    )
+    views = open_views(tmp_path, "shared")
+    view = views["agent-1"]
+    dumped.clear()
+    with view.batch():
+        view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
+        with view.batch():
+            view.append_episode(finished_episode("agent-1"))
+            view.record_procedure_outcome("proc-00001", True)
+            view.update_transactive(finished_episode("agent-1"), "incident")
+        view.persist()
+        assert dumped == []
+        assert not (tmp_path / "store" / SHARED_OWNER).exists()
+    shared = tmp_path / "store" / SHARED_OWNER
+    kinds = ("episodic", "procedural", "transactive")
+    assert sorted(dumped) == [shared / f"{kind}.json" for kind in kinds]
+    assert len(log_lines(tmp_path, SHARED_OWNER)) == 1
+    reopened = open_store(tmp_path / "store")["agent-2"].snapshot()
+    assert reopened == view.snapshot()
+
+
+def test_batch_flushes_what_it_applied_when_the_block_raises(tmp_path):
+    views = open_views(tmp_path, "local")
+    with pytest.raises(StoreError):
+        with views["agent-1"].batch():
+            views["agent-1"].append_episode(episode_for("agent-1", 1))
+            views["agent-1"].record_procedure_outcome("proc-00042", True)
+    assert len(open_store(tmp_path / "store")["agent-1"].episodes()) == 1
+
+
+V1_EPISODE = {
+    "actions": ["read runbook", "apply fix"],
+    "agent_id": "agent-1",
+    "env_context": "",
+    "lessons": ["keep the runbook open"],
+    "outcome": {"cs": 70.0, "success": True, "ts": 80.0},
+    "related_procedures": [],
+    "task_description": "triage ticket 1",
+    "task_index": 1,
+    "team_composition": ["agent-1", "agent-2"],
+    "timestamp": "2026-01-01T00:01:00+00:00",
+}
+
+
+def write_v1_store(root):
+    def dump(path, document):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+    dump(root / "store_meta.json", {"agents": AGENTS, "schema_version": 1, "topology": "local"})
+    second = dict(V1_EPISODE, task_index=2, timestamp="2026-01-01T00:02:00+00:00")
+    dump(
+        root / "agent-1" / "episodic.json",
+        {"consolidation_watermark": 2, "episodes": [V1_EPISODE, second], "schema_version": 1},
+    )
+    dump(root / "agent-1" / "procedural.json", {
+        "next_procedure_seq": 2,
+        "procedures": [{
+            "created_at": "2026-01-01T00:10:00+00:00", "failures": 0, "knowledge": "Open it.",
+            "owner_id": "agent-1", "procedure_id": "proc-00001", "source_episodes": ["agent-1:1"],
+            "successes": 1, "title": "Read the runbook", "updated_at": "2026-01-01T00:10:00+00:00",
+        }],
+        "schema_version": 1,
+    })
+
+
+def test_schema_v1_store_is_read_and_rewritten_as_v2_on_first_flush(tmp_path):
+    root = tmp_path / "store"
+    write_v1_store(root)
+    views = open_store(root)
+    before = views["agent-1"].snapshot()
+    assert [e.episode_id for e in before.episodic] == ["agent-1:1", "agent-1:2"]
+    assert before.consolidation_watermark == 2
+    assert list(before.procedural) == ["proc-00001"]
+    assert not (root / "agent-1" / "episodic.jsonl").exists()
+
+    views["agent-1"].persist()
+    assert json.loads((root / "store_meta.json").read_text())["schema_version"] == 2
+    assert json.loads((root / "agent-1" / "episodic.json").read_text()) == {
+        "consolidation_watermark": 2,
+        "schema_version": 2,
+    }
+    lines = [json.loads(line) for line in log_lines(tmp_path)]
+    assert lines[0] == V1_EPISODE and [d["task_index"] for d in lines] == [1, 2]
+    assert json.loads((root / "agent-1" / "procedural.json").read_text())["schema_version"] == 2
+    assert open_store(root)["agent-1"].snapshot() == before
+
+    views["agent-1"].append_episode(episode_for("agent-1", 3))
+    assert len(log_lines(tmp_path)) == 3

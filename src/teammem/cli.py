@@ -6,7 +6,7 @@ Subcommands:
 * ``sweep``: run the team-size grid with and without memory.
 * ``metrics``: summarize a run log, optionally against a baseline log.
 * ``consolidate``: force a consolidation pass over an existing store.
-* ``inspect``: print store contents per owner.
+* ``inspect``: print what each agent sees, and how far each snapshot lags the log.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(f"  procedures visible: {len(view.procedures())}")
         print(f"  profiles visible: {len(profiles)}")
         print(f"  team patterns visible: {len(view.team_patterns())}")
+    print("task records past each snapshot's checkpoint:")
+    for owner, lag in views[agent_ids[0]].checkpoint_lag().items():
+        print(f"  {owner}: " + ", ".join(f"{kind} {n}" for kind, n in lag.items()))
     return 0
 
 

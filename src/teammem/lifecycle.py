@@ -161,8 +161,10 @@ def post_task_update(
     """Fold one finished task into memory; returns the stored episode.
 
     Extraction failures never lose the episode: a placeholder lesson is
-    stored and a warning logged. All three store kinds are persisted in one
-    flush before return (at the end of the caller's batch, inside one).
+    stored and a warning logged. The episode, the evidence counters of the
+    procedures used and the transactive update persist as one task record
+    (see :meth:`MemoryView.record_task`) before return, or at the end of the
+    caller's batch inside one.
     """
     lessons = _safe_lessons(generator, task, actions, outcome, role)
     if task_index is None:
@@ -181,11 +183,7 @@ def post_task_update(
         lessons=lessons,
         related_procedures=frozenset(procedures_used),
     )
-    with view.batch():
-        view.append_episode(episode)
-        for procedure_id in procedures_used:
-            view.record_procedure_outcome(procedure_id, outcome.success, timestamp=stamp)
-        view.update_transactive(episode, task_type)
+    view.record_task(episode, task_type, procedures_used)
     return episode
 
 
@@ -369,7 +367,7 @@ def maybe_consolidate(
     timestamp: str | None = None,
 ) -> list[Procedure]:
     """Consolidate when ``interval_n`` episodes accumulated since last time."""
-    count = len(view.episodes())
+    count = len(view.episodic_store().episodic)
     if count - view.consolidation_watermark() < cfg.interval_n:
         return []
     new_procedures = consolidate(view, cfg, generator, embedder, timestamp=timestamp)

@@ -172,6 +172,18 @@ def score_pool(
     return _rank(pool, _relevances(query, pool, embedder))
 
 
+def _procedural_hit(
+    query: Query, procedural_pool: Sequence[MemoryItem], embedder: EmbeddingProvider
+) -> RetrievalResult | None:
+    """The procedural result when any procedure reaches the threshold, else None."""
+    if procedural_pool:
+        rels = _relevances(query, procedural_pool, embedder)
+        if max(rels) >= query.proc_fallback_threshold:
+            ranked = _rank(procedural_pool, rels)
+            return RetrievalResult(kind_used="procedural", items=tuple(ranked[: query.k]))
+    return None
+
+
 def retrieve_from_pools(
     query: Query,
     procedural_pool: Sequence[MemoryItem],
@@ -185,20 +197,22 @@ def retrieve_from_pools(
     error. Procedural relevances are computed once and serve both the
     threshold test and the ranking.
     """
-    if procedural_pool:
-        rels = _relevances(query, procedural_pool, embedder)
-        if max(rels) >= query.proc_fallback_threshold:
-            ranked = _rank(procedural_pool, rels)
-            return RetrievalResult(kind_used="procedural", items=tuple(ranked[: query.k]))
+    hit = _procedural_hit(query, procedural_pool, embedder)
+    if hit is not None:
+        return hit
     ranked = score_pool(query, episodic_pool, embedder)
     return RetrievalResult(kind_used="episodic", items=tuple(ranked[: query.k]))
 
 
 def retrieve(view: MemoryView, query: Query, embedder: EmbeddingProvider) -> RetrievalResult:
-    """Retrieve the top-k memory items visible to ``view`` for this query."""
-    procs = procedural_items(view.procedures().values())
-    episodes = episodic_items(view.episodes())
-    return retrieve_from_pools(query, procs, episodes, embedder)
+    """Retrieve the top-k memory items visible to ``view`` for this query.
+
+    The episodic pool is built only when procedures do not serve the query.
+    """
+    hit = _procedural_hit(query, procedural_items(view.procedures().values()), embedder)
+    if hit is not None:
+        return hit
+    return retrieve_from_pools(query, (), episodic_items(view.episodes()), embedder)
 
 
 def render_memory_context(result: RetrievalResult) -> str:

@@ -4,10 +4,10 @@ On disk a store root looks like::
 
     root/
       store_meta.json              # schema version + topology + agent roster
-      <owner>/episodic.jsonl       # owner is an agent id or "shared"
-      <owner>/episodic.json
-      <owner>/procedural.json
-      <owner>/transactive.json
+      <owner>/episodic.jsonl       # episode log; owner is an agent id or "shared"
+      <owner>/episodic.json        # consolidation watermark
+      <owner>/procedural.json      # procedure snapshot
+      <owner>/transactive.json     # profile and team-pattern snapshot
 
 Three topologies decide which owner each view resolves to:
 
@@ -18,19 +18,37 @@ Three topologies decide which owner each view resolves to:
 
 Episodes are never modified once stored, so they live in an append-only log,
 ``episodic.jsonl``: one compact sorted-key JSON line per episode, in append
-order. A flush appends only the episodes added since the previous flush, and
-reading rejects a malformed or truncated (torn) line. ``episodic.json``
-holds only the schema version and the consolidation watermark and is
-rewritten when the watermark moves. Every other file is rewritten whole and
-atomically, via a temp file plus rename.
+order. A flush appends only the lines added since the previous flush, and
+reading rejects a malformed or truncated (torn) line.
+
+The log is also a write-ahead log. :meth:`MemoryView.record_task` stores one
+finished task (its episode, procedure outcomes and transactive update) as a
+single *task record*: the episode's line plus its ``task_type``, a store-wide
+sequence number ``seq`` and, when the episode's ``related_procedures`` do not
+already say it, the ``procedures_used``. Appending that line is the task's
+commit point. ``procedural.json`` and ``transactive.json`` are snapshots that
+name the last ``seq`` they include, so they may lag the log. Opening a store
+replays into each snapshot's state the task records logged after it, all
+logs merged in ``seq`` order; a snapshot never takes a record twice, and
+opening writes nothing. A flush that writes a watermark file (an owner's
+first log flush, and each flush after consolidation moved the watermark) is
+a checkpoint: it also rewrites every snapshot that lags the log. A flush
+appends the logs first, then writes snapshots, then watermark files.
+
+Every other mutation rewrites its files whole and atomically, via a temp
+file plus rename, as compact sorted-key JSON. Agent profiles are stored
+without ``proficiency`` and ``specializations``; both follow from
+``task_type_counts`` and are derived on load.
 
 All writes go through an agent's :class:`MemoryView` (single writer). Outside
 a batch, each mutating call flushes before it returns (write-through). Inside
 :meth:`MemoryView.batch`, mutating calls only mark their files dirty, and
 leaving the outermost batch writes each dirty file once.
 
-Schema version 1 kept the episodes inside ``episodic.json``. Such a store is
-still read, and its first flush rewrites it in the current layout.
+Schema version 1 kept the episodes inside ``episodic.json``; version 2 had no
+task records and stored the derived profile fields. Both are still read (a
+version 2 store as fully checkpointed), and the first flush rewrites every
+file in the current layout.
 """
 
 from __future__ import annotations
@@ -43,13 +61,14 @@ import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .types import (
     AgentProfile,
     Episode,
     Procedure,
     TeamPattern,
+    TypeStats,
     agent_profile_from_dict,
     agent_profile_to_dict,
     canonical_team_key,
@@ -62,11 +81,12 @@ from .types import (
     team_pattern_to_dict,
 )
 
-SCHEMA_VERSION = 2
-_READABLE_VERSIONS = (1, SCHEMA_VERSION)
+SCHEMA_VERSION = 3
+_READABLE_VERSIONS = (1, 2, SCHEMA_VERSION)
 SHARED_OWNER = "shared"
 
 _KINDS = ("episodic", "procedural", "transactive")
+_SNAPSHOT_KINDS = ("procedural", "transactive")
 
 
 class StoreError(Exception):
@@ -91,7 +111,9 @@ class StoreSet:
     consolidation; ``next_procedure_seq`` feeds deterministic procedure ids.
     ``cluster_state`` is consolidation's incremental clustering of
     ``episodic``: derived, never persisted, and rebuilt whenever it no longer
-    matches the episodes.
+    matches the episodes. ``episode_keys`` holds the ``(agent_id,
+    task_index)`` of every episode for the duplicate check: derived as well,
+    and rebuilt whenever its size no longer matches ``episodic``.
     """
 
     episodic: list[Episode] = field(default_factory=list)
@@ -101,11 +123,25 @@ class StoreSet:
     consolidation_watermark: int = 0
     next_procedure_seq: int = 1
     cluster_state: Any = field(default=None, compare=False, repr=False)
+    episode_keys: set[tuple[str, int]] = field(default_factory=set, compare=False, repr=False)
+
+
+class _TaskRecord(NamedTuple):
+    """One task record read back from an episode log."""
+
+    seq: int
+    episode: Episode
+    task_type: str
+    procedures_used: tuple[str, ...]
+
+
+def _compact(document: dict[str, Any]) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 def _dump_json(path: Path, document: dict[str, Any]) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp.write_text(_compact(document) + "\n", encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -121,11 +157,22 @@ def _load_json(path: Path) -> dict[str, Any]:
     return document
 
 
-def _episode_lines(episodes: Iterable[Episode]) -> str:
-    return "".join(
-        json.dumps(episode_to_dict(e), sort_keys=True, separators=(",", ":")) + "\n"
-        for e in episodes
-    )
+def _profile_to_doc(profile: AgentProfile) -> dict[str, Any]:
+    """A profile's wire form, without the fields derived from its counters."""
+    doc = agent_profile_to_dict(profile)
+    del doc["proficiency"], doc["specializations"]
+    return doc
+
+
+def _profile_from_doc(doc: dict[str, Any]) -> AgentProfile:
+    counts = doc["task_type_counts"]
+    return agent_profile_from_dict({
+        **doc,
+        "specializations": list(counts),
+        "proficiency": {
+            t: TypeStats(c["attempts"], c["successes"]).rate() for t, c in counts.items()
+        },
+    })
 
 
 class MemoryStore:
@@ -144,9 +191,15 @@ class MemoryStore:
         self._batch_depth = 0
         # What each owner's episode files hold: the number of episodes in
         # episodic.jsonl (None: rewrite the log whole, after a v1 load) and
-        # the watermark in episodic.json (None: not yet written as v2).
+        # the watermark in episodic.json (None: not yet written as v3).
         self._logged: dict[str, int | None] = {}
         self._logged_watermark: dict[str, int | None] = {}
+        # Task records: the last seq handed out, the task-record fields of
+        # episodes not yet logged (by episode id), and how many records each
+        # snapshot file on disk lacks.
+        self._seq = 0
+        self._record_fields: dict[str, dict[str, Any]] = {}
+        self._lag: dict[tuple[str, str], int] = {}
         self._meta_version = SCHEMA_VERSION
         self._load_or_init()
 
@@ -193,13 +246,16 @@ class MemoryStore:
                     f"unexpected owner directory {entry} for topology {self.topology.value}"
                 )
 
+        records: list[_TaskRecord] = []
+        checkpoints: dict[tuple[str, str], int] = {}
         for owner in self._owners():
-            self._sets[owner] = self._load_owner(owner)
+            self._sets[owner] = self._load_owner(owner, records, checkpoints)
             if self._meta_version != SCHEMA_VERSION:
                 # an older store: the first flush rewrites every file it has
                 for kind in _KINDS:
                     if self._path(owner, kind).exists():
                         self.mark_dirty(owner, kind)
+        self._replay(records, checkpoints)
 
     def _write_meta(self) -> None:
         _dump_json(
@@ -212,7 +268,17 @@ class MemoryStore:
         )
         self._meta_version = SCHEMA_VERSION
 
-    def _load_owner(self, owner: str) -> StoreSet:
+    def _load_owner(
+        self,
+        owner: str,
+        records: list[_TaskRecord],
+        checkpoints: dict[tuple[str, str], int],
+    ) -> StoreSet:
+        """Read one owner's files.
+
+        Its task records are added to ``records``, and the last seq each of
+        its snapshots includes to ``checkpoints``.
+        """
         store = StoreSet()
         logged: int | None = 0
         logged_watermark: int | None = None
@@ -223,12 +289,20 @@ class MemoryStore:
             if doc["schema_version"] == 1:
                 store.episodic = [episode_from_dict(d) for d in doc["episodes"]]
                 logged = None
-            else:
+            elif doc["schema_version"] == SCHEMA_VERSION:
                 logged_watermark = store.consolidation_watermark
         log_path = self._log_path(owner)
         if logged is not None and log_path.exists():
+
+            def decode(d: dict[str, Any]) -> Episode:
+                episode = episode_from_dict(d)
+                if "seq" in d:
+                    used = d.get("procedures_used", sorted(episode.related_procedures))
+                    records.append(_TaskRecord(d["seq"], episode, d["task_type"], tuple(used)))
+                return episode
+
             try:
-                store.episodic = read_jsonl(log_path, episode_from_dict)
+                store.episodic = read_jsonl(log_path, decode)
             except ValueError as exc:
                 raise StoreError(str(exc)) from exc
             logged = len(store.episodic)
@@ -241,17 +315,35 @@ class MemoryStore:
                 d["procedure_id"]: procedure_from_dict(d) for d in doc["procedures"]
             }
             store.next_procedure_seq = doc.get("next_procedure_seq", 1)
+            checkpoints[owner, "procedural"] = doc.get("seq", 0)
         transactive_path = self._path(owner, "transactive")
         if transactive_path.exists():
             doc = _load_json(transactive_path)
-            store.profiles = {
-                d["agent_id"]: agent_profile_from_dict(d) for d in doc["profiles"]
-            }
+            store.profiles = {d["agent_id"]: _profile_from_doc(d) for d in doc["profiles"]}
             store.team_patterns = {}
             for d in doc["team_patterns"]:
                 pattern = team_pattern_from_dict(d)
                 store.team_patterns[pattern.composition] = pattern
+            checkpoints[owner, "transactive"] = doc.get("seq", 0)
         return store
+
+    def _replay(
+        self, records: list[_TaskRecord], checkpoints: dict[tuple[str, str], int]
+    ) -> None:
+        """Apply to every snapshot the task records logged after its checkpoint."""
+        records.sort(key=lambda record: record.seq)
+        self._seq = max([*checkpoints.values(), *(r.seq for r in records)], default=0)
+        for record in records:
+            view = MemoryView(self, record.episode.agent_id)
+            try:
+                view._apply_task(
+                    record.episode,
+                    record.task_type,
+                    record.procedures_used,
+                    lambda owner, kind: checkpoints.get((owner, kind), 0) < record.seq,
+                )
+            except StoreError as exc:
+                raise StoreError(f"replaying task record seq {record.seq}: {exc}") from exc
 
     def _document(self, owner: str, kind: str) -> dict[str, Any]:
         store = self._sets[owner]
@@ -263,6 +355,7 @@ class MemoryStore:
         if kind == "procedural":
             return {
                 "schema_version": SCHEMA_VERSION,
+                "seq": self._seq,
                 "next_procedure_seq": store.next_procedure_seq,
                 "procedures": [
                     procedure_to_dict(store.procedural[pid])
@@ -271,10 +364,8 @@ class MemoryStore:
             }
         return {
             "schema_version": SCHEMA_VERSION,
-            "profiles": [
-                agent_profile_to_dict(store.profiles[aid])
-                for aid in sorted(store.profiles)
-            ],
+            "seq": self._seq,
+            "profiles": [_profile_to_doc(store.profiles[aid]) for aid in sorted(store.profiles)],
             "team_patterns": [
                 team_pattern_to_dict(store.team_patterns[key])
                 for key in sorted(store.team_patterns)
@@ -286,36 +377,89 @@ class MemoryStore:
             raise ValueError(f"unknown store kind {kind!r}")
         self._dirty.add((owner, kind))
 
-    def _flush_episodic(self, owner: str) -> None:
-        """Append the episodes not yet logged; rewrite the watermark if it moved."""
+    # -- task records ----------------------------------------------------------
+
+    def add_episode(self, owner: str, episode: Episode, record: dict[str, Any] | None) -> None:
+        """Append a validated episode; ``record`` holds its task-record fields."""
+        store = self._sets[owner]
+        store.episodic.append(episode)
+        store.episode_keys.add((episode.agent_id, episode.task_index))
+        if record is not None:
+            self._record_fields[episode.episode_id] = record
+        self.mark_dirty(owner, "episodic")
+
+    def next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
+
+    def add_lag(self, keys: Iterable[tuple[str, str]]) -> None:
+        """Count one more task record that each of these snapshot files lacks."""
+        for key in keys:
+            self._lag[key] = self._lag.get(key, 0) + 1
+
+    def checkpoint_lag(self) -> dict[str, dict[str, int]]:
+        """Task records logged past each snapshot's checkpoint, by owner and kind."""
+        return {
+            owner: {kind: self._lag.get((owner, kind), 0) for kind in _SNAPSHOT_KINDS}
+            for owner in self._owners()
+        }
+
+    # -- flush -----------------------------------------------------------------
+
+    def _log_lines(self, episodes: Sequence[Episode]) -> str:
+        lines = []
+        for episode in episodes:
+            doc = episode_to_dict(episode)
+            doc.update(self._record_fields.get(episode.episode_id, ()))
+            lines.append(_compact(doc) + "\n")
+        return "".join(lines)
+
+    def _append_log(self, owner: str) -> None:
+        """Append the episodes not yet logged."""
+        (self.root / owner).mkdir(parents=True, exist_ok=True)
         store = self._sets[owner]
         logged = self._logged[owner]
         # After a v1 load the log is written whole. Until episodic.json is
-        # replaced below, the v1 file still holds the episodes, so a rewrite
-        # cut short is simply redone after the next open.
+        # replaced, the v1 file still holds the episodes, so a rewrite cut
+        # short is simply redone after the next open.
         if logged is None or logged < len(store.episodic):
+            new = store.episodic[logged or 0 :]
             mode = "w" if logged is None else "a"
             with open(self._log_path(owner), mode, encoding="utf-8") as handle:
-                handle.write(_episode_lines(store.episodic[logged or 0 :]))
+                handle.write(self._log_lines(new))
+            for episode in new:
+                self._record_fields.pop(episode.episode_id, None)
         self._logged[owner] = len(store.episodic)
-        if self._logged_watermark[owner] != store.consolidation_watermark:
-            _dump_json(self._path(owner, "episodic"), self._document(owner, "episodic"))
-            self._logged_watermark[owner] = store.consolidation_watermark
+
+    def _write_snapshot(self, owner: str, kind: str) -> None:
+        (self.root / owner).mkdir(parents=True, exist_ok=True)
+        _dump_json(self._path(owner, kind), self._document(owner, kind))
+        self._lag.pop((owner, kind), None)
 
     def flush(self) -> None:
-        """Write every dirty store file once.
+        """Write every dirty store file once; a checkpoint also catches up the snapshots.
 
-        A no-op when nothing changed, and deferred to the end of the
-        outermost :meth:`batch` when called inside one.
+        Logs are appended first (the commit point), then snapshots written,
+        then moved watermarks. A no-op when nothing changed, and deferred to
+        the end of the outermost :meth:`batch` when called inside one.
         """
         if self._batch_depth:
             return
-        for owner, kind in sorted(self._dirty):
-            (self.root / owner).mkdir(parents=True, exist_ok=True)
-            if kind == "episodic":
-                self._flush_episodic(owner)
-            else:
-                _dump_json(self._path(owner, kind), self._document(owner, kind))
+        logs = sorted(owner for owner, kind in self._dirty if kind == "episodic")
+        for owner in logs:
+            self._append_log(owner)
+        moved = [
+            owner for owner in logs
+            if self._logged_watermark[owner] != self._sets[owner].consolidation_watermark
+        ]
+        snapshots = {key for key in self._dirty if key[1] != "episodic"}
+        if moved:
+            snapshots.update(self._lag)
+        for owner, kind in sorted(snapshots):
+            self._write_snapshot(owner, kind)
+        for owner in moved:
+            _dump_json(self._path(owner, "episodic"), self._document(owner, "episodic"))
+            self._logged_watermark[owner] = self._sets[owner].consolidation_watermark
         self._dirty.clear()
         if self._meta_version != SCHEMA_VERSION:
             self._write_meta()
@@ -473,8 +617,8 @@ class MemoryView:
 
     # -- writes ---------------------------------------------------------------
 
-    def append_episode(self, episode: Episode) -> str:
-        """Append one episode; durable before return outside a batch. Returns its id."""
+    def _check_append(self, episode: Episode, procedures_used: Iterable[str] = ()) -> str:
+        """Validate an episode for this view's log; returns the log's owner."""
         if episode.agent_id != self.agent_id:
             raise StoreError(
                 f"view of {self.agent_id!r} cannot append an episode owned by "
@@ -482,22 +626,69 @@ class MemoryView:
             )
         owner = self._episodic_owner()
         store = self._store.store_set(owner)
-        for existing in store.episodic:
-            if (
-                existing.agent_id == episode.agent_id
-                and existing.task_index == episode.task_index
-            ):
-                raise StoreError(
-                    f"duplicate episode {episode.episode_id!r} in {owner!r} store"
-                )
+        if len(store.episode_keys) != len(store.episodic):
+            store.episode_keys = {(e.agent_id, e.task_index) for e in store.episodic}
+        if (episode.agent_id, episode.task_index) in store.episode_keys:
+            raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
         known = self._store.store_set(self._procedural_owner()).procedural
-        missing = sorted(pid for pid in episode.related_procedures if pid not in known)
+        missing = sorted({*episode.related_procedures, *procedures_used} - known.keys())
         if missing:
             raise StoreError(f"episode references unknown procedures: {missing}")
-        store.episodic.append(episode)
-        self._store.mark_dirty(owner, "episodic")
+        return owner
+
+    def append_episode(self, episode: Episode) -> str:
+        """Append one episode; durable before return outside a batch. Returns its id."""
+        self._store.add_episode(self._check_append(episode), episode, None)
         self._store.flush()
         return episode.episode_id
+
+    def record_task(
+        self, episode: Episode, task_type: str, procedures_used: Sequence[str]
+    ) -> str:
+        """Store one finished task as a single task record; returns the episode id.
+
+        The in-memory effect equals :meth:`append_episode`, then
+        :meth:`record_procedure_outcome` for each of ``procedures_used``
+        (stamped with the episode's timestamp), then
+        :meth:`update_transactive`. Only the episode log line is written:
+        the procedure and transactive snapshots catch up at the next
+        checkpoint, and :func:`open_store` replays what they lack.
+        """
+        used = list(procedures_used)
+        owner = self._check_append(episode, used)
+        seq = self._store.next_seq()
+        record: dict[str, Any] = {"seq": seq, "task_type": task_type}
+        if sorted(used) != sorted(episode.related_procedures):
+            record["procedures_used"] = used
+        self._store.add_episode(owner, episode, record)
+        self._apply_task(episode, task_type, used, lambda owner, kind: True)
+        self._store.flush()
+        return episode.episode_id
+
+    def _apply_task(
+        self,
+        episode: Episode,
+        task_type: str,
+        procedures_used: Sequence[str],
+        lacks: Callable[[str, str], bool],
+    ) -> None:
+        """Apply a task record's effect on procedures and transactive state.
+
+        Each snapshot file ``(owner, kind)`` takes its part only if
+        ``lacks(owner, kind)``; this is how replay on open skips the files
+        that already hold the record.
+        """
+        touched = set()
+        owner = self._procedural_owner()
+        if procedures_used and lacks(owner, "procedural"):
+            for procedure_id in procedures_used:
+                self._bump_procedure(procedure_id, episode.outcome.success, episode.timestamp)
+            touched.add((owner, "procedural"))
+        for owner in self._fold_transactive(
+            episode, task_type, lambda owner: lacks(owner, "transactive")
+        ):
+            touched.add((owner, "transactive"))
+        self._store.add_lag(touched)
 
     def upsert_procedure(self, procedure: Procedure, timestamp: str | None = None) -> str:
         """Insert or replace a procedure, refreshing its ``updated_at``."""
@@ -509,10 +700,7 @@ class MemoryView:
         self._store.flush()
         return stamped.procedure_id
 
-    def record_procedure_outcome(
-        self, procedure_id: str, success: bool, timestamp: str | None = None
-    ) -> Procedure:
-        """Bump exactly one evidence counter of an existing procedure."""
+    def _bump_procedure(self, procedure_id: str, success: bool, timestamp: str) -> Procedure:
         owner = self._procedural_owner()
         store = self._store.store_set(owner)
         procedure = store.procedural.get(procedure_id)
@@ -522,10 +710,17 @@ class MemoryView:
             procedure,
             successes=procedure.successes + int(success),
             failures=procedure.failures + int(not success),
-            updated_at=timestamp or _now_iso(),
+            updated_at=timestamp,
         )
         store.procedural[procedure_id] = updated
-        self._store.mark_dirty(owner, "procedural")
+        return updated
+
+    def record_procedure_outcome(
+        self, procedure_id: str, success: bool, timestamp: str | None = None
+    ) -> Procedure:
+        """Bump exactly one evidence counter of an existing procedure."""
+        updated = self._bump_procedure(procedure_id, success, timestamp or _now_iso())
+        self._store.mark_dirty(self._procedural_owner(), "procedural")
         self._store.flush()
         return updated
 
@@ -556,34 +751,54 @@ class MemoryView:
                 f"view of {self.agent_id!r} cannot record transactive state for "
                 f"{episode.agent_id!r}"
             )
+        for owner in self._fold_transactive(episode, task_type, lambda owner: True):
+            self._store.mark_dirty(owner, "transactive")
+        self._store.flush()
+
+    def _fold_transactive(
+        self, episode: Episode, task_type: str, applies: Callable[[str], bool]
+    ) -> set[str]:
+        """Apply an episode's transactive update to the owners ``applies`` accepts.
+
+        Returns the owners whose state changed.
+        """
         owner = episode.agent_id
         success = episode.outcome.success
+        touched = set()
 
         agg_owner = self._procedural_owner()
-        agg_store = self._store.store_set(agg_owner)
-        profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
-        agg_store.profiles[owner] = profile.with_task_result(task_type, success)
-        self._store.mark_dirty(agg_owner, "transactive")
-
-        partners = [p for p in canonical_team_key(episode.team_composition) if p != owner]
+        if applies(agg_owner):
+            agg_store = self._store.store_set(agg_owner)
+            profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
+            agg_store.profiles[owner] = profile.with_task_result(task_type, success)
+            key = canonical_team_key(episode.team_composition)
+            pattern = agg_store.team_patterns.get(key, TeamPattern(composition=key))
+            agg_store.team_patterns[key] = pattern.with_result(task_type, success)
+            touched.add(agg_owner)
 
         def bump_collab(store_owner: str, subject: str, partner: str) -> None:
+            if not applies(store_owner):
+                return
             store = self._store.store_set(store_owner)
             subject_profile = store.profiles.get(subject, AgentProfile(agent_id=subject))
             store.profiles[subject] = subject_profile.with_collaboration(partner, success)
-            self._store.mark_dirty(store_owner, "transactive")
+            touched.add(store_owner)
 
-        for partner in partners:
+        for partner in canonical_team_key(episode.team_composition):
+            if partner == owner:
+                continue
             bump_collab(self._collab_owner(owner), owner, partner)
             if self.topology is not Topology.LOCAL:
                 bump_collab(self._collab_owner(partner), partner, owner)
+        return touched
 
-        key = canonical_team_key(episode.team_composition)
-        pattern = agg_store.team_patterns.get(key, TeamPattern(composition=key))
-        agg_store.team_patterns[key] = pattern.with_result(task_type, success)
-        self._store.mark_dirty(agg_owner, "transactive")
+    def checkpoint_lag(self) -> dict[str, dict[str, int]]:
+        """Task records logged past each snapshot's checkpoint, store-wide.
 
-        self._store.flush()
+        Keyed by owner, then by snapshot kind (``procedural``,
+        ``transactive``); the next checkpoint writes every non-zero one.
+        """
+        return self._store.checkpoint_lag()
 
     def persist(self) -> None:
         """Flush any pending writes; no-op on a clean store and inside a batch."""

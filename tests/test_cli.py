@@ -89,6 +89,24 @@ def test_inspect_command(tmp_path, capsys):
     assert "procedures visible: 1" in out
 
 
+def test_inspect_reports_task_records_past_each_checkpoint(tmp_path, capsys):
+    # hybrid, 2 agents, consolidation every 3 own episodes: the last
+    # checkpoint is task 6, so tasks 7 and 8 lie past every snapshot they touch
+    config = write_config(tmp_path, topology="hybrid", team_size=2, n_tasks=8,
+                          consolidation={"n": 3})
+    out_dir = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out_dir)])
+    capsys.readouterr()
+    assert main(["inspect", "--store", str(out_dir / "store"), "--agent", "agent-2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("task records past each snapshot's checkpoint:")
+    assert lines[start + 1:] == [
+        "  agent-1: procedural 0, transactive 2",
+        "  agent-2: procedural 0, transactive 2",
+        "  shared: procedural 2, transactive 2",
+    ]
+
+
 def test_inspect_unknown_agent_fails_cleanly(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"

@@ -362,7 +362,7 @@ def test_each_step_flushes_every_store_file_once(tmp_path, monkeypatch, topology
         logs = {p: p.read_bytes() for p in store.rglob("*.jsonl")}
         dumped.clear()
         runner.step()
-        assert max(Counter(dumped).values()) == 1, f"task {task}: {Counter(dumped)}"
+        assert max(Counter(dumped).values(), default=1) == 1, f"task {task}: {Counter(dumped)}"
         after = own_log.read_bytes()
         before = logs.get(own_log, b"")
         assert after.startswith(before)

@@ -24,7 +24,7 @@ from teammem.lifecycle import (
     stub_extract_lessons,
     stub_generalize,
 )
-from teammem.store import open_store
+from teammem.store import MemoryView, open_store
 from teammem.types import Episode, Outcome, Procedure
 
 EMBEDDER = HashEmbedder()
@@ -570,6 +570,17 @@ def test_maybe_consolidate_waits_for_the_interval(tmp_path):
     assert view.consolidation_watermark() == 3
     # immediately after, the counter is reset relative to the new watermark
     assert maybe_consolidate(view, cfg, gen, EMBEDDER) == []
+
+
+def test_maybe_consolidate_does_not_copy_the_history_to_count_it(tmp_path, monkeypatch):
+    view = one_agent_view(tmp_path)
+    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
+
+    def no_copy(self):
+        raise AssertionError("episodes() copied the whole history")
+
+    monkeypatch.setattr(MemoryView, "episodes", no_copy)
+    assert maybe_consolidate(view, ConsolidationConfig(interval_n=2), StubGenerator(), EMBEDDER) == []
 
 
 def test_watermark_blocks_reconsolidation_after_reopen(tmp_path):

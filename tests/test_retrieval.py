@@ -301,6 +301,37 @@ def test_retrieve_through_a_view(tmp_path):
     assert result.ids[0] == "agent-1:1"
 
 
+@pytest.mark.parametrize(
+    "query_text, kind_used",
+    [("deploy the payment service", "procedural"), ("quarterly audit", "episodic")],
+)
+def test_retrieve_builds_the_episodic_pool_only_on_fallback(
+    tmp_path, monkeypatch, query_text, kind_used
+):
+    import teammem.retrieval as retrieval_module
+
+    view = open_store(tmp_path / "store", "local", ["agent-1"])["agent-1"]
+    view.append_episode(episode("agent-1", 1, "quarterly finance audit went fine"))
+    view.append_episode(episode("agent-1", 2, "audit the quarterly report"))
+    view.upsert_procedure(procedure("proc-00001", "Deploy payment service", "checklist first"))
+    query = Query(text=query_text)
+    expected = retrieve_from_pools(
+        query,
+        procedural_items(view.procedures().values()),
+        episodic_items(view.episodes()),
+        EMBEDDER,
+    )
+    built = []
+    real = retrieval_module.episodic_items
+    monkeypatch.setattr(
+        retrieval_module, "episodic_items", lambda episodes: built.append(1) or real(episodes)
+    )
+    result = retrieve(view, query, EMBEDDER)
+    assert result.kind_used == kind_used
+    assert result == expected
+    assert len(built) == (kind_used == "episodic")
+
+
 # -- rendering -------------------------------------------------------------------
 
 

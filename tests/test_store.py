@@ -55,7 +55,7 @@ def test_store_meta_written_on_create(tmp_path):
     meta = json.loads((tmp_path / "store" / "store_meta.json").read_text())
     assert meta == {
         "agents": ["agent-1", "agent-2"],
-        "schema_version": 2,
+        "schema_version": 3,
         "topology": "hybrid",
     }
 
@@ -399,7 +399,7 @@ def test_episodes_are_appended_as_one_line_each(tmp_path):
     assert [json.loads(line)["task_index"] for line in lines] == [1, 2]
     assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True, separators=(",", ":"))
     meta = json.loads((tmp_path / "store" / "agent-1" / "episodic.json").read_text())
-    assert meta == {"consolidation_watermark": 0, "schema_version": 2}
+    assert meta == {"consolidation_watermark": 0, "schema_version": 3}
 
 
 def test_episodic_json_is_rewritten_only_when_the_watermark_moves(tmp_path):
@@ -521,14 +521,14 @@ def test_schema_v1_store_is_read_and_rewritten_as_v2_on_first_flush(tmp_path):
     assert not (root / "agent-1" / "episodic.jsonl").exists()
 
     views["agent-1"].persist()
-    assert json.loads((root / "store_meta.json").read_text())["schema_version"] == 2
+    assert json.loads((root / "store_meta.json").read_text())["schema_version"] == 3
     assert json.loads((root / "agent-1" / "episodic.json").read_text()) == {
         "consolidation_watermark": 2,
-        "schema_version": 2,
+        "schema_version": 3,
     }
     lines = [json.loads(line) for line in log_lines(tmp_path)]
     assert lines[0] == V1_EPISODE and [d["task_index"] for d in lines] == [1, 2]
-    assert json.loads((root / "agent-1" / "procedural.json").read_text())["schema_version"] == 2
+    assert json.loads((root / "agent-1" / "procedural.json").read_text())["schema_version"] == 3
     assert open_store(root)["agent-1"].snapshot() == before
 
     views["agent-1"].append_episode(episode_for("agent-1", 3))

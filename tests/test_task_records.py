@@ -1,0 +1,374 @@
+"""Task records: the episode log as write-ahead log, snapshots as checkpoints."""
+
+import json
+import shutil
+
+import pytest
+
+import teammem.harness as harness_module
+import teammem.store as store_module
+from teammem.harness import SimConfig, SimRunner
+from teammem.store import SHARED_OWNER, StoreError, open_store
+from teammem.types import Episode, Outcome, Procedure
+
+AGENTS = ["agent-1", "agent-2"]
+
+
+def episode(agent_id, index, used=(), success=True):
+    return Episode(
+        agent_id=agent_id,
+        task_index=index,
+        timestamp=f"2026-01-01T00:{index:02d}:00+00:00",
+        task_description=f"triage ticket {index}",
+        team_composition=tuple(AGENTS),
+        actions=("read runbook",),
+        outcome=Outcome(ts=80.0, cs=70.0, success=success),
+        lessons=("keep the runbook open",),
+        related_procedures=frozenset(used),
+    )
+
+
+def procedure(pid, owner=SHARED_OWNER):
+    return Procedure(
+        procedure_id=pid,
+        owner_id=owner,
+        created_at="2026-01-01T00:00:00+00:00",
+        updated_at="2026-01-01T00:00:00+00:00",
+        title="Read the runbook first",
+        knowledge="Open the runbook before touching anything.",
+        successes=1,
+        source_episodes=frozenset({"agent-1:0"}),
+    )
+
+
+def files_of(root):
+    return {
+        path: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def read_doc(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+# -- one task, one log line ---------------------------------------------------------
+
+
+def test_record_task_writes_one_log_line_and_no_snapshot(tmp_path, monkeypatch):
+    views = open_store(tmp_path / "store", "shared", AGENTS)
+    view = views["agent-1"]
+    view.upsert_procedure(procedure("proc-00001"))
+    view.record_task(episode("agent-1", 1, ["proc-00001"]), "incident", ["proc-00001"])
+    dumped = []
+    real_dump = store_module._dump_json
+    monkeypatch.setattr(
+        store_module, "_dump_json", lambda path, doc: (dumped.append(path), real_dump(path, doc))
+    )
+    log = tmp_path / "store" / SHARED_OWNER / "episodic.jsonl"
+    before = log.read_bytes()
+    view.record_task(episode("agent-1", 2, ["proc-00001"], False), "incident", ["proc-00001"])
+    assert dumped == []
+    added = log.read_bytes()[len(before):].decode().splitlines()
+    assert len(added) == 1
+    line = json.loads(added[0])
+    assert (line["seq"], line["task_type"], line["task_index"]) == (2, "incident", 2)
+    assert "procedures_used" not in line  # related_procedures already says it
+    assert added[0] == json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+    live = view.get_procedure("proc-00001")
+    assert (live.successes, live.failures) == (2, 1)
+    assert live.updated_at == "2026-01-01T00:02:00+00:00"
+    assert views["agent-2"].profiles()["agent-1"].total_tasks == 2
+    assert open_store(tmp_path / "store")["agent-2"].snapshot() == views["agent-2"].snapshot()
+    assert view.checkpoint_lag()[SHARED_OWNER] == {"procedural": 1, "transactive": 1}
+
+
+def test_procedures_used_is_logged_when_the_episode_does_not_say_it(tmp_path):
+    views = open_store(tmp_path / "store", "local", AGENTS)
+    view = views["agent-1"]
+    view.upsert_procedure(procedure("proc-00001", "agent-1"))
+    view.record_task(episode("agent-1", 1, ["proc-00001"]), "qa", ["proc-00001", "proc-00001"])
+    log = tmp_path / "store" / "agent-1" / "episodic.jsonl"
+    assert json.loads(log.read_text())["procedures_used"] == ["proc-00001", "proc-00001"]
+    assert view.get_procedure("proc-00001").successes == 3
+    assert open_store(tmp_path / "store")["agent-1"].get_procedure("proc-00001").successes == 3
+
+
+def test_record_task_rejects_bad_input_before_changing_anything(tmp_path):
+    views = open_store(tmp_path / "store", "shared", AGENTS)
+    view = views["agent-1"]
+    view.record_task(episode("agent-1", 1), "incident", [])
+    files = files_of(tmp_path / "store")
+    snapshot = view.snapshot()
+    with pytest.raises(StoreError):
+        view.record_task(episode("agent-1", 2), "incident", ["proc-00404"])
+    with pytest.raises(StoreError):
+        view.record_task(episode("agent-1", 1), "incident", [])
+    with pytest.raises(StoreError):
+        views["agent-2"].record_task(episode("agent-1", 3), "incident", [])
+    assert view.snapshot() == snapshot
+    assert files_of(tmp_path / "store") == files
+
+
+def test_replaying_a_record_over_a_missing_procedure_names_the_record(tmp_path):
+    views = open_store(tmp_path / "store", "shared", AGENTS)
+    view = views["agent-1"]
+    view.upsert_procedure(procedure("proc-00001"))
+    view.record_task(episode("agent-1", 1), "incident", [])
+    view.record_task(episode("agent-1", 2, ["proc-00001"]), "incident", ["proc-00001"])
+    path = tmp_path / "store" / SHARED_OWNER / "procedural.json"
+    doc = read_doc(path)
+    doc["procedures"] = []
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert "task record seq 2" in str(exc.value) and "proc-00001" in str(exc.value)
+
+
+def test_duplicate_check_keys_are_derived_only(tmp_path):
+    views = open_store(tmp_path / "store", "local", AGENTS)
+    view = views["agent-1"]
+    view.append_episode(episode("agent-1", 1))
+    live = view.episodic_store()
+    assert live.episode_keys == {("agent-1", 1)}
+    assert view.snapshot().episode_keys == set()
+    assert view.snapshot() == live
+    assert "episode_keys" not in repr(live)
+    # episodes added behind the view's back are still seen by the check
+    live.episodic.append(episode("agent-1", 2))
+    with pytest.raises(StoreError):
+        view.append_episode(episode("agent-1", 2))
+    reopened = open_store(tmp_path / "store")["agent-1"]
+    with pytest.raises(StoreError):
+        reopened.append_episode(episode("agent-1", 1))
+
+
+# -- replay on open ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_reopening_after_every_step_gives_the_live_state(tmp_path, topology):
+    cfg = SimConfig(topology=topology, n_tasks=40, seed=5)
+    runner = SimRunner(cfg, tmp_path / "run")
+    root = tmp_path / "run" / "store"
+    replayed = 0
+    multi_log_bumps = 0
+    for _ in range(cfg.n_tasks):
+        runner.step()
+        files = files_of(root)
+        reopened = open_store(root)
+        assert files_of(root) == files  # opening writes nothing
+        for agent, view in runner.views.items():
+            assert reopened[agent].snapshot() == view.snapshot()
+        lag = reopened[cfg.agent_ids[0]].checkpoint_lag()
+        replayed += sum(n for kinds in lag.values() for n in kinds.values())
+        if topology == "hybrid" and lag[SHARED_OWNER]["procedural"] >= 2:
+            # consecutive tasks run on different agents, so a lag of two or
+            # more means records from several logs bump the shared snapshot
+            on_disk = read_doc(root / SHARED_OWNER / "procedural.json")["procedures"]
+            live = runner.views[cfg.agent_ids[0]].procedures()
+            multi_log_bumps += sum(
+                live[d["procedure_id"]].successes + live[d["procedure_id"]].failures
+                - d["successes"] - d["failures"] >= 2
+                and live[d["procedure_id"]].updated_at != d["updated_at"]
+                for d in on_disk
+                if d["procedure_id"] in live
+            )
+    assert replayed > 0
+    if topology == "hybrid":
+        assert multi_log_bumps > 0
+
+
+# -- checkpoints under faults --------------------------------------------------------
+
+
+class Boom(Exception):
+    pass
+
+
+def find_checkpoint_step(cfg, out):
+    """Run until a step that uses procedures and moves a watermark; return it.
+
+    Also returns the executor's procedures as they stood right before that
+    step's consolidation pass, with this step's outcomes already counted.
+    """
+    runner = SimRunner(cfg, out)
+    captured = {}
+    real = harness_module.maybe_consolidate
+
+    def spy(view, *args, **kwargs):
+        captured.clear()
+        captured.update(view.procedures())
+        return real(view, *args, **kwargs)
+
+    harness_module.maybe_consolidate = spy
+    try:
+        while True:
+            index = runner.completed
+            view = runner.views[cfg.agent_ids[index % cfg.team_size]]
+            watermark = view.consolidation_watermark()
+            entry = runner.step()
+            if entry.procedures_used and view.consolidation_watermark() != watermark:
+                return runner, index + 1, dict(captured)
+    finally:
+        harness_module.maybe_consolidate = real
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
+    tmp_path, monkeypatch, topology
+):
+    cfg = SimConfig(topology=topology, n_tasks=60, seed=5)
+    reference, step, before_pass = find_checkpoint_step(cfg, tmp_path / "reference")
+    executor = cfg.agent_ids[(step - 1) % cfg.team_size]
+    assert before_pass
+
+    base = tmp_path / "base"
+    runner = SimRunner(cfg, base)
+    for _ in range(step - 1):
+        runner.step()
+
+    real_dump = store_module._dump_json
+    k = 0
+    while True:
+        k += 1
+        out = tmp_path / f"cut-{k}"
+        shutil.copytree(base, out)
+        runner = SimRunner(cfg, out)
+        calls = []
+
+        def failing_dump(path, document):
+            calls.append(path)
+            if len(calls) == k:
+                raise Boom(path)
+            real_dump(path, document)
+
+        monkeypatch.setattr(store_module, "_dump_json", failing_dump)
+        try:
+            runner.step()
+        except Boom:
+            pass
+        else:
+            break
+        finally:
+            monkeypatch.setattr(store_module, "_dump_json", real_dump)
+
+        reopened = open_store(out / "store")
+        for agent, expected in reference.views.items():
+            view = reopened[agent]
+            assert view.episodes() == expected.episodes(), (k, agent)
+            assert view.profiles() == expected.profiles(), (k, agent)
+            assert view.team_patterns() == expected.team_patterns(), (k, agent)
+        # the executor's view sees the procedures its pass consolidated
+        procedures = reopened[executor].procedures()
+        for pid, counted in before_pass.items():
+            if pid in reference.views[executor].procedures():
+                assert pid in procedures, (k, pid)
+            if pid in procedures:
+                got = procedures[pid]
+                assert (got.successes, got.failures, got.updated_at) == (
+                    counted.successes, counted.failures, counted.updated_at
+                ), (k, pid)
+    # the flush writes every lagging snapshot plus the watermark
+    assert k - 1 >= 3
+
+
+# -- schema v2 ---------------------------------------------------------------------
+
+
+V2_EPISODES = [
+    {
+        "actions": ["read runbook"], "agent_id": "agent-1", "env_context": "",
+        "lessons": ["keep the runbook open"], "outcome": {"cs": 70.0, "success": True, "ts": 80.0},
+        "related_procedures": [], "task_description": "triage ticket 1", "task_index": 1,
+        "team_composition": ["agent-1", "agent-2"], "timestamp": "2026-01-01T00:01:00+00:00",
+    },
+    {
+        "actions": ["read runbook"], "agent_id": "agent-2", "env_context": "",
+        "lessons": ["keep the runbook open"], "outcome": {"cs": 30.0, "success": False, "ts": 40.0},
+        "related_procedures": ["proc-00001"], "task_description": "triage ticket 2",
+        "task_index": 1, "team_composition": ["agent-1", "agent-2"],
+        "timestamp": "2026-01-01T00:02:00+00:00",
+    },
+]
+
+V2_PROFILE = {
+    "agent_id": "agent-1",
+    "collaboration_history": {"agent-2": {"joint_successes": 1, "joint_tasks": 1}},
+    "proficiency": {"incident": 1.0},
+    "specializations": ["incident"],
+    "successes": 1,
+    "task_type_counts": {"incident": {"attempts": 1, "successes": 1}},
+    "total_tasks": 1,
+}
+
+
+def write_v2_store(root):
+    def dump(path, document):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+    dump(root / "store_meta.json", {"agents": AGENTS, "schema_version": 2, "topology": "shared"})
+    shared = root / SHARED_OWNER
+    dump(shared / "episodic.json", {"consolidation_watermark": 1, "schema_version": 2})
+    (shared / "episodic.jsonl").write_text(
+        "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in V2_EPISODES),
+        encoding="utf-8",
+    )
+    dump(shared / "procedural.json", {
+        "next_procedure_seq": 2,
+        "procedures": [{
+            "created_at": "2026-01-01T00:00:00+00:00", "failures": 1, "knowledge": "Open it.",
+            "owner_id": "shared", "procedure_id": "proc-00001", "source_episodes": ["agent-1:1"],
+            "successes": 1, "title": "Read the runbook", "updated_at": "2026-01-01T00:02:00+00:00",
+        }],
+        "schema_version": 2,
+    })
+    dump(shared / "transactive.json", {
+        "profiles": [V2_PROFILE],
+        "schema_version": 2,
+        "team_patterns": [{
+            "composition": ["agent-1", "agent-2"],
+            "suited_task_types": {"incident": {"attempts": 2, "successes": 1}},
+        }],
+    })
+
+
+def test_schema_v2_store_is_read_as_checkpointed_and_upgraded_on_first_flush(tmp_path):
+    root = tmp_path / "store"
+    write_v2_store(root)
+    files = files_of(root)
+    views = open_store(root)
+    assert files_of(root) == files
+    before = views["agent-1"].snapshot()
+    assert [e.episode_id for e in before.episodic] == ["agent-1:1", "agent-2:1"]
+    assert before.consolidation_watermark == 1
+    assert (before.procedural["proc-00001"].successes, before.procedural["proc-00001"].failures) == (1, 1)
+    profile = before.profiles["agent-1"]
+    assert profile.proficiency == {"incident": 1.0}
+    assert profile.specializations == frozenset({"incident"})
+    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER] == {"procedural": 0, "transactive": 0}
+
+    log = root / SHARED_OWNER / "episodic.jsonl"
+    log_bytes = log.read_bytes()
+    views["agent-1"].persist()
+    assert log.read_bytes() == log_bytes
+    for name in ("store_meta.json", "episodic.json", "procedural.json", "transactive.json"):
+        path = root / name if name == "store_meta.json" else root / SHARED_OWNER / name
+        text = path.read_text()
+        doc = json.loads(text)
+        assert doc["schema_version"] == 3, name
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", name
+    assert read_doc(root / SHARED_OWNER / "procedural.json")["seq"] == 0
+    stored = read_doc(root / SHARED_OWNER / "transactive.json")
+    assert stored["seq"] == 0
+    assert stored["profiles"] == [
+        {k: v for k, v in V2_PROFILE.items() if k not in ("proficiency", "specializations")}
+    ]
+    assert open_store(root)["agent-1"].snapshot() == before
+
+    views["agent-2"].record_task(episode("agent-2", 2), "incident", [])
+    assert json.loads(log.read_text().splitlines()[-1])["seq"] == 1
+    assert open_store(root)["agent-1"].snapshot() == views["agent-1"].snapshot()

@@ -18,6 +18,7 @@ Hash recipe (the contract tests recompute this independently):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -134,11 +135,24 @@ class EmbeddingProvider(Protocol):
     def embed(self, text: str) -> EmbeddingVector: ...
 
 
+# Vectors kept by the memo every HashEmbedder shares; least recently used
+# ones are dropped first.
+_MEMO_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo_embed(text: str, dim: int) -> EmbeddingVector:
+    return hash_embed(text, dim)
+
+
 class HashEmbedder:
     """Default provider: deterministic signed feature hashing.
 
-    Vectors are memoized by text on the instance; a vector depends only on
-    the text and ``dim``, so a hit returns exactly what a miss would build.
+    Vectors are memoized by text on the instance, and a new instance is
+    seeded from one bounded memo that every instance in the process shares,
+    so it does not hash again what an earlier embedder already did. A vector
+    depends only on the text and ``dim``, so a hit returns exactly what a
+    miss would build.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM) -> None:
@@ -154,7 +168,7 @@ class HashEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         vector = self._memo.get(text)
         if vector is None:
-            vector = self._memo[text] = hash_embed(text, self._dim)
+            vector = self._memo[text] = _memo_embed(text, self._dim)
         return vector
 
 

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from teammem.embedding import (
+    _MEMO_SIZE,
+    _memo_embed,
     DEFAULT_DIM,
     EmbeddingVector,
     HashEmbedder,
@@ -242,6 +244,18 @@ def test_hash_embedder_memoizes_by_text():
     first = embedder.embed("payment gateway retry")
     assert embedder.embed("payment gateway retry") is first
     assert first == hash_embed("payment gateway retry", 32)
-    # the memo belongs to the instance: another embedder builds its own vector
-    assert HashEmbedder(dim=32).embed("payment gateway retry") is not first
+    # a new embedder of the same dim is seeded from the shared memo
+    assert HashEmbedder(dim=32).embed("payment gateway retry") is first
     assert HashEmbedder(dim=16).embed("payment gateway retry").dim == 16
+
+
+def test_shared_memo_is_bounded_and_the_instance_memo_is_not():
+    embedder = HashEmbedder(dim=8)
+    first = embedder.embed("memo bound probe 0")
+    for i in range(1, _MEMO_SIZE + 1):
+        embedder.embed(f"memo bound probe {i}")
+    assert _memo_embed.cache_info().currsize == _MEMO_SIZE
+    # the shared memo dropped its least recently used vector; the instance kept it
+    assert embedder.embed("memo bound probe 0") is first
+    rebuilt = HashEmbedder(dim=8).embed("memo bound probe 0")
+    assert rebuilt is not first and rebuilt == first

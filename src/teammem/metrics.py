@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from .types import read_jsonl
+from .types import json_line, read_jsonl
 
 TOKEN_PROXY_NOTE = "whitespace token proxy, not a tokenizer count"
 
@@ -173,18 +173,14 @@ def entry_from_dict(d: dict[str, Any]) -> RunLogEntry:
     )
 
 
-def _entry_line(entry: RunLogEntry) -> str:
-    return json.dumps(entry_to_dict(entry), sort_keys=True, separators=(",", ":"))
-
-
 def write_runlog(path: Path | str, log: RunLog) -> None:
-    text = "".join(_entry_line(e) + "\n" for e in log.entries)
+    text = "".join(json_line(entry_to_dict(e)) for e in log.entries)
     Path(path).write_text(text, encoding="utf-8")
 
 
 def append_runlog_entry(path: Path | str, entry: RunLogEntry) -> None:
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write(_entry_line(entry) + "\n")
+        handle.write(json_line(entry_to_dict(entry)))
 
 
 def read_runlog(path: Path | str) -> RunLog:

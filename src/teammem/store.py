@@ -30,25 +30,22 @@ commit point. ``procedural.json`` and ``transactive.json`` are snapshots that
 name the last ``seq`` they include, so they may lag the log. Opening a store
 replays into each snapshot's state the task records logged after it, all
 logs merged in ``seq`` order; a snapshot never takes a record twice, and
-opening writes nothing. A flush that writes a watermark file (an owner's
-first log flush, and each flush after consolidation moved the watermark) is
-a checkpoint: it also rewrites every snapshot that lags the log. A flush
-appends the logs first, then writes snapshots, then watermark files.
+opening writes nothing. A flush that writes any snapshot or watermark file
+(the latter on an owner's first log flush and after consolidation moved the
+watermark) is a checkpoint: it also rewrites every snapshot that lags the
+log. A flush appends the logs first, then writes snapshots, then watermark
+files.
 
 Every other mutation rewrites its files whole and atomically, via a temp
-file plus rename, as compact sorted-key JSON. Agent profiles are stored
-without ``proficiency`` and ``specializations``; both follow from
-``task_type_counts`` and are derived on load.
+file plus rename, as compact sorted-key JSON.
 
 All writes go through an agent's :class:`MemoryView` (single writer). Outside
 a batch, each mutating call flushes before it returns (write-through). Inside
 :meth:`MemoryView.batch`, mutating calls only mark their files dirty, and
 leaving the outermost batch writes each dirty file once.
 
-Schema version 1 kept the episodes inside ``episodic.json``; version 2 had no
-task records and stored the derived profile fields. Both are still read (a
-version 2 store as fully checkpointed), and the first flush rewrites every
-file in the current layout.
+Only the current schema version is read; a store file of any other version
+raises :class:`StoreError` naming the file, and nothing is rewritten.
 """
 
 from __future__ import annotations
@@ -68,12 +65,12 @@ from .types import (
     Episode,
     Procedure,
     TeamPattern,
-    TypeStats,
     agent_profile_from_dict,
     agent_profile_to_dict,
     canonical_team_key,
     episode_from_dict,
     episode_to_dict,
+    json_line,
     procedure_from_dict,
     procedure_to_dict,
     read_jsonl,
@@ -82,7 +79,6 @@ from .types import (
 )
 
 SCHEMA_VERSION = 3
-_READABLE_VERSIONS = (1, 2, SCHEMA_VERSION)
 SHARED_OWNER = "shared"
 
 _KINDS = ("episodic", "procedural", "transactive")
@@ -135,44 +131,25 @@ class _TaskRecord(NamedTuple):
     procedures_used: tuple[str, ...]
 
 
-def _compact(document: dict[str, Any]) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
 def _dump_json(path: Path, document: dict[str, Any]) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(_compact(document) + "\n", encoding="utf-8")
+    tmp.write_text(json_line(document), encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _load_json(path: Path) -> dict[str, Any]:
+def _load_json(path: Path, *required: str) -> dict[str, Any]:
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StoreError(f"corrupt JSON in {path}: {exc}") from exc
-    if document.get("schema_version") not in _READABLE_VERSIONS:
+    if document.get("schema_version") != SCHEMA_VERSION:
         raise StoreError(
             f"unsupported schema_version in {path}: {document.get('schema_version')!r}"
         )
+    missing = [key for key in required if key not in document]
+    if missing:
+        raise StoreError(f"{path} lacks {', '.join(missing)}")
     return document
-
-
-def _profile_to_doc(profile: AgentProfile) -> dict[str, Any]:
-    """A profile's wire form, without the fields derived from its counters."""
-    doc = agent_profile_to_dict(profile)
-    del doc["proficiency"], doc["specializations"]
-    return doc
-
-
-def _profile_from_doc(doc: dict[str, Any]) -> AgentProfile:
-    counts = doc["task_type_counts"]
-    return agent_profile_from_dict({
-        **doc,
-        "specializations": list(counts),
-        "proficiency": {
-            t: TypeStats(c["attempts"], c["successes"]).rate() for t, c in counts.items()
-        },
-    })
 
 
 class MemoryStore:
@@ -189,18 +166,14 @@ class MemoryStore:
         self._sets: dict[str, StoreSet] = {}
         self._dirty: set[tuple[str, str]] = set()
         self._batch_depth = 0
-        # What each owner's episode files hold: the number of episodes in
-        # episodic.jsonl (None: rewrite the log whole, after a v1 load) and
-        # the watermark in episodic.json (None: not yet written as v3).
-        self._logged: dict[str, int | None] = {}
-        self._logged_watermark: dict[str, int | None] = {}
-        # Task records: the last seq handed out, the task-record fields of
-        # episodes not yet logged (by episode id), and how many records each
+        # Per owner: the episode-log lines not yet appended, and the watermark
+        # episodic.json holds (absent until it is first written).
+        self._pending: dict[str, list[str]] = {}
+        self._disk_watermark: dict[str, int] = {}
+        # Task records: the last seq handed out, and how many records each
         # snapshot file on disk lacks.
         self._seq = 0
-        self._record_fields: dict[str, dict[str, Any]] = {}
         self._lag: dict[tuple[str, str], int] = {}
-        self._meta_version = SCHEMA_VERSION
         self._load_or_init()
 
     # -- layout -------------------------------------------------------------
@@ -234,7 +207,6 @@ class MemoryStore:
                     f"{meta_path}: store was created for agents "
                     f"{meta.get('agents')!r}, reopened with {sorted(self.agents)!r}"
                 )
-            self._meta_version = meta["schema_version"]
         else:
             self.root.mkdir(parents=True, exist_ok=True)
             self._write_meta()
@@ -250,11 +222,6 @@ class MemoryStore:
         checkpoints: dict[tuple[str, str], int] = {}
         for owner in self._owners():
             self._sets[owner] = self._load_owner(owner, records, checkpoints)
-            if self._meta_version != SCHEMA_VERSION:
-                # an older store: the first flush rewrites every file it has
-                for kind in _KINDS:
-                    if self._path(owner, kind).exists():
-                        self.mark_dirty(owner, kind)
         self._replay(records, checkpoints)
 
     def _write_meta(self) -> None:
@@ -266,7 +233,6 @@ class MemoryStore:
                 "agents": sorted(self.agents),
             },
         )
-        self._meta_version = SCHEMA_VERSION
 
     def _load_owner(
         self,
@@ -280,19 +246,13 @@ class MemoryStore:
         its snapshots includes to ``checkpoints``.
         """
         store = StoreSet()
-        logged: int | None = 0
-        logged_watermark: int | None = None
         episodic_path = self._path(owner, "episodic")
         if episodic_path.exists():
-            doc = _load_json(episodic_path)
-            store.consolidation_watermark = doc.get("consolidation_watermark", 0)
-            if doc["schema_version"] == 1:
-                store.episodic = [episode_from_dict(d) for d in doc["episodes"]]
-                logged = None
-            elif doc["schema_version"] == SCHEMA_VERSION:
-                logged_watermark = store.consolidation_watermark
+            doc = _load_json(episodic_path, "consolidation_watermark")
+            store.consolidation_watermark = doc["consolidation_watermark"]
+            self._disk_watermark[owner] = store.consolidation_watermark
         log_path = self._log_path(owner)
-        if logged is not None and log_path.exists():
+        if log_path.exists():
 
             def decode(d: dict[str, Any]) -> Episode:
                 episode = episode_from_dict(d)
@@ -305,26 +265,23 @@ class MemoryStore:
                 store.episodic = read_jsonl(log_path, decode)
             except ValueError as exc:
                 raise StoreError(str(exc)) from exc
-            logged = len(store.episodic)
-        self._logged[owner] = logged
-        self._logged_watermark[owner] = logged_watermark
         procedural_path = self._path(owner, "procedural")
         if procedural_path.exists():
-            doc = _load_json(procedural_path)
+            doc = _load_json(procedural_path, "seq", "next_procedure_seq", "procedures")
             store.procedural = {
                 d["procedure_id"]: procedure_from_dict(d) for d in doc["procedures"]
             }
-            store.next_procedure_seq = doc.get("next_procedure_seq", 1)
-            checkpoints[owner, "procedural"] = doc.get("seq", 0)
+            store.next_procedure_seq = doc["next_procedure_seq"]
+            checkpoints[owner, "procedural"] = doc["seq"]
         transactive_path = self._path(owner, "transactive")
         if transactive_path.exists():
-            doc = _load_json(transactive_path)
-            store.profiles = {d["agent_id"]: _profile_from_doc(d) for d in doc["profiles"]}
+            doc = _load_json(transactive_path, "seq", "profiles", "team_patterns")
+            store.profiles = {d["agent_id"]: agent_profile_from_dict(d) for d in doc["profiles"]}
             store.team_patterns = {}
             for d in doc["team_patterns"]:
                 pattern = team_pattern_from_dict(d)
                 store.team_patterns[pattern.composition] = pattern
-            checkpoints[owner, "transactive"] = doc.get("seq", 0)
+            checkpoints[owner, "transactive"] = doc["seq"]
         return store
 
     def _replay(
@@ -365,7 +322,9 @@ class MemoryStore:
         return {
             "schema_version": SCHEMA_VERSION,
             "seq": self._seq,
-            "profiles": [_profile_to_doc(store.profiles[aid]) for aid in sorted(store.profiles)],
+            "profiles": [
+                agent_profile_to_dict(store.profiles[aid]) for aid in sorted(store.profiles)
+            ],
             "team_patterns": [
                 team_pattern_to_dict(store.team_patterns[key])
                 for key in sorted(store.team_patterns)
@@ -379,13 +338,13 @@ class MemoryStore:
 
     # -- task records ----------------------------------------------------------
 
-    def add_episode(self, owner: str, episode: Episode, record: dict[str, Any] | None) -> None:
-        """Append a validated episode; ``record`` holds its task-record fields."""
+    def add_episode(self, owner: str, episode: Episode, record: dict[str, Any]) -> None:
+        """Append a validated episode; ``record`` holds its task-record fields, if any."""
         store = self._sets[owner]
         store.episodic.append(episode)
         store.episode_keys.add((episode.agent_id, episode.task_index))
-        if record is not None:
-            self._record_fields[episode.episode_id] = record
+        line = json_line({**episode_to_dict(episode), **record})
+        self._pending.setdefault(owner, []).append(line)
         self.mark_dirty(owner, "episodic")
 
     def next_seq(self) -> int:
@@ -406,30 +365,14 @@ class MemoryStore:
 
     # -- flush -----------------------------------------------------------------
 
-    def _log_lines(self, episodes: Sequence[Episode]) -> str:
-        lines = []
-        for episode in episodes:
-            doc = episode_to_dict(episode)
-            doc.update(self._record_fields.get(episode.episode_id, ()))
-            lines.append(_compact(doc) + "\n")
-        return "".join(lines)
-
     def _append_log(self, owner: str) -> None:
-        """Append the episodes not yet logged."""
+        """Append the owner's pending episode-log lines."""
         (self.root / owner).mkdir(parents=True, exist_ok=True)
-        store = self._sets[owner]
-        logged = self._logged[owner]
-        # After a v1 load the log is written whole. Until episodic.json is
-        # replaced, the v1 file still holds the episodes, so a rewrite cut
-        # short is simply redone after the next open.
-        if logged is None or logged < len(store.episodic):
-            new = store.episodic[logged or 0 :]
-            mode = "w" if logged is None else "a"
-            with open(self._log_path(owner), mode, encoding="utf-8") as handle:
-                handle.write(self._log_lines(new))
-            for episode in new:
-                self._record_fields.pop(episode.episode_id, None)
-        self._logged[owner] = len(store.episodic)
+        lines = self._pending.get(owner)
+        if lines:
+            with open(self._log_path(owner), "a", encoding="utf-8") as handle:
+                handle.write("".join(lines))
+            del self._pending[owner]
 
     def _write_snapshot(self, owner: str, kind: str) -> None:
         (self.root / owner).mkdir(parents=True, exist_ok=True)
@@ -440,8 +383,10 @@ class MemoryStore:
         """Write every dirty store file once; a checkpoint also catches up the snapshots.
 
         Logs are appended first (the commit point), then snapshots written,
-        then moved watermarks. A no-op when nothing changed, and deferred to
-        the end of the outermost :meth:`batch` when called inside one.
+        then moved watermarks. A flush that writes any snapshot or watermark
+        is a checkpoint and also rewrites every lagging snapshot. A no-op when
+        nothing changed, and deferred to the end of the outermost
+        :meth:`batch` when called inside one.
         """
         if self._batch_depth:
             return
@@ -450,19 +395,17 @@ class MemoryStore:
             self._append_log(owner)
         moved = [
             owner for owner in logs
-            if self._logged_watermark[owner] != self._sets[owner].consolidation_watermark
+            if self._disk_watermark.get(owner) != self._sets[owner].consolidation_watermark
         ]
         snapshots = {key for key in self._dirty if key[1] != "episodic"}
-        if moved:
+        if moved or snapshots:
             snapshots.update(self._lag)
         for owner, kind in sorted(snapshots):
             self._write_snapshot(owner, kind)
         for owner in moved:
             _dump_json(self._path(owner, "episodic"), self._document(owner, "episodic"))
-            self._logged_watermark[owner] = self._sets[owner].consolidation_watermark
+            self._disk_watermark[owner] = self._sets[owner].consolidation_watermark
         self._dirty.clear()
-        if self._meta_version != SCHEMA_VERSION:
-            self._write_meta()
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -638,7 +581,7 @@ class MemoryView:
 
     def append_episode(self, episode: Episode) -> str:
         """Append one episode; durable before return outside a batch. Returns its id."""
-        self._store.add_episode(self._check_append(episode), episode, None)
+        self._store.add_episode(self._check_append(episode), episode, {})
         self._store.flush()
         return episode.episode_id
 
@@ -647,8 +590,8 @@ class MemoryView:
     ) -> str:
         """Store one finished task as a single task record; returns the episode id.
 
-        The in-memory effect equals :meth:`append_episode`, then
-        :meth:`record_procedure_outcome` for each of ``procedures_used``
+        The in-memory effect equals :meth:`append_episode`, then one bump of
+        the success or failure counter of each of ``procedures_used``
         (stamped with the episode's timestamp), then
         :meth:`update_transactive`. Only the episode log line is written:
         the procedure and transactive snapshots catch up at the next
@@ -700,29 +643,18 @@ class MemoryView:
         self._store.flush()
         return stamped.procedure_id
 
-    def _bump_procedure(self, procedure_id: str, success: bool, timestamp: str) -> Procedure:
+    def _bump_procedure(self, procedure_id: str, success: bool, timestamp: str) -> None:
         owner = self._procedural_owner()
         store = self._store.store_set(owner)
         procedure = store.procedural.get(procedure_id)
         if procedure is None:
             raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
-        updated = replace(
+        store.procedural[procedure_id] = replace(
             procedure,
             successes=procedure.successes + int(success),
             failures=procedure.failures + int(not success),
             updated_at=timestamp,
         )
-        store.procedural[procedure_id] = updated
-        return updated
-
-    def record_procedure_outcome(
-        self, procedure_id: str, success: bool, timestamp: str | None = None
-    ) -> Procedure:
-        """Bump exactly one evidence counter of an existing procedure."""
-        updated = self._bump_procedure(procedure_id, success, timestamp or _now_iso())
-        self._store.mark_dirty(self._procedural_owner(), "procedural")
-        self._store.flush()
-        return updated
 
     def remove_procedures(self, procedure_ids: Iterable[str]) -> None:
         owner = self._procedural_owner()

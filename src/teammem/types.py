@@ -13,7 +13,7 @@ The three memory kinds are:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Literal, NamedTuple, TypeVar
 
@@ -163,15 +163,12 @@ def derive_reliability(procedure: Procedure) -> float:
 class AgentProfile:
     """Transactive record of one agent's demonstrated capabilities.
 
-    ``proficiency`` maps task type to the agent's running success rate on
-    that type; ``task_type_counts`` holds the attempt/success counters the
-    rate is derived from. ``collaboration_history`` maps partner agent id
-    to joint work counters.
+    ``task_type_counts`` holds the attempt/success counters per task type;
+    ``proficiency`` and ``specializations`` are derived from them.
+    ``collaboration_history`` maps partner agent id to joint work counters.
     """
 
     agent_id: str
-    specializations: frozenset[str] = frozenset()
-    proficiency: dict[str, float] = field(default_factory=dict)
     task_type_counts: dict[str, TypeStats] = field(default_factory=dict)
     collaboration_history: dict[str, CollabStats] = field(default_factory=dict)
     successes: int = 0
@@ -182,22 +179,24 @@ class AgentProfile:
             raise ValueError("profile counters must be non-negative")
         if self.successes > self.total_tasks:
             raise ValueError("successes cannot exceed total_tasks")
-        object.__setattr__(self, "specializations", frozenset(self.specializations))
+
+    @property
+    def proficiency(self) -> dict[str, float]:
+        """The agent's running success rate on each task type it attempted."""
+        return {t: stats.rate() for t, stats in self.task_type_counts.items()}
+
+    @property
+    def specializations(self) -> frozenset[str]:
+        """The task types the agent attempted."""
+        return frozenset(self.task_type_counts)
 
     def with_task_result(self, task_type: str, success: bool) -> "AgentProfile":
         """New profile with one more attempted task of ``task_type``."""
         old = self.task_type_counts.get(task_type, TypeStats(0, 0))
         stats = TypeStats(old.attempts + 1, old.successes + int(success))
-        counts = dict(self.task_type_counts)
-        counts[task_type] = stats
-        proficiency = dict(self.proficiency)
-        proficiency[task_type] = stats.rate()
-        return AgentProfile(
-            agent_id=self.agent_id,
-            specializations=self.specializations | {task_type},
-            proficiency=proficiency,
-            task_type_counts=counts,
-            collaboration_history=dict(self.collaboration_history),
+        return replace(
+            self,
+            task_type_counts={**self.task_type_counts, task_type: stats},
             successes=self.successes + int(success),
             total_tasks=self.total_tasks + 1,
         )
@@ -205,17 +204,8 @@ class AgentProfile:
     def with_collaboration(self, partner: str, success: bool) -> "AgentProfile":
         """New profile with one more joint task alongside ``partner``."""
         old = self.collaboration_history.get(partner, CollabStats(0, 0))
-        history = dict(self.collaboration_history)
-        history[partner] = CollabStats(old.joint_tasks + 1, old.joint_successes + int(success))
-        return AgentProfile(
-            agent_id=self.agent_id,
-            specializations=self.specializations,
-            proficiency=dict(self.proficiency),
-            task_type_counts=dict(self.task_type_counts),
-            collaboration_history=history,
-            successes=self.successes,
-            total_tasks=self.total_tasks,
-        )
+        stats = CollabStats(old.joint_tasks + 1, old.joint_successes + int(success))
+        return replace(self, collaboration_history={**self.collaboration_history, partner: stats})
 
 
 def derive_agent_reliability(profile: AgentProfile) -> float:
@@ -351,8 +341,6 @@ def procedure_from_dict(d: dict[str, Any]) -> Procedure:
 def agent_profile_to_dict(a: AgentProfile) -> dict[str, Any]:
     return {
         "agent_id": a.agent_id,
-        "specializations": sorted(a.specializations),
-        "proficiency": {k: a.proficiency[k] for k in sorted(a.proficiency)},
         "task_type_counts": {
             k: {"attempts": v.attempts, "successes": v.successes}
             for k, v in sorted(a.task_type_counts.items())
@@ -369,8 +357,6 @@ def agent_profile_to_dict(a: AgentProfile) -> dict[str, Any]:
 def agent_profile_from_dict(d: dict[str, Any]) -> AgentProfile:
     return AgentProfile(
         agent_id=d["agent_id"],
-        specializations=frozenset(d["specializations"]),
-        proficiency=dict(d["proficiency"]),
         task_type_counts={
             k: TypeStats(v["attempts"], v["successes"])
             for k, v in d["task_type_counts"].items()
@@ -402,6 +388,11 @@ def team_pattern_from_dict(d: dict[str, Any]) -> TeamPattern:
             for k, v in d["suited_task_types"].items()
         },
     )
+
+
+def json_line(document: Any) -> str:
+    """``document`` as one compact sorted-key JSON line, newline included."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:

@@ -1,5 +1,6 @@
 """Simulation harness: config parsing, task generation, runs, resume, sweep."""
 
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -233,6 +234,20 @@ def test_runlog_bytes_are_reproducible(tmp_path):
     assert one == two
     run_sim(SimConfig(n_tasks=8, seed=22), tmp_path / "three")
     assert (tmp_path / "three" / "runlog.jsonl").read_bytes() != one
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_store_bytes_match_the_pinned_digests(tmp_path, topology):
+    cfg = SimConfig(topology=topology, team_size=5, n_tasks=60, seed=7)
+    run_sim(cfg, tmp_path / "run")
+    store = tmp_path / "run" / "store"
+    digests = {
+        path.relative_to(store).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(store.rglob("*"))
+        if path.is_file()
+    }
+    pinned = json.loads((GOLDEN / "store_sha256.json").read_text())[topology]
+    assert digests == pinned
 
 
 def test_resumed_run_matches_uninterrupted_run(tmp_path):

@@ -193,25 +193,18 @@ def test_upsert_refreshes_updated_at(tmp_path):
     assert stored.created_at == p.created_at
 
 
-def test_record_procedure_outcome_bumps_one_counter(tmp_path):
+def test_record_task_bumps_one_counter_per_outcome(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].upsert_procedure(
-        procedure_for("proc-00001", "agent-1", ["agent-1:1"], s=2, f=1)
-    )
-    updated = views["agent-1"].record_procedure_outcome(
-        "proc-00001", True, timestamp="2026-01-03T00:00:00+00:00"
-    )
+    view = views["agent-1"]
+    view.upsert_procedure(procedure_for("proc-00001", "agent-1", ["agent-1:1"], s=2, f=1))
+    view.record_task(finished_episode("agent-1", 12), "incident", ["proc-00001"])
+    updated = view.get_procedure("proc-00001")
     assert (updated.successes, updated.failures) == (3, 1)
-    updated = views["agent-1"].record_procedure_outcome(
-        "proc-00001", False, timestamp="2026-01-03T00:00:00+00:00"
-    )
+    assert updated.updated_at == "2026-01-01T00:12:00+00:00"
+    view.record_task(finished_episode("agent-1", 13, success=False), "incident", ["proc-00001"])
+    updated = view.get_procedure("proc-00001")
     assert (updated.successes, updated.failures) == (3, 2)
-
-
-def test_record_procedure_outcome_unknown_id(tmp_path):
-    views = open_views(tmp_path, "local")
-    with pytest.raises(StoreError):
-        views["agent-1"].record_procedure_outcome("proc-00042", True)
+    assert open_store(tmp_path / "store")["agent-1"].get_procedure("proc-00001") == updated
 
 
 def test_remove_procedures(tmp_path):
@@ -344,6 +337,29 @@ def test_unsupported_schema_version_rejected(tmp_path):
         open_store(tmp_path / "store")
 
 
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("episodic", "consolidation_watermark"),
+        ("procedural", "seq"),
+        ("procedural", "next_procedure_seq"),
+        ("transactive", "seq"),
+    ],
+)
+def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind, key):
+    views = open_views(tmp_path, "local")
+    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    views["agent-1"].upsert_procedure(procedure_for("proc-00001", "agent-1", ["agent-1:1"]))
+    views["agent-1"].update_transactive(finished_episode("agent-1", 2), "incident")
+    target = tmp_path / "store" / "agent-1" / f"{kind}.json"
+    doc = json.loads(target.read_text())
+    del doc[key]
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert str(exc.value) == f"{target} lacks {key}"
+
+
 def test_no_tmp_files_left_behind(tmp_path):
     views = open_views(tmp_path, "local")
     views["agent-1"].append_episode(episode_for("agent-1", 1))
@@ -381,7 +397,7 @@ def test_shared_store_has_single_owner_directory(tmp_path):
     assert dirs == ["shared"]
 
 
-# -- episode log, batches and schema v1 ------------------------------------------
+# -- episode log and batches -----------------------------------------------------
 
 
 def log_lines(tmp_path, owner="agent-1"):
@@ -452,7 +468,7 @@ def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, monkeypatc
         view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
         with view.batch():
             view.append_episode(finished_episode("agent-1"))
-            view.record_procedure_outcome("proc-00001", True)
+            view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"], s=2))
             view.update_transactive(finished_episode("agent-1"), "incident")
         view.persist()
         assert dumped == []
@@ -470,66 +486,5 @@ def test_batch_flushes_what_it_applied_when_the_block_raises(tmp_path):
     with pytest.raises(StoreError):
         with views["agent-1"].batch():
             views["agent-1"].append_episode(episode_for("agent-1", 1))
-            views["agent-1"].record_procedure_outcome("proc-00042", True)
+            views["agent-1"].record_task(episode_for("agent-1", 2), "incident", ["proc-00042"])
     assert len(open_store(tmp_path / "store")["agent-1"].episodes()) == 1
-
-
-V1_EPISODE = {
-    "actions": ["read runbook", "apply fix"],
-    "agent_id": "agent-1",
-    "env_context": "",
-    "lessons": ["keep the runbook open"],
-    "outcome": {"cs": 70.0, "success": True, "ts": 80.0},
-    "related_procedures": [],
-    "task_description": "triage ticket 1",
-    "task_index": 1,
-    "team_composition": ["agent-1", "agent-2"],
-    "timestamp": "2026-01-01T00:01:00+00:00",
-}
-
-
-def write_v1_store(root):
-    def dump(path, document):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    dump(root / "store_meta.json", {"agents": AGENTS, "schema_version": 1, "topology": "local"})
-    second = dict(V1_EPISODE, task_index=2, timestamp="2026-01-01T00:02:00+00:00")
-    dump(
-        root / "agent-1" / "episodic.json",
-        {"consolidation_watermark": 2, "episodes": [V1_EPISODE, second], "schema_version": 1},
-    )
-    dump(root / "agent-1" / "procedural.json", {
-        "next_procedure_seq": 2,
-        "procedures": [{
-            "created_at": "2026-01-01T00:10:00+00:00", "failures": 0, "knowledge": "Open it.",
-            "owner_id": "agent-1", "procedure_id": "proc-00001", "source_episodes": ["agent-1:1"],
-            "successes": 1, "title": "Read the runbook", "updated_at": "2026-01-01T00:10:00+00:00",
-        }],
-        "schema_version": 1,
-    })
-
-
-def test_schema_v1_store_is_read_and_rewritten_as_v2_on_first_flush(tmp_path):
-    root = tmp_path / "store"
-    write_v1_store(root)
-    views = open_store(root)
-    before = views["agent-1"].snapshot()
-    assert [e.episode_id for e in before.episodic] == ["agent-1:1", "agent-1:2"]
-    assert before.consolidation_watermark == 2
-    assert list(before.procedural) == ["proc-00001"]
-    assert not (root / "agent-1" / "episodic.jsonl").exists()
-
-    views["agent-1"].persist()
-    assert json.loads((root / "store_meta.json").read_text())["schema_version"] == 3
-    assert json.loads((root / "agent-1" / "episodic.json").read_text()) == {
-        "consolidation_watermark": 2,
-        "schema_version": 3,
-    }
-    lines = [json.loads(line) for line in log_lines(tmp_path)]
-    assert lines[0] == V1_EPISODE and [d["task_index"] for d in lines] == [1, 2]
-    assert json.loads((root / "agent-1" / "procedural.json").read_text())["schema_version"] == 3
-    assert open_store(root)["agent-1"].snapshot() == before
-
-    views["agent-1"].append_episode(episode_for("agent-1", 3))
-    assert len(log_lines(tmp_path)) == 3

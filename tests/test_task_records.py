@@ -7,7 +7,9 @@ import pytest
 
 import teammem.harness as harness_module
 import teammem.store as store_module
+from teammem.embedding import HashEmbedder
 from teammem.harness import SimConfig, SimRunner
+from teammem.lifecycle import ConsolidationConfig, StubGenerator, consolidate
 from teammem.store import SHARED_OWNER, StoreError, open_store
 from teammem.types import Episode, Outcome, Procedure
 
@@ -275,100 +277,73 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
     assert k - 1 >= 3
 
 
-# -- schema v2 ---------------------------------------------------------------------
+# -- the checkpoint rule -----------------------------------------------------------
 
 
-V2_EPISODES = [
-    {
-        "actions": ["read runbook"], "agent_id": "agent-1", "env_context": "",
-        "lessons": ["keep the runbook open"], "outcome": {"cs": 70.0, "success": True, "ts": 80.0},
-        "related_procedures": [], "task_description": "triage ticket 1", "task_index": 1,
-        "team_composition": ["agent-1", "agent-2"], "timestamp": "2026-01-01T00:01:00+00:00",
-    },
-    {
-        "actions": ["read runbook"], "agent_id": "agent-2", "env_context": "",
-        "lessons": ["keep the runbook open"], "outcome": {"cs": 30.0, "success": False, "ts": 40.0},
-        "related_procedures": ["proc-00001"], "task_description": "triage ticket 2",
-        "task_index": 1, "team_composition": ["agent-1", "agent-2"],
-        "timestamp": "2026-01-01T00:02:00+00:00",
-    },
-]
+def test_a_direct_consolidation_checkpoints_every_lagging_snapshot(tmp_path):
+    # the shape of a store built by post_task_update plus one consolidate,
+    # which moves no watermark: writing the new procedures is the checkpoint
+    views = open_store(tmp_path / "store", "shared", AGENTS)
+    for i in range(200):
+        agent = AGENTS[i % 2]
+        views[agent].record_task(episode(agent, i), "incident", [])
+    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER]["transactive"] == 199
+    assert consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
+    lag = open_store(tmp_path / "store")["agent-1"].checkpoint_lag()
+    assert lag == {SHARED_OWNER: {"procedural": 0, "transactive": 0}}
 
-V2_PROFILE = {
-    "agent_id": "agent-1",
-    "collaboration_history": {"agent-2": {"joint_successes": 1, "joint_tasks": 1}},
-    "proficiency": {"incident": 1.0},
-    "specializations": ["incident"],
-    "successes": 1,
-    "task_type_counts": {"incident": {"attempts": 1, "successes": 1}},
-    "total_tasks": 1,
+
+# -- other schema versions ---------------------------------------------------------
+
+
+OLD_EPISODE = {
+    "actions": ["read runbook"], "agent_id": "agent-1", "env_context": "",
+    "lessons": ["keep the runbook open"], "outcome": {"cs": 70.0, "success": True, "ts": 80.0},
+    "related_procedures": [], "task_description": "triage ticket 1", "task_index": 1,
+    "team_composition": ["agent-1", "agent-2"], "timestamp": "2026-01-01T00:01:00+00:00",
 }
 
 
-def write_v2_store(root):
+def write_old_store(root, version):
+    """A shared store laid out as schema version 1 or 2 wrote it.
+
+    Version 1 kept the episodes inside ``episodic.json``; version 2 logged
+    them in ``episodic.jsonl`` and stored the derived profile fields.
+    """
+
     def dump(path, document):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    dump(root / "store_meta.json", {"agents": AGENTS, "schema_version": 2, "topology": "shared"})
+    meta = {"agents": AGENTS, "schema_version": version, "topology": "shared"}
+    dump(root / "store_meta.json", meta)
     shared = root / SHARED_OWNER
-    dump(shared / "episodic.json", {"consolidation_watermark": 1, "schema_version": 2})
-    (shared / "episodic.jsonl").write_text(
-        "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in V2_EPISODES),
-        encoding="utf-8",
-    )
-    dump(shared / "procedural.json", {
-        "next_procedure_seq": 2,
-        "procedures": [{
-            "created_at": "2026-01-01T00:00:00+00:00", "failures": 1, "knowledge": "Open it.",
-            "owner_id": "shared", "procedure_id": "proc-00001", "source_episodes": ["agent-1:1"],
-            "successes": 1, "title": "Read the runbook", "updated_at": "2026-01-01T00:02:00+00:00",
-        }],
-        "schema_version": 2,
-    })
+    watermark = {"consolidation_watermark": 1, "schema_version": version}
+    if version == 1:
+        dump(shared / "episodic.json", {**watermark, "episodes": [OLD_EPISODE]})
+    else:
+        dump(shared / "episodic.json", watermark)
+        line = json.dumps(OLD_EPISODE, sort_keys=True, separators=(",", ":")) + "\n"
+        (shared / "episodic.jsonl").write_text(line, encoding="utf-8")
     dump(shared / "transactive.json", {
-        "profiles": [V2_PROFILE],
-        "schema_version": 2,
-        "team_patterns": [{
-            "composition": ["agent-1", "agent-2"],
-            "suited_task_types": {"incident": {"attempts": 2, "successes": 1}},
+        "profiles": [{
+            "agent_id": "agent-1", "collaboration_history": {}, "proficiency": {"incident": 1.0},
+            "specializations": ["incident"], "successes": 1,
+            "task_type_counts": {"incident": {"attempts": 1, "successes": 1}}, "total_tasks": 1,
         }],
+        "schema_version": version,
+        "team_patterns": [],
     })
 
 
-def test_schema_v2_store_is_read_as_checkpointed_and_upgraded_on_first_flush(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_store_of_an_older_schema_version_is_rejected_untouched(tmp_path, version):
     root = tmp_path / "store"
-    write_v2_store(root)
+    write_old_store(root, version)
     files = files_of(root)
-    views = open_store(root)
+    for args in ((), ("shared", AGENTS)):
+        with pytest.raises(StoreError) as exc:
+            open_store(root, *args)
+        meta = root / "store_meta.json"
+        assert f"unsupported schema_version in {meta}: {version}" in str(exc.value)
     assert files_of(root) == files
-    before = views["agent-1"].snapshot()
-    assert [e.episode_id for e in before.episodic] == ["agent-1:1", "agent-2:1"]
-    assert before.consolidation_watermark == 1
-    assert (before.procedural["proc-00001"].successes, before.procedural["proc-00001"].failures) == (1, 1)
-    profile = before.profiles["agent-1"]
-    assert profile.proficiency == {"incident": 1.0}
-    assert profile.specializations == frozenset({"incident"})
-    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER] == {"procedural": 0, "transactive": 0}
-
-    log = root / SHARED_OWNER / "episodic.jsonl"
-    log_bytes = log.read_bytes()
-    views["agent-1"].persist()
-    assert log.read_bytes() == log_bytes
-    for name in ("store_meta.json", "episodic.json", "procedural.json", "transactive.json"):
-        path = root / name if name == "store_meta.json" else root / SHARED_OWNER / name
-        text = path.read_text()
-        doc = json.loads(text)
-        assert doc["schema_version"] == 3, name
-        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", name
-    assert read_doc(root / SHARED_OWNER / "procedural.json")["seq"] == 0
-    stored = read_doc(root / SHARED_OWNER / "transactive.json")
-    assert stored["seq"] == 0
-    assert stored["profiles"] == [
-        {k: v for k, v in V2_PROFILE.items() if k not in ("proficiency", "specializations")}
-    ]
-    assert open_store(root)["agent-1"].snapshot() == before
-
-    views["agent-2"].record_task(episode("agent-2", 2), "incident", [])
-    assert json.loads(log.read_text().splitlines()[-1])["seq"] == 1
-    assert open_store(root)["agent-1"].snapshot() == views["agent-1"].snapshot()

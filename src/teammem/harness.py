@@ -130,6 +130,8 @@ class SimConfig:
             raise ConfigError(f"consolidation.n: must be >= 1, got {self.consolidation_n}")
         if self.retrieval_k < 1:
             raise ConfigError(f"retrieval.k: must be >= 1, got {self.retrieval_k}")
+        if self.embedding_dim < 1:
+            raise ConfigError(f"embedding.dim: must be >= 1, got {self.embedding_dim}")
         if not self.families:
             raise ConfigError("families: must list at least one task family")
 
@@ -165,6 +167,19 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
             f"topology: must be one of local, shared, hybrid; got {topology_raw!r}"
         ) from None
 
+    def _int(name: str, value: Any) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        return value
+
+    def _number(name: str, value: Any) -> int | float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{name}: must be a number, got {value!r}")
+        return value
+
+    memory_enabled = data.get("memory_enabled", True)
+    if not isinstance(memory_enabled, bool):
+        raise ConfigError(f"memory_enabled: must be true or false, got {memory_enabled!r}")
     consolidation = data.get("consolidation", {})
     retrieval_cfg = data.get("retrieval", {})
     embedding_cfg = data.get("embedding", {})
@@ -178,17 +193,12 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
             TaskFamily(
                 key=f["key"],
                 task_type=f.get("task_type", "general"),
-                base_ts=f.get("base_ts", 55.0),
-                base_cs=f.get("base_cs", 55.0),
-                memory_bonus=f.get("memory_bonus", 10.0),
+                base_ts=_number("families[].base_ts", f.get("base_ts", 55.0)),
+                base_cs=_number("families[].base_cs", f.get("base_cs", 55.0)),
+                memory_bonus=_number("families[].memory_bonus", f.get("memory_bonus", 10.0)),
             )
             for f in families_raw
         )
-
-    def _int(name: str, value: Any) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{name}: must be an integer, got {value!r}")
-        return value
 
     return SimConfig(
         topology=topology,
@@ -196,13 +206,17 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
         n_tasks=_int("n_tasks", data.get("n_tasks", 30)),
         consolidation_n=_int("consolidation.n", consolidation.get("n", 5)),
         retrieval_k=_int("retrieval.k", retrieval_cfg.get("k", 3)),
-        proc_threshold=float(retrieval_cfg.get("proc_threshold", 0.30)),
+        proc_threshold=float(
+            _number("retrieval.proc_threshold", retrieval_cfg.get("proc_threshold", 0.30))
+        ),
         seed=_int("seed", data.get("seed", 0)),
-        memory_enabled=bool(data.get("memory_enabled", True)),
+        memory_enabled=memory_enabled,
         families=families,
-        success_threshold=float(data.get("success_threshold", DEFAULT_SUCCESS_THRESHOLD)),
+        success_threshold=float(
+            _number("success_threshold", data.get("success_threshold", DEFAULT_SUCCESS_THRESHOLD))
+        ),
         embedding_provider=embedding_cfg.get("provider", "hash"),
-        embedding_dim=embedding_cfg.get("dim", 256),
+        embedding_dim=_int("embedding.dim", embedding_cfg.get("dim", 256)),
     )
 
 

@@ -17,27 +17,28 @@ Three topologies decide which owner each view resolves to:
   procedures, profile aggregates, and team patterns live in "shared".
 
 Episodes are never modified once stored, so they live in an append-only log,
-``episodic.jsonl``: one compact sorted-key JSON line per episode, in append
-order. A flush appends only the lines added since the previous flush, and
-reading rejects a malformed or truncated (torn) line.
+``episodic.jsonl``, in append order. A flush appends only the lines added
+since the previous flush, and reading rejects a malformed or truncated (torn)
+line.
 
-The log is also a write-ahead log. :meth:`MemoryView.record_task` stores one
-finished task (its episode, procedure outcomes and transactive update) as a
-single *task record*: the episode's line plus its ``task_type``, a store-wide
-sequence number ``seq`` and, when the episode's ``related_procedures`` do not
-already say it, the ``procedures_used``. Appending that line is the task's
-commit point. ``procedural.json`` and ``transactive.json`` are snapshots that
-name the last ``seq`` they include, so they may lag the log. Opening a store
-replays into each snapshot's state the task records logged after it, all
-logs merged in ``seq`` order; a snapshot never takes a record twice, and
-opening writes nothing. A flush that writes any snapshot or watermark file
-(the latter on an owner's first log flush and after consolidation moved the
-watermark) is a checkpoint: it also rewrites every snapshot that lags the
-log. A flush appends the logs first, then writes snapshots, then watermark
-files.
+The log is also a write-ahead log, and every line of it is a *task record*.
+:meth:`MemoryView.record_task` stores one finished task (its episode,
+procedure outcomes and transactive update) as a single compact sorted-key
+JSON line: the episode plus its ``task_type``, a store-wide sequence number
+``seq`` and, when the episode's ``related_procedures`` do not already say it,
+the ``procedures_used``. Appending that line is the task's commit point.
+``procedural.json`` and ``transactive.json`` are snapshots that name the last
+``seq`` they include, so they may lag the log. Opening a store replays into
+each snapshot's state the task records logged after it, all logs merged in
+``seq`` order; a snapshot never takes a record twice, and opening writes
+nothing. A flush that writes any snapshot or watermark file (the latter on an
+owner's first log flush and after consolidation moved the watermark) is a
+checkpoint: it also rewrites every snapshot that lags the log. A flush
+appends the logs first, then writes snapshots, then watermark files.
 
-Every other mutation rewrites its files whole and atomically, via a temp
-file plus rename, as compact sorted-key JSON.
+Every other mutation (procedure upserts and removals, the consolidation
+watermark) rewrites its file whole and atomically, via a temp file plus
+rename, as compact sorted-key JSON.
 
 All writes go through an agent's :class:`MemoryView` (single writer). Outside
 a batch, each mutating call flushes before it returns (write-through). Inside
@@ -256,9 +257,8 @@ class MemoryStore:
 
             def decode(d: dict[str, Any]) -> Episode:
                 episode = episode_from_dict(d)
-                if "seq" in d:
-                    used = d.get("procedures_used", sorted(episode.related_procedures))
-                    records.append(_TaskRecord(d["seq"], episode, d["task_type"], tuple(used)))
+                used = d.get("procedures_used", sorted(episode.related_procedures))
+                records.append(_TaskRecord(d["seq"], episode, d["task_type"], tuple(used)))
                 return episode
 
             try:
@@ -338,18 +338,19 @@ class MemoryStore:
 
     # -- task records ----------------------------------------------------------
 
-    def add_episode(self, owner: str, episode: Episode, record: dict[str, Any]) -> None:
-        """Append a validated episode; ``record`` holds its task-record fields, if any."""
+    def add_episode(
+        self, owner: str, episode: Episode, task_type: str, procedures_used: list[str]
+    ) -> None:
+        """Append a validated episode to the owner's log as the next task record."""
         store = self._sets[owner]
         store.episodic.append(episode)
         store.episode_keys.add((episode.agent_id, episode.task_index))
-        line = json_line({**episode_to_dict(episode), **record})
-        self._pending.setdefault(owner, []).append(line)
-        self.mark_dirty(owner, "episodic")
-
-    def next_seq(self) -> int:
         self._seq += 1
-        return self._seq
+        record = {**episode_to_dict(episode), "seq": self._seq, "task_type": task_type}
+        if sorted(procedures_used) != sorted(episode.related_procedures):
+            record["procedures_used"] = procedures_used
+        self._pending.setdefault(owner, []).append(json_line(record))
+        self.mark_dirty(owner, "episodic")
 
     def add_lag(self, keys: Iterable[tuple[str, str]]) -> None:
         """Count one more task record that each of these snapshot files lacks."""
@@ -560,7 +561,7 @@ class MemoryView:
 
     # -- writes ---------------------------------------------------------------
 
-    def _check_append(self, episode: Episode, procedures_used: Iterable[str] = ()) -> str:
+    def _check_append(self, episode: Episode, procedures_used: Iterable[str]) -> str:
         """Validate an episode for this view's log; returns the log's owner."""
         if episode.agent_id != self.agent_id:
             raise StoreError(
@@ -579,31 +580,22 @@ class MemoryView:
             raise StoreError(f"episode references unknown procedures: {missing}")
         return owner
 
-    def append_episode(self, episode: Episode) -> str:
-        """Append one episode; durable before return outside a batch. Returns its id."""
-        self._store.add_episode(self._check_append(episode), episode, {})
-        self._store.flush()
-        return episode.episode_id
-
     def record_task(
         self, episode: Episode, task_type: str, procedures_used: Sequence[str]
     ) -> str:
         """Store one finished task as a single task record; returns the episode id.
 
-        The in-memory effect equals :meth:`append_episode`, then one bump of
-        the success or failure counter of each of ``procedures_used``
-        (stamped with the episode's timestamp), then
-        :meth:`update_transactive`. Only the episode log line is written:
-        the procedure and transactive snapshots catch up at the next
-        checkpoint, and :func:`open_store` replays what they lack.
+        The episode is appended to this view's episode log. Each of
+        ``procedures_used`` gets one bump of its success or failure counter,
+        stamped with the episode's timestamp. The task is folded into the
+        profiles and team patterns (see :meth:`_apply_task`). Only the
+        episode log line is written: the procedure and transactive snapshots
+        catch up at the next checkpoint, and :func:`open_store` replays what
+        they lack. Durable before return outside a batch.
         """
         used = list(procedures_used)
         owner = self._check_append(episode, used)
-        seq = self._store.next_seq()
-        record: dict[str, Any] = {"seq": seq, "task_type": task_type}
-        if sorted(used) != sorted(episode.related_procedures):
-            record["procedures_used"] = used
-        self._store.add_episode(owner, episode, record)
+        self._store.add_episode(owner, episode, task_type, used)
         self._apply_task(episode, task_type, used, lambda owner, kind: True)
         self._store.flush()
         return episode.episode_id
@@ -617,20 +609,49 @@ class MemoryView:
     ) -> None:
         """Apply a task record's effect on procedures and transactive state.
 
+        The episode's owner gets the aggregate update (task counters plus the
+        running per-type success rate). Collaboration counters update for the
+        owner and, outside the local topology, for every partner as well;
+        under hybrid each partner's counters land in that partner's private
+        store. The team pattern for the canonical composition updates in the
+        aggregate store.
+
         Each snapshot file ``(owner, kind)`` takes its part only if
         ``lacks(owner, kind)``; this is how replay on open skips the files
         that already hold the record.
         """
+        success = episode.outcome.success
         touched = set()
-        owner = self._procedural_owner()
-        if procedures_used and lacks(owner, "procedural"):
+        agg_owner = self._procedural_owner()
+        if procedures_used and lacks(agg_owner, "procedural"):
             for procedure_id in procedures_used:
-                self._bump_procedure(procedure_id, episode.outcome.success, episode.timestamp)
-            touched.add((owner, "procedural"))
-        for owner in self._fold_transactive(
-            episode, task_type, lambda owner: lacks(owner, "transactive")
-        ):
-            touched.add((owner, "transactive"))
+                self._bump_procedure(procedure_id, success, episode.timestamp)
+            touched.add((agg_owner, "procedural"))
+
+        owner = episode.agent_id
+        if lacks(agg_owner, "transactive"):
+            agg_store = self._store.store_set(agg_owner)
+            profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
+            agg_store.profiles[owner] = profile.with_task_result(task_type, success)
+            key = canonical_team_key(episode.team_composition)
+            pattern = agg_store.team_patterns.get(key, TeamPattern(composition=key))
+            agg_store.team_patterns[key] = pattern.with_result(task_type, success)
+            touched.add((agg_owner, "transactive"))
+
+        def bump_collab(store_owner: str, subject: str, partner: str) -> None:
+            if not lacks(store_owner, "transactive"):
+                return
+            store = self._store.store_set(store_owner)
+            subject_profile = store.profiles.get(subject, AgentProfile(agent_id=subject))
+            store.profiles[subject] = subject_profile.with_collaboration(partner, success)
+            touched.add((store_owner, "transactive"))
+
+        for partner in canonical_team_key(episode.team_composition):
+            if partner == owner:
+                continue
+            bump_collab(self._collab_owner(owner), owner, partner)
+            if self.topology is not Topology.LOCAL:
+                bump_collab(self._collab_owner(partner), partner, owner)
         self._store.add_lag(touched)
 
     def upsert_procedure(self, procedure: Procedure, timestamp: str | None = None) -> str:
@@ -667,62 +688,6 @@ class MemoryView:
         if removed:
             self._store.mark_dirty(owner, "procedural")
             self._store.flush()
-
-    def update_transactive(self, episode: Episode, task_type: str) -> None:
-        """Fold one finished episode into profiles and team patterns.
-
-        The episode's owner gets the aggregate update (task counters plus the
-        running per-type success rate). Collaboration counters update for the
-        owner and, outside the local topology, for every partner as well;
-        under hybrid each partner's counters land in that partner's private
-        store. The team pattern for the canonical composition updates in the
-        aggregate store.
-        """
-        if episode.agent_id != self.agent_id:
-            raise StoreError(
-                f"view of {self.agent_id!r} cannot record transactive state for "
-                f"{episode.agent_id!r}"
-            )
-        for owner in self._fold_transactive(episode, task_type, lambda owner: True):
-            self._store.mark_dirty(owner, "transactive")
-        self._store.flush()
-
-    def _fold_transactive(
-        self, episode: Episode, task_type: str, applies: Callable[[str], bool]
-    ) -> set[str]:
-        """Apply an episode's transactive update to the owners ``applies`` accepts.
-
-        Returns the owners whose state changed.
-        """
-        owner = episode.agent_id
-        success = episode.outcome.success
-        touched = set()
-
-        agg_owner = self._procedural_owner()
-        if applies(agg_owner):
-            agg_store = self._store.store_set(agg_owner)
-            profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
-            agg_store.profiles[owner] = profile.with_task_result(task_type, success)
-            key = canonical_team_key(episode.team_composition)
-            pattern = agg_store.team_patterns.get(key, TeamPattern(composition=key))
-            agg_store.team_patterns[key] = pattern.with_result(task_type, success)
-            touched.add(agg_owner)
-
-        def bump_collab(store_owner: str, subject: str, partner: str) -> None:
-            if not applies(store_owner):
-                return
-            store = self._store.store_set(store_owner)
-            subject_profile = store.profiles.get(subject, AgentProfile(agent_id=subject))
-            store.profiles[subject] = subject_profile.with_collaboration(partner, success)
-            touched.add(store_owner)
-
-        for partner in canonical_team_key(episode.team_composition):
-            if partner == owner:
-                continue
-            bump_collab(self._collab_owner(owner), owner, partner)
-            if self.topology is not Topology.LOCAL:
-                bump_collab(self._collab_owner(partner), partner, owner)
-        return touched
 
     def checkpoint_lag(self) -> dict[str, dict[str, int]]:
         """Task records logged past each snapshot's checkpoint, store-wide.

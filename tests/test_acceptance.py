@@ -41,6 +41,8 @@ from teammem.retrieval import (
 from teammem.store import open_store
 from teammem.types import Episode, MemoryItem, Outcome, Procedure
 
+from helpers import record
+
 EMBEDDER = HashEmbedder()
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -265,15 +267,15 @@ def test_criterion_3_consolidation_conformance(tmp_path):
 
         # (a) a cluster with a single successful member is not generalized
         view = open_store(tmp_path / "a", "local", ["agent-1"])["agent-1"]
-        view.append_episode(episode("agent-1", 1, ["alpha beta gamma"], success=True))
-        view.append_episode(episode("agent-1", 2, ["alpha beta gamma"], success=False))
+        record(view, episode("agent-1", 1, ["alpha beta gamma"], success=True))
+        record(view, episode("agent-1", 2, ["alpha beta gamma"], success=False))
         assert consolidate(view, cfg, gen, EMBEDDER) == []
         assert view.procedures() == {}
 
         # (b) two successes yield one procedure seeded with both sources
         view = open_store(tmp_path / "b", "local", ["agent-1"])["agent-1"]
-        view.append_episode(episode("agent-1", 1, ["alpha beta gamma"], success=True))
-        view.append_episode(episode("agent-1", 2, ["alpha beta gamma"], success=True))
+        record(view, episode("agent-1", 1, ["alpha beta gamma"], success=True))
+        record(view, episode("agent-1", 2, ["alpha beta gamma"], success=True))
         created = consolidate(view, cfg, gen, EMBEDDER)
         assert len(created) == 1
         assert created[0].source_episodes == frozenset({"agent-1:1", "agent-1:2"})
@@ -361,7 +363,7 @@ def test_criterion_4_topology_isolation(tmp_path):
                 outcome=Outcome(ts=80.0, cs=80.0, success=True),
                 lessons=("stay on the call",),
             )
-            writer.append_episode(ep)
+            record(writer, ep, "incident")
             writer.upsert_procedure(
                 Procedure(
                     procedure_id="proc-00001",
@@ -375,7 +377,6 @@ def test_criterion_4_topology_isolation(tmp_path):
                     source_episodes=frozenset({"agent-a:1"}),
                 )
             )
-            writer.update_transactive(ep, "incident")
 
             reader = views["agent-b"]
             profiles = reader.profiles()

@@ -87,12 +87,21 @@ def test_load_sim_config_rejects_bad_topology():
 
 
 def test_load_sim_config_rejects_non_integers():
-    with pytest.raises(ConfigError) as exc:
-        load_sim_config({"team_size": "three"})
-    assert "team_size" in str(exc.value)
-    with pytest.raises(ConfigError) as exc:
-        load_sim_config({"consolidation": {"n": 2.5}})
-    assert "consolidation.n" in str(exc.value)
+    for config, key in [
+        ({"team_size": "three"}, "team_size"),
+        ({"consolidation": {"n": 2.5}}, "consolidation.n"),
+        ({"embedding": {"dim": "16"}}, "embedding.dim"),
+        ({"embedding": {"dim": True}}, "embedding.dim"),
+        # booleans and numbers must have their JSON types too
+        ({"memory_enabled": "false"}, "memory_enabled"),
+        ({"memory_enabled": 0}, "memory_enabled"),
+        ({"retrieval": {"proc_threshold": "high"}}, "retrieval.proc_threshold"),
+        ({"success_threshold": None}, "success_threshold"),
+        ({"families": [{"key": "triage", "memory_bonus": "10"}]}, "families[].memory_bonus"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(config)
+        assert str(exc.value).startswith(f"{key}: "), config
 
 
 def test_load_sim_config_rejects_empty_families():
@@ -119,6 +128,9 @@ def test_config_validation():
         SimConfig(n_tasks=0)
     with pytest.raises(ConfigError):
         SimConfig(families=())
+    with pytest.raises(ConfigError) as exc:
+        load_sim_config({"embedding": {"dim": 0}})
+    assert str(exc.value) == "embedding.dim: must be >= 1, got 0"
     with pytest.raises(ConfigError):
         TaskFamily(key=" ", task_type="x", base_ts=50, base_cs=50, memory_bonus=0)
 

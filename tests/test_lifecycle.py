@@ -27,6 +27,8 @@ from teammem.lifecycle import (
 from teammem.store import MemoryView, open_store
 from teammem.types import Episode, Outcome, Procedure
 
+from helpers import record
+
 EMBEDDER = HashEmbedder()
 
 
@@ -378,7 +380,7 @@ def test_incremental_clusters_equal_from_scratch(ops):
         for op in [*ops, ("cluster", 0, 0.80)]:
             if op[0] == "append":
                 for lessons in op[1]:
-                    view.append_episode(episode("agent-1", next_index, lessons))
+                    record(view, episode("agent-1", next_index, lessons))
                     next_index += 1
             elif op[0] == "reopen":
                 view = open_store(root)["agent-1"]
@@ -401,14 +403,14 @@ def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
     view = one_agent_view(tmp_path)
     embedder = CountingEmbedder()
     for i in range(1, 7):
-        view.append_episode(episode("agent-1", i, [f"lesson {i % 3}", "alpha beta gamma"]))
+        record(view, episode("agent-1", i, [f"lesson {i % 3}", "alpha beta gamma"]))
     consolidate(view, CFG, StubGenerator(), embedder)
     assert sum(embedder.calls.values()) == 12
 
     embedder.calls.clear()
     new = [episode("agent-1", i, [f"fresh lesson {i}"]) for i in range(7, 10)]
     for e in new:
-        view.append_episode(e)
+        record(view, e)
     consolidate(view, CFG, StubGenerator(), embedder)
     assert embedder.calls == Counter(lesson for e in new for lesson in e.lessons)
 
@@ -424,8 +426,8 @@ def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
 
 def test_cluster_state_is_derived_only(tmp_path):
     view = one_agent_view(tmp_path)
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"]))
     files = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*") if p.is_file()}
     _view_clusters(view, EMBEDDER, 0.80)
     live = view.episodic_store()
@@ -445,8 +447,8 @@ CFG = ConsolidationConfig(interval_n=5)
 
 def test_cluster_with_one_success_is_not_generalized(tmp_path):
     view = one_agent_view(tmp_path)
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"], success=True))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"], success=False))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"], success=True))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"], success=False))
     created = consolidate(view, CFG, StubGenerator(), EMBEDDER)
     assert created == []
     assert view.procedures() == {}
@@ -454,8 +456,8 @@ def test_cluster_with_one_success_is_not_generalized(tmp_path):
 
 def test_two_successes_become_one_procedure(tmp_path):
     view = one_agent_view(tmp_path)
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"], success=True))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"], success=True))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"], success=True))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"], success=True))
     created = consolidate(
         view, CFG, StubGenerator(), EMBEDDER, timestamp="2026-01-01T01:00:00+00:00"
     )
@@ -472,9 +474,9 @@ def test_two_successes_become_one_procedure(tmp_path):
 
 def test_failed_members_are_excluded_from_sources(tmp_path):
     view = one_agent_view(tmp_path)
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"], success=True))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"], success=True))
-    view.append_episode(episode("agent-1", 3, ["alpha beta gamma"], success=False))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"], success=True))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"], success=True))
+    record(view, episode("agent-1", 3, ["alpha beta gamma"], success=False))
     (p,) = consolidate(view, CFG, StubGenerator(), EMBEDDER)
     assert p.source_episodes == frozenset({"agent-1:1", "agent-1:2"})
     assert p.successes == 2
@@ -482,8 +484,8 @@ def test_failed_members_are_excluded_from_sources(tmp_path):
 
 def test_shared_topology_consolidates_into_shared_owner(tmp_path):
     views = open_store(tmp_path / "store", "shared", ["agent-1", "agent-2"])
-    views["agent-1"].append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
-    views["agent-2"].append_episode(episode("agent-2", 1, ["alpha beta gamma"]))
+    record(views["agent-1"], episode("agent-1", 1, ["alpha beta gamma"]))
+    record(views["agent-2"], episode("agent-2", 1, ["alpha beta gamma"]))
     (p,) = consolidate(views["agent-1"], CFG, StubGenerator(), EMBEDDER)
     assert p.owner_id == "shared"
     assert p.source_episodes == frozenset({"agent-1:1", "agent-2:1"})
@@ -528,8 +530,8 @@ def test_fully_tied_duplicates_keep_the_lower_id(tmp_path):
 
 def test_generalization_failure_skips_cluster_with_warning(tmp_path, caplog):
     view = one_agent_view(tmp_path)
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"]))
     with caplog.at_level(logging.WARNING):
         created = consolidate(view, CFG, ExplodingGenerator(), EMBEDDER)
     assert created == []
@@ -539,8 +541,8 @@ def test_generalization_failure_skips_cluster_with_warning(tmp_path, caplog):
 
 def test_empty_generalization_output_also_skips(tmp_path):
     view = one_agent_view(tmp_path)
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"]))
     created = consolidate(view, CFG, EmptyGenerator(), EMBEDDER)
     assert created == []
 
@@ -548,7 +550,7 @@ def test_empty_generalization_output_also_skips(tmp_path):
 def test_consolidation_never_deletes_episodes(tmp_path):
     view = one_agent_view(tmp_path)
     for i in range(1, 5):
-        view.append_episode(episode("agent-1", i, ["alpha beta gamma"]))
+        record(view, episode("agent-1", i, ["alpha beta gamma"]))
     consolidate(view, CFG, StubGenerator(), EMBEDDER)
     assert len(view.episodes()) == 4
 
@@ -560,11 +562,11 @@ def test_maybe_consolidate_waits_for_the_interval(tmp_path):
     view = one_agent_view(tmp_path)
     cfg = ConsolidationConfig(interval_n=3)
     gen = StubGenerator()
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"]))
     assert maybe_consolidate(view, cfg, gen, EMBEDDER) == []
     assert view.consolidation_watermark() == 0
-    view.append_episode(episode("agent-1", 3, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 3, ["alpha beta gamma"]))
     created = maybe_consolidate(view, cfg, gen, EMBEDDER)
     assert len(created) == 1
     assert view.consolidation_watermark() == 3
@@ -574,7 +576,7 @@ def test_maybe_consolidate_waits_for_the_interval(tmp_path):
 
 def test_maybe_consolidate_does_not_copy_the_history_to_count_it(tmp_path, monkeypatch):
     view = one_agent_view(tmp_path)
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"]))
 
     def no_copy(self):
         raise AssertionError("episodes() copied the whole history")
@@ -587,8 +589,8 @@ def test_watermark_blocks_reconsolidation_after_reopen(tmp_path):
     view = one_agent_view(tmp_path)
     cfg = ConsolidationConfig(interval_n=2)
     gen = StubGenerator()
-    view.append_episode(episode("agent-1", 1, ["alpha beta gamma"]))
-    view.append_episode(episode("agent-1", 2, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 1, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"]))
     maybe_consolidate(view, cfg, gen, EMBEDDER)
     reopened = open_store(tmp_path / "store")["agent-1"]
     assert reopened.consolidation_watermark() == 2

@@ -27,6 +27,8 @@ from teammem.retrieval import (
 from teammem.store import StoreSet, open_store
 from teammem.types import Episode, MemoryItem, Outcome, Procedure
 
+from helpers import record
+
 EMBEDDER = HashEmbedder()
 
 
@@ -294,8 +296,8 @@ def test_each_item_is_embedded_once_per_query(query_text, kind_used):
 def test_retrieve_through_a_view(tmp_path):
     views = open_store(tmp_path / "store", "local", ["agent-1"])
     view = views["agent-1"]
-    view.append_episode(episode("agent-1", 1, "deploy the payment service safely"))
-    view.append_episode(episode("agent-1", 2, "write quarterly finance report"))
+    record(view, episode("agent-1", 1, "deploy the payment service safely"))
+    record(view, episode("agent-1", 2, "write quarterly finance report"))
     result = retrieve(view, Query(text="deploy the payment service"), EMBEDDER)
     assert result.kind_used == "episodic"
     assert result.ids[0] == "agent-1:1"
@@ -311,8 +313,8 @@ def test_retrieve_builds_the_episodic_pool_only_on_fallback(
     import teammem.retrieval as retrieval_module
 
     view = open_store(tmp_path / "store", "local", ["agent-1"])["agent-1"]
-    view.append_episode(episode("agent-1", 1, "quarterly finance audit went fine"))
-    view.append_episode(episode("agent-1", 2, "audit the quarterly report"))
+    record(view, episode("agent-1", 1, "quarterly finance audit went fine"))
+    record(view, episode("agent-1", 2, "audit the quarterly report"))
     view.upsert_procedure(procedure("proc-00001", "Deploy payment service", "checklist first"))
     query = Query(text=query_text)
     expected = retrieve_from_pools(

@@ -8,10 +8,13 @@ from teammem.store import (
     SHARED_OWNER,
     MemoryStore,
     StoreError,
+    StoreSet,
     Topology,
     open_store,
 )
 from teammem.types import Episode, Outcome, Procedure
+
+from helpers import record
 
 AGENTS = ["agent-1", "agent-2"]
 
@@ -110,37 +113,40 @@ def test_unknown_agent_view_rejected(tmp_path):
 
 def test_local_episodes_are_private(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     assert len(views["agent-1"].episodes()) == 1
     assert views["agent-2"].episodes() == ()
 
 
 def test_shared_episodes_are_visible_to_all(tmp_path):
     views = open_views(tmp_path, "shared")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     assert len(views["agent-2"].episodes()) == 1
 
 
 def test_hybrid_episodes_stay_private(tmp_path):
     views = open_views(tmp_path, "hybrid")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     assert views["agent-2"].episodes() == ()
 
 
-def test_append_episode_rejects_other_owner(tmp_path):
-    views = open_views(tmp_path, "local")
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_record_task_rejects_a_foreign_episode(tmp_path, topology):
+    views = open_views(tmp_path, topology)
     with pytest.raises(StoreError):
-        views["agent-2"].append_episode(episode_for("agent-1", 1))
+        record(views["agent-2"], finished_episode("agent-1"), "incident")
+    assert views["agent-1"].snapshot() == views["agent-2"].snapshot() == StoreSet()
+    assert [p.name for p in (tmp_path / "store").iterdir()] == ["store_meta.json"]
 
 
-def test_append_episode_rejects_duplicate_index(tmp_path):
+def test_record_task_rejects_duplicate_index(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     with pytest.raises(StoreError):
-        views["agent-1"].append_episode(episode_for("agent-1", 1))
+        record(views["agent-1"], episode_for("agent-1", 1))
 
 
-def test_append_episode_rejects_unknown_procedure_reference(tmp_path):
+def test_record_task_rejects_unknown_procedure_reference(tmp_path):
     views = open_views(tmp_path, "local")
     bad = Episode(
         agent_id="agent-1",
@@ -153,13 +159,13 @@ def test_append_episode_rejects_unknown_procedure_reference(tmp_path):
         related_procedures=frozenset({"proc-99999"}),
     )
     with pytest.raises(StoreError) as exc:
-        views["agent-1"].append_episode(bad)
+        record(views["agent-1"], bad)
     assert "proc-99999" in str(exc.value)
 
 
 def test_episode_durable_across_reopen(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     reopened = open_store(tmp_path / "store")
     episodes = reopened["agent-1"].episodes()
     assert len(episodes) == 1
@@ -244,7 +250,7 @@ def finished_episode(agent_id, index=1, success=True):
 
 def test_local_transactive_only_touches_owner_store(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].update_transactive(finished_episode("agent-1"), "incident")
+    record(views["agent-1"], finished_episode("agent-1"), "incident")
     own = views["agent-1"].profiles()
     assert own["agent-1"].total_tasks == 1
     assert own["agent-1"].collaboration_history["agent-2"].joint_tasks == 1
@@ -255,7 +261,7 @@ def test_local_transactive_only_touches_owner_store(tmp_path):
 
 def test_shared_transactive_updates_both_sides(tmp_path):
     views = open_views(tmp_path, "shared")
-    views["agent-1"].update_transactive(finished_episode("agent-1"), "incident")
+    record(views["agent-1"], finished_episode("agent-1"), "incident")
     seen = views["agent-2"].profiles()
     assert seen["agent-1"].total_tasks == 1
     assert seen["agent-1"].collaboration_history["agent-2"].joint_tasks == 1
@@ -266,7 +272,7 @@ def test_shared_transactive_updates_both_sides(tmp_path):
 
 def test_hybrid_aggregates_shared_but_history_private(tmp_path):
     views = open_views(tmp_path, "hybrid")
-    views["agent-1"].update_transactive(finished_episode("agent-1"), "incident")
+    record(views["agent-1"], finished_episode("agent-1"), "incident")
 
     # aggregate counters travel; the owner's collaboration history does not
     seen_by_2 = views["agent-2"].profiles()
@@ -286,21 +292,15 @@ def test_hybrid_aggregates_shared_but_history_private(tmp_path):
 
 def test_hybrid_team_patterns_visible_to_all(tmp_path):
     views = open_views(tmp_path, "hybrid")
-    views["agent-1"].update_transactive(finished_episode("agent-1"), "incident")
+    record(views["agent-1"], finished_episode("agent-1"), "incident")
     patterns = views["agent-2"].team_patterns()
     assert ("agent-1", "agent-2") in patterns
 
 
-def test_update_transactive_rejects_foreign_episode(tmp_path):
-    views = open_views(tmp_path, "local")
-    with pytest.raises(StoreError):
-        views["agent-2"].update_transactive(finished_episode("agent-1"), "incident")
-
-
 def test_transactive_suitedness_accumulates(tmp_path):
     views = open_views(tmp_path, "shared")
-    views["agent-1"].update_transactive(finished_episode("agent-1", 1, True), "incident")
-    views["agent-1"].update_transactive(finished_episode("agent-1", 2, True), "incident")
+    record(views["agent-1"], finished_episode("agent-1", 1, True), "incident")
+    record(views["agent-1"], finished_episode("agent-1", 2, True), "incident")
     pattern = views["agent-2"].team_patterns()[("agent-1", "agent-2")]
     assert pattern.is_suited("incident")
 
@@ -318,7 +318,7 @@ def test_watermark_persists(tmp_path):
 
 def test_corrupt_json_names_the_file(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     target = tmp_path / "store" / "agent-1" / "episodic.json"
     target.write_text("{not json", encoding="utf-8")
     with pytest.raises(StoreError) as exc:
@@ -328,7 +328,7 @@ def test_corrupt_json_names_the_file(tmp_path):
 
 def test_unsupported_schema_version_rejected(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     target = tmp_path / "store" / "agent-1" / "episodic.json"
     doc = json.loads(target.read_text())
     doc["schema_version"] = 99
@@ -348,9 +348,9 @@ def test_unsupported_schema_version_rejected(tmp_path):
 )
 def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind, key):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     views["agent-1"].upsert_procedure(procedure_for("proc-00001", "agent-1", ["agent-1:1"]))
-    views["agent-1"].update_transactive(finished_episode("agent-1", 2), "incident")
+    record(views["agent-1"], finished_episode("agent-1", 2), "incident")
     target = tmp_path / "store" / "agent-1" / f"{kind}.json"
     doc = json.loads(target.read_text())
     del doc[key]
@@ -362,15 +362,14 @@ def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind
 
 def test_no_tmp_files_left_behind(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     leftovers = list((tmp_path / "store").rglob("*.tmp"))
     assert leftovers == []
 
 
 def test_snapshot_is_isolated_from_the_store(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
-    views["agent-1"].update_transactive(finished_episode("agent-1", 2), "incident")
+    record(views["agent-1"], finished_episode("agent-1", 1), "incident")
     snap = views["agent-1"].snapshot()
     snap.episodic.clear()
     snap.profiles["agent-1"].proficiency["incident"] = 0.0
@@ -380,7 +379,7 @@ def test_snapshot_is_isolated_from_the_store(tmp_path):
 
 def test_persist_is_a_noop_on_clean_store(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     owner_dir = tmp_path / "store" / "agent-1"
     targets = [owner_dir / "episodic.json", owner_dir / "episodic.jsonl"]
     before = {t: t.read_bytes() for t in targets}
@@ -392,7 +391,7 @@ def test_persist_is_a_noop_on_clean_store(tmp_path):
 
 def test_shared_store_has_single_owner_directory(tmp_path):
     views = open_views(tmp_path, "shared")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     dirs = sorted(p.name for p in (tmp_path / "store").iterdir() if p.is_dir())
     assert dirs == ["shared"]
 
@@ -406,10 +405,10 @@ def log_lines(tmp_path, owner="agent-1"):
 
 def test_episodes_are_appended_as_one_line_each(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     log = tmp_path / "store" / "agent-1" / "episodic.jsonl"
     first = log.read_bytes()
-    views["agent-1"].append_episode(episode_for("agent-1", 2))
+    record(views["agent-1"], episode_for("agent-1", 2))
     assert log.read_bytes().startswith(first)
     lines = log_lines(tmp_path)
     assert [json.loads(line)["task_index"] for line in lines] == [1, 2]
@@ -420,14 +419,20 @@ def test_episodes_are_appended_as_one_line_each(tmp_path):
 
 def test_episodic_json_is_rewritten_only_when_the_watermark_moves(tmp_path):
     views = open_views(tmp_path, "local")
-    views["agent-1"].append_episode(episode_for("agent-1", 1))
+    record(views["agent-1"], episode_for("agent-1", 1))
     meta = tmp_path / "store" / "agent-1" / "episodic.json"
     inode = meta.stat().st_ino  # a rewrite renames a new file into place
-    views["agent-1"].append_episode(episode_for("agent-1", 2))
+    record(views["agent-1"], episode_for("agent-1", 2))
     assert meta.stat().st_ino == inode
     views["agent-1"].set_consolidation_watermark(2)
     assert json.loads(meta.read_text())["consolidation_watermark"] == 2
     assert len(log_lines(tmp_path)) == 2
+
+
+def without(line, key):
+    record = json.loads(line)
+    del record[key]
+    return json.dumps(record)
 
 
 @pytest.mark.parametrize(
@@ -436,13 +441,15 @@ def test_episodic_json_is_rewritten_only_when_the_watermark_moves(tmp_path):
         (lambda lines: lines[:-1] + [lines[-1][:-7]], 3),  # torn last append
         (lambda lines: lines[:1] + ["garbage"] + lines[1:], 2),
         (lambda lines: lines[:1] + ['{"agent_id": "agent-1"}'] + lines[1:], 2),
+        (lambda lines: [without(lines[0], "seq"), *lines[1:]], 1),
+        (lambda lines: [lines[0], without(lines[1], "task_type"), lines[2]], 2),
     ],
-    ids=["truncated-last-line", "garbage-line", "not-an-episode"],
+    ids=["truncated-last-line", "garbage-line", "not-an-episode", "no-seq", "no-task-type"],
 )
 def test_damaged_episode_log_names_file_and_line(tmp_path, damage, line):
     views = open_views(tmp_path, "local")
     for i in (1, 2, 3):
-        views["agent-1"].append_episode(episode_for("agent-1", i))
+        record(views["agent-1"], episode_for("agent-1", i))
     log = tmp_path / "store" / "agent-1" / "episodic.jsonl"
     lines = log.read_text().splitlines()
     damaged = damage(lines)
@@ -467,9 +474,8 @@ def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, monkeypatc
     with view.batch():
         view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
         with view.batch():
-            view.append_episode(finished_episode("agent-1"))
+            record(view, finished_episode("agent-1"), "incident")
             view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"], s=2))
-            view.update_transactive(finished_episode("agent-1"), "incident")
         view.persist()
         assert dumped == []
         assert not (tmp_path / "store" / SHARED_OWNER).exists()
@@ -485,6 +491,6 @@ def test_batch_flushes_what_it_applied_when_the_block_raises(tmp_path):
     views = open_views(tmp_path, "local")
     with pytest.raises(StoreError):
         with views["agent-1"].batch():
-            views["agent-1"].append_episode(episode_for("agent-1", 1))
+            record(views["agent-1"], episode_for("agent-1", 1))
             views["agent-1"].record_task(episode_for("agent-1", 2), "incident", ["proc-00042"])
     assert len(open_store(tmp_path / "store")["agent-1"].episodes()) == 1

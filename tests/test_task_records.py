@@ -13,6 +13,8 @@ from teammem.lifecycle import ConsolidationConfig, StubGenerator, consolidate
 from teammem.store import SHARED_OWNER, StoreError, open_store
 from teammem.types import Episode, Outcome, Procedure
 
+from helpers import record
+
 AGENTS = ["agent-1", "agent-2"]
 
 
@@ -132,7 +134,7 @@ def test_replaying_a_record_over_a_missing_procedure_names_the_record(tmp_path):
 def test_duplicate_check_keys_are_derived_only(tmp_path):
     views = open_store(tmp_path / "store", "local", AGENTS)
     view = views["agent-1"]
-    view.append_episode(episode("agent-1", 1))
+    record(view, episode("agent-1", 1))
     live = view.episodic_store()
     assert live.episode_keys == {("agent-1", 1)}
     assert view.snapshot().episode_keys == set()
@@ -141,10 +143,10 @@ def test_duplicate_check_keys_are_derived_only(tmp_path):
     # episodes added behind the view's back are still seen by the check
     live.episodic.append(episode("agent-1", 2))
     with pytest.raises(StoreError):
-        view.append_episode(episode("agent-1", 2))
+        record(view, episode("agent-1", 2))
     reopened = open_store(tmp_path / "store")["agent-1"]
     with pytest.raises(StoreError):
-        reopened.append_episode(episode("agent-1", 1))
+        record(reopened, episode("agent-1", 1))
 
 
 # -- replay on open ----------------------------------------------------------------

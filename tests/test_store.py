@@ -139,6 +139,14 @@ def test_record_task_rejects_a_foreign_episode(tmp_path, topology):
     assert [p.name for p in (tmp_path / "store").iterdir()] == ["store_meta.json"]
 
 
+def test_append_episode_rejects_other_owner(tmp_path):
+    # record_task is the one episode write path; it keeps the owner check.
+    views = open_views(tmp_path, "local")
+    with pytest.raises(StoreError):
+        record(views["agent-2"], episode_for("agent-1", 1))
+    assert views["agent-1"].episodes() == views["agent-2"].episodes() == ()
+
+
 def test_record_task_rejects_duplicate_index(tmp_path):
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
@@ -295,6 +303,15 @@ def test_hybrid_team_patterns_visible_to_all(tmp_path):
     record(views["agent-1"], finished_episode("agent-1"), "incident")
     patterns = views["agent-2"].team_patterns()
     assert ("agent-1", "agent-2") in patterns
+
+
+def test_update_transactive_rejects_foreign_episode(tmp_path):
+    # record_task is the one transactive write path; a foreign episode folds nothing.
+    views = open_views(tmp_path, "local")
+    with pytest.raises(StoreError):
+        record(views["agent-2"], finished_episode("agent-1"), "incident")
+    assert views["agent-2"].profiles() == {}
+    assert views["agent-2"].team_patterns() == {}
 
 
 def test_transactive_suitedness_accumulates(tmp_path):

@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 DEFAULT_DIM = 256
 
@@ -92,24 +92,44 @@ def hash_embed(text: str, dim: int = DEFAULT_DIM) -> EmbeddingVector:
     return EmbeddingVector(values=tuple(v / norm if v else _ZERO for v in buckets))
 
 
+def cosines(u: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[float]:
+    """Cosine similarity of ``u`` with each of ``vectors``, in order.
+
+    0.0 whenever either vector is all zeros; a dimension mismatch raises
+    ``ValueError``. The norm, nonzero indices and dimension of ``u`` are read
+    once, so scoring a pool against one query pays for the query once.
+    """
+    dim = u.dim
+    norm_u = u._norm
+    nonzero_u = u._nonzero
+    values_u = u.values
+    at_u = values_u.__getitem__
+    out: list[float] = []
+    for v in vectors:
+        if len(v.values) != dim:
+            raise ValueError(f"dimension mismatch: {dim} != {v.dim}")
+        norm_v = v._norm
+        if norm_u == 0.0 or norm_v == 0.0:
+            out.append(0.0)
+            continue
+        if not math.isfinite(norm_u * norm_v):
+            out.append(sum(a * b for a, b in zip(values_u, v.values)) / (norm_u * norm_v))
+            continue
+        # Sparse dot, bit-identical to the dense sum above: with finite
+        # entries every skipped term is an exact +-0.0, and adding +-0.0 never
+        # changes a float sum that starts at +0. The kept terms are summed in
+        # index order over the sparser side's indices, ``u``'s on a tie.
+        nonzero_v = v._nonzero
+        indices = nonzero_u if len(nonzero_u) <= len(nonzero_v) else nonzero_v
+        kept_v = map(v.values.__getitem__, indices)
+        dot = sum(map(operator.mul, map(at_u, indices), kept_v))
+        out.append(dot / (norm_u * norm_v))
+    return out
+
+
 def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
     """Cosine similarity; 0.0 whenever either vector is all zeros."""
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    norm_u = u.norm()
-    norm_v = v.norm()
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
-    if not math.isfinite(norm_u * norm_v):
-        return sum(a * b for a, b in zip(u.values, v.values)) / (norm_u * norm_v)
-    # Sparse dot, bit-identical to the dense sum above: with finite entries
-    # every skipped term is an exact +-0.0, and adding +-0.0 never changes a
-    # float sum that starts at +0. The kept terms are summed in index order.
-    indices = min(u._nonzero, v._nonzero, key=len)
-    kept_u = map(u.values.__getitem__, indices)
-    kept_v = map(v.values.__getitem__, indices)
-    dot = sum(map(operator.mul, kept_u, kept_v))
-    return dot / (norm_u * norm_v)
+    return cosines(u, (v,))[0]
 
 
 def mean_vector(vectors: list[EmbeddingVector], dim: int) -> EmbeddingVector:

@@ -155,6 +155,8 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
         data = json.loads(Path(source).read_text(encoding="utf-8"))
     else:
         data = dict(source)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: must be an object, got {type(data).__name__}")
     unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -177,28 +179,38 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
             raise ConfigError(f"{name}: must be a number, got {value!r}")
         return value
 
+    def _object(name: str, value: Any) -> dict[str, Any]:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name}: must be an object, got {value!r}")
+        return value
+
+    def _family(name: str, value: Any) -> TaskFamily:
+        f = _object(name, value)
+        if "key" not in f:
+            raise ConfigError(f"{name}.key: missing")
+        if not isinstance(f["key"], str):
+            raise ConfigError(f"{name}.key: must be a string, got {f['key']!r}")
+        return TaskFamily(
+            key=f["key"],
+            task_type=f.get("task_type", "general"),
+            base_ts=_number("families[].base_ts", f.get("base_ts", 55.0)),
+            base_cs=_number("families[].base_cs", f.get("base_cs", 55.0)),
+            memory_bonus=_number("families[].memory_bonus", f.get("memory_bonus", 10.0)),
+        )
+
     memory_enabled = data.get("memory_enabled", True)
     if not isinstance(memory_enabled, bool):
         raise ConfigError(f"memory_enabled: must be true or false, got {memory_enabled!r}")
-    consolidation = data.get("consolidation", {})
-    retrieval_cfg = data.get("retrieval", {})
-    embedding_cfg = data.get("embedding", {})
+    consolidation = _object("consolidation", data.get("consolidation", {}))
+    retrieval_cfg = _object("retrieval", data.get("retrieval", {}))
+    embedding_cfg = _object("embedding", data.get("embedding", {}))
     families_raw = data.get("families")
     if families_raw is None:
         families = DEFAULT_FAMILIES
     else:
         if not isinstance(families_raw, list) or not families_raw:
             raise ConfigError("families: must be a non-empty list")
-        families = tuple(
-            TaskFamily(
-                key=f["key"],
-                task_type=f.get("task_type", "general"),
-                base_ts=_number("families[].base_ts", f.get("base_ts", 55.0)),
-                base_cs=_number("families[].base_cs", f.get("base_cs", 55.0)),
-                memory_bonus=_number("families[].memory_bonus", f.get("memory_bonus", 10.0)),
-            )
-            for f in families_raw
-        )
+        families = tuple(_family(f"families[{i}]", f) for i, f in enumerate(families_raw))
 
     return SimConfig(
         topology=topology,

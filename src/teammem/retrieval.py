@@ -14,11 +14,12 @@ otherwise episodes serve as fallback.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .embedding import EmbeddingProvider, cosine
+from .embedding import EmbeddingProvider, cosines
 from .store import MemoryView, StoreSet
 from .types import (
     Episode,
@@ -136,26 +137,38 @@ def _relevances(
     query: Query, pool: Sequence[MemoryItem], embedder: EmbeddingProvider
 ) -> list[float]:
     query_vec = embedder.embed(query.text)
-    return [cosine(query_vec, embedder.embed(item.text_for_embedding)) for item in pool]
+    return cosines(query_vec, (embedder.embed(item.text_for_embedding) for item in pool))
 
 
-def _rank(pool: Sequence[MemoryItem], rels: Sequence[float]) -> list[ScoredItem]:
+def _rank(
+    pool: Sequence[MemoryItem], rels: Sequence[float], k: int | None = None
+) -> list[ScoredItem]:
+    """The pool ranked best first, or only its ``k`` best when ``k`` is given.
+
+    ``heapq.nsmallest`` returns exactly ``sorted(...)[:k]``, so the top ``k``
+    are the first ``k`` of the full ranking; only they become ScoredItems.
+    """
     imps = [item.importance_raw for item in pool]
     rel_z = _zscores(rels)
     imp_z = _zscores(imps)
-    scored = [
+    scores = [r + i for r, i in zip(rel_z, imp_z)]
+
+    def key(i: int) -> tuple[float, float, str]:
+        return (-scores[i], -rels[i], pool[i].id)
+
+    indices = range(len(pool))
+    order = sorted(indices, key=key) if k is None else heapq.nsmallest(k, indices, key=key)
+    return [
         ScoredItem(
-            item=item,
+            item=pool[i],
             rel=rels[i],
             imp=imps[i],
             rel_z=rel_z[i],
             imp_z=imp_z[i],
-            score=rel_z[i] + imp_z[i],
+            score=scores[i],
         )
-        for i, item in enumerate(pool)
+        for i in order
     ]
-    scored.sort(key=lambda s: (-s.score, -s.rel, s.item.id))
-    return scored
 
 
 def score_pool(
@@ -179,8 +192,8 @@ def _procedural_hit(
     if procedural_pool:
         rels = _relevances(query, procedural_pool, embedder)
         if max(rels) >= query.proc_fallback_threshold:
-            ranked = _rank(procedural_pool, rels)
-            return RetrievalResult(kind_used="procedural", items=tuple(ranked[: query.k]))
+            ranked = _rank(procedural_pool, rels, query.k)
+            return RetrievalResult(kind_used="procedural", items=tuple(ranked))
     return None
 
 
@@ -195,24 +208,47 @@ def retrieve_from_pools(
     Procedures win when any of them reaches the raw-relevance threshold;
     otherwise episodes are used. Empty pools yield an empty result, never an
     error. Procedural relevances are computed once and serve both the
-    threshold test and the ranking.
+    threshold test and the ranking. Only the top ``k`` of a pool become
+    ScoredItems; they equal the first ``k`` of :func:`score_pool`.
     """
     hit = _procedural_hit(query, procedural_pool, embedder)
     if hit is not None:
         return hit
-    ranked = score_pool(query, episodic_pool, embedder)
-    return RetrievalResult(kind_used="episodic", items=tuple(ranked[: query.k]))
+    if not episodic_pool:
+        return RetrievalResult(kind_used="episodic", items=())
+    ranked = _rank(episodic_pool, _relevances(query, episodic_pool, embedder), query.k)
+    return RetrievalResult(kind_used="episodic", items=tuple(ranked))
+
+
+def _episodic_pool(view: MemoryView) -> list[MemoryItem]:
+    """The view's episodes as memory items, kept on the store set that owns them.
+
+    Only the episodes appended since the last call become new items. The
+    pool is rebuilt when it is no longer a prefix of the episodes: the store
+    only appends, and a reopened store starts with an empty pool.
+    """
+    store = view.episodic_store()
+    episodes = store.episodic
+    pool = store.episodic_pool
+    n = len(pool)
+    if n > len(episodes) or (n and pool[-1].payload is not episodes[n - 1]):
+        pool = store.episodic_pool = []
+        n = 0
+    if n < len(episodes):
+        pool.extend(episodic_items(episodes[n:]))
+    return pool
 
 
 def retrieve(view: MemoryView, query: Query, embedder: EmbeddingProvider) -> RetrievalResult:
     """Retrieve the top-k memory items visible to ``view`` for this query.
 
-    The episodic pool is built only when procedures do not serve the query.
+    The episodic pool is built only when procedures do not serve the query,
+    and then only extended by the episodes appended since the last fallback.
     """
     hit = _procedural_hit(query, procedural_items(view.procedures().values()), embedder)
     if hit is not None:
         return hit
-    return retrieve_from_pools(query, (), episodic_items(view.episodes()), embedder)
+    return retrieve_from_pools(query, (), _episodic_pool(view), embedder)
 
 
 def render_memory_context(result: RetrievalResult) -> str:

@@ -64,6 +64,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 from .types import (
     AgentProfile,
     Episode,
+    MemoryItem,
     Procedure,
     TeamPattern,
     agent_profile_from_dict,
@@ -111,6 +112,10 @@ class StoreSet:
     matches the episodes. ``episode_keys`` holds the ``(agent_id,
     task_index)`` of every episode for the duplicate check: derived as well,
     and rebuilt whenever its size no longer matches ``episodic``.
+    ``episodic_pool`` holds retrieval's memory items for ``episodic``, in
+    order: derived, never persisted, extended by the episodes appended since
+    the last episodic fallback and rebuilt whenever it is no longer a prefix
+    of them.
     """
 
     episodic: list[Episode] = field(default_factory=list)
@@ -121,6 +126,7 @@ class StoreSet:
     next_procedure_seq: int = 1
     cluster_state: Any = field(default=None, compare=False, repr=False)
     episode_keys: set[tuple[str, int]] = field(default_factory=set, compare=False, repr=False)
+    episodic_pool: list[MemoryItem] = field(default_factory=list, compare=False, repr=False)
 
 
 class _TaskRecord(NamedTuple):
@@ -257,8 +263,11 @@ class MemoryStore:
 
             def decode(d: dict[str, Any]) -> Episode:
                 episode = episode_from_dict(d)
+                seq = d["seq"]
+                if not isinstance(seq, int) or isinstance(seq, bool):
+                    raise ValueError(f"seq must be an integer, got {seq!r}")
                 used = d.get("procedures_used", sorted(episode.related_procedures))
-                records.append(_TaskRecord(d["seq"], episode, d["task_type"], tuple(used)))
+                records.append(_TaskRecord(seq, episode, d["task_type"], tuple(used)))
                 return episode
 
             try:

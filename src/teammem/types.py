@@ -252,7 +252,7 @@ class TeamPattern:
         return frozenset(t for t in self.suited_task_types if self.is_suited(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryItem:
     """Uniform retrieval candidate wrapping an episode or a procedure.
 

@@ -8,6 +8,7 @@ independent reimplementation rather than against itself.
 import hashlib
 import math
 import string
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from teammem.embedding import (
     EmbeddingVector,
     HashEmbedder,
     cosine,
+    cosines,
     hash_embed,
     mean_vector,
     provider_from_config,
@@ -214,6 +216,37 @@ def test_cosine_equals_dense_sum_exactly_on_mean_vectors(texts_a, texts_b, dim):
 def test_cosine_equals_dense_sum_exactly_on_raw_vectors(a, b):
     u, v = EmbeddingVector(values=tuple(a)), EmbeddingVector(values=tuple(b))
     assert cosine(u, v) == dense_cosine(u, v)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+ENTRY = st.floats(min_value=-1.0, max_value=1.0) | st.sampled_from([0.0, -0.0])
+RAW = st.lists(ENTRY, min_size=6, max_size=6).map(tuple) | st.sampled_from(
+    [
+        (0.0,) * 6,
+        (-0.0,) * 6,
+        (0.0, 0.0, 0.5, 0.0, 0.0, 0.0),
+        (1.0,) * 6,
+        (math.inf, 0.0, 1.0, 0.0, 0.0, 0.0),  # non-finite norm: the dense fallback
+    ]
+)
+
+
+@given(RAW, st.lists(RAW, max_size=8))
+def test_cosines_is_bit_equal_to_the_dense_sum_for_every_vector(u_values, vs_values):
+    u = EmbeddingVector(values=u_values)
+    vs = [EmbeddingVector(values=v) for v in vs_values]
+    assert [bits(c) for c in cosines(u, vs)] == [bits(dense_cosine(u, v)) for v in vs]
+    assert [bits(c) for c in cosines(u, vs)] == [bits(cosine(u, v)) for v in vs]
+
+
+def test_cosines_checks_every_dimension():
+    u = hash_embed("alpha beta", 8)
+    assert cosines(u, []) == []
+    with pytest.raises(ValueError, match="dimension mismatch: 8 != 4"):
+        cosines(u, [hash_embed("alpha", 8), hash_embed("alpha", 4)])
 
 
 def test_cosine_with_zero_vectors_is_zero():

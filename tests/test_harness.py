@@ -98,6 +98,13 @@ def test_load_sim_config_rejects_non_integers():
         ({"retrieval": {"proc_threshold": "high"}}, "retrieval.proc_threshold"),
         ({"success_threshold": None}, "success_threshold"),
         ({"families": [{"key": "triage", "memory_bonus": "10"}]}, "families[].memory_bonus"),
+        # sections and family entries must be JSON objects, and a family needs a key
+        ({"consolidation": 5}, "consolidation"),
+        ({"retrieval": [1]}, "retrieval"),
+        ({"embedding": "hash"}, "embedding"),
+        ({"families": ["triage"]}, "families[0]"),
+        ({"families": [{"key": "triage"}, {"task_type": "ops"}]}, "families[1].key"),
+        ({"families": [{"key": 7}]}, "families[0].key"),
     ]:
         with pytest.raises(ConfigError) as exc:
             load_sim_config(config)
@@ -114,6 +121,9 @@ def test_load_sim_config_from_file(tmp_path):
     path.write_text(json.dumps({"n_tasks": 7, "seed": 3}), encoding="utf-8")
     cfg = load_sim_config(path)
     assert cfg.n_tasks == 7 and cfg.seed == 3
+    path.write_text("[1]", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config: must be an object"):
+        load_sim_config(path)
 
 
 def test_config_round_trips_through_dict():

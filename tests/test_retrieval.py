@@ -5,10 +5,12 @@ The five-item ranking below was computed with an independent scorer
 frozen; see the score constants in test_pool_of_five_frozen_ranking.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from teammem.embedding import HashEmbedder, cosine, hash_embed
 from teammem.retrieval import (
@@ -23,6 +25,7 @@ from teammem.retrieval import (
     episodic_items,
     importance,
     procedural_items,
+    RetrievalResult,
 )
 from teammem.store import StoreSet, open_store
 from teammem.types import Episode, MemoryItem, Outcome, Procedure
@@ -246,6 +249,50 @@ def test_top_k_is_prefix_of_top_k_plus_one():
             assert b.ids[:k] == a.ids
 
 
+VOCABULARY = "alpha beta gamma delta".split()
+# Few texts, importances and ids, so equal scores, duplicate texts and even
+# duplicate ids are common.
+POOL_ITEMS = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(VOCABULARY), min_size=0, max_size=3).map(" ".join),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.integers(0, 6),
+    ),
+    max_size=10,
+)
+
+
+def sort_then_slice(query, procedural_pool, episodic_pool):
+    """Hierarchical retrieval from full rankings, cut to k afterwards."""
+    ranked = score_pool(query, procedural_pool, EMBEDDER)
+    if ranked and max(s.rel for s in ranked) >= query.proc_fallback_threshold:
+        return RetrievalResult(kind_used="procedural", items=tuple(ranked[: query.k]))
+    ranked = score_pool(query, episodic_pool, EMBEDDER)
+    return RetrievalResult(kind_used="episodic", items=tuple(ranked[: query.k]))
+
+
+@given(
+    POOL_ITEMS,
+    POOL_ITEMS,
+    st.lists(st.sampled_from(VOCABULARY), max_size=3).map(" ".join),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.3, 0.6, 1.01]),
+)
+def test_top_k_selection_equals_sort_then_slice(procs, eps, text, k, threshold):
+    procedural_pool = [item("procedural", f"p{i}", t, imp) for t, imp, i in procs]
+    episodic_pool = [item("episodic", f"e{i}", t, imp) for t, imp, i in eps]
+    query = Query(text=text, k=k, proc_fallback_threshold=threshold)
+    result = retrieve_from_pools(query, procedural_pool, episodic_pool, EMBEDDER)
+    expected = sort_then_slice(query, procedural_pool, episodic_pool)
+    assert result.kind_used == expected.kind_used
+    assert len(result.items) == len(expected.items) == min(k, len(
+        procedural_pool if result.kind_used == "procedural" else episodic_pool
+    ))
+    for got, want in zip(result.items, expected.items):
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert got.item is want.item
+
+
 def test_query_case_does_not_change_results():
     rng = random.Random(13)
     pool = _random_pool(rng, "episodic", 8)
@@ -332,6 +379,68 @@ def test_retrieve_builds_the_episodic_pool_only_on_fallback(
     assert result.kind_used == kind_used
     assert result == expected
     assert len(built) == (kind_used == "episodic")
+
+
+def test_the_episodic_pool_grows_with_the_store_and_is_rebuilt_on_reopen(
+    tmp_path, monkeypatch
+):
+    import teammem.retrieval as retrieval_module
+
+    root = tmp_path / "store"
+    view = open_store(root, "local", ["agent-1"])["agent-1"]
+    built = []
+    real = retrieval_module.episodic_items
+
+    def counting(episodes):
+        items = real(episodes)
+        built.extend(items)
+        return items
+
+    monkeypatch.setattr(retrieval_module, "episodic_items", counting)
+    query = Query(text="quarterly audit")
+
+    def miss(view):
+        result = retrieve(view, query, EMBEDDER)
+        assert result == retrieve_from_pools(query, (), real(view.episodes()), EMBEDDER)
+        return result
+
+    def files():
+        return {
+            path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+
+    record(view, episode("agent-1", 1, "quarterly finance audit went fine"))
+    record(view, episode("agent-1", 2, "audit the quarterly report"))
+    miss(view)
+    assert len(built) == 2
+    for index in (3, 4):
+        record(view, episode("agent-1", index, f"audit number {index}"))
+        before = files()
+        miss(view)
+        miss(view)
+        assert files() == before
+    assert len(built) == 4  # each miss built items for the new episodes only
+
+    store = view.episodic_store()
+    assert len(store.episodic_pool) == 4
+    assert dataclasses.replace(store, episodic_pool=[]) == store
+    assert "episodic_pool" not in repr(store)
+
+    view = open_store(root)["agent-1"]
+    miss(view)
+    miss(view)
+    assert len(built) == 8  # the reopened store rebuilt its pool once
+
+    # A pool that is no longer a prefix of the episodes is rebuilt.
+    store = view.episodic_store()
+    store.episodic = [dataclasses.replace(e) for e in store.episodic]
+    miss(view)
+    assert len(built) == 12
+    store.episodic = store.episodic[:3]
+    miss(view)
+    assert len(built) == 15
 
 
 # -- rendering -------------------------------------------------------------------

@@ -452,6 +452,10 @@ def without(line, key):
     return json.dumps(record)
 
 
+def with_value(line, key, value):
+    return json.dumps({**json.loads(line), key: value})
+
+
 @pytest.mark.parametrize(
     "damage, line",
     [
@@ -460,8 +464,18 @@ def without(line, key):
         (lambda lines: lines[:1] + ['{"agent_id": "agent-1"}'] + lines[1:], 2),
         (lambda lines: [without(lines[0], "seq"), *lines[1:]], 1),
         (lambda lines: [lines[0], without(lines[1], "task_type"), lines[2]], 2),
+        (lambda lines: [with_value(lines[0], "seq", "1"), *lines[1:]], 1),
+        (lambda lines: [lines[0], lines[1], with_value(lines[2], "seq", True)], 3),
     ],
-    ids=["truncated-last-line", "garbage-line", "not-an-episode", "no-seq", "no-task-type"],
+    ids=[
+        "truncated-last-line",
+        "garbage-line",
+        "not-an-episode",
+        "no-seq",
+        "no-task-type",
+        "seq-string",
+        "seq-bool",
+    ],
 )
 def test_damaged_episode_log_names_file_and_line(tmp_path, damage, line):
     views = open_views(tmp_path, "local")

@@ -190,9 +190,12 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
             raise ConfigError(f"{name}.key: missing")
         if not isinstance(f["key"], str):
             raise ConfigError(f"{name}.key: must be a string, got {f['key']!r}")
+        task_type = f.get("task_type", "general")
+        if not isinstance(task_type, str) or not task_type.strip():
+            raise ConfigError(f"{name}.task_type: must be a non-empty string, got {task_type!r}")
         return TaskFamily(
             key=f["key"],
-            task_type=f.get("task_type", "general"),
+            task_type=task_type,
             base_ts=_number("families[].base_ts", f.get("base_ts", 55.0)),
             base_cs=_number("families[].base_cs", f.get("base_cs", 55.0)),
             memory_bonus=_number("families[].memory_bonus", f.get("memory_bonus", 10.0)),
@@ -211,6 +214,9 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
         if not isinstance(families_raw, list) or not families_raw:
             raise ConfigError("families: must be a non-empty list")
         families = tuple(_family(f"families[{i}]", f) for i, f in enumerate(families_raw))
+    provider = embedding_cfg.get("provider", "hash")
+    if not isinstance(provider, str):
+        raise ConfigError(f"embedding.provider: must be a string, got {provider!r}")
 
     return SimConfig(
         topology=topology,
@@ -227,7 +233,7 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
         success_threshold=float(
             _number("success_threshold", data.get("success_threshold", DEFAULT_SUCCESS_THRESHOLD))
         ),
-        embedding_provider=embedding_cfg.get("provider", "hash"),
+        embedding_provider=provider,
         embedding_dim=_int("embedding.dim", embedding_cfg.get("dim", 256)),
     )
 

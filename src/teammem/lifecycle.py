@@ -29,6 +29,11 @@ logger = logging.getLogger(__name__)
 EXTRACTION_FAILED_LESSON = "<extraction failed>"
 MAX_LESSONS = 3
 
+# The paper's consolidation rule: single link at lesson cosine >= 0.80, and a
+# procedure for every cluster with at least two successful episodes.
+CLUSTER_THRESHOLD = 0.80
+MIN_SUCCESSES = 2
+
 
 class Generator(Protocol):
     """Turns raw task experience into lessons and generalized strategies."""
@@ -47,15 +52,10 @@ class Generator(Protocol):
 @dataclass(frozen=True)
 class ConsolidationConfig:
     interval_n: int = 5
-    cluster_threshold: float = 0.80
-    min_cluster: int = 2
-    min_successes: int = 2
 
     def __post_init__(self) -> None:
         if self.interval_n < 1:
             raise ValueError("interval_n must be >= 1")
-        if self.min_cluster < 1 or self.min_successes < 1:
-            raise ValueError("cluster minimums must be >= 1")
 
 
 def _task_digest(task: str) -> int:
@@ -201,26 +201,15 @@ class _SingleLink:
     SLINK), so each new episode is compared with the earlier ones and earlier
     pairs are never revisited. Union keeps the lower index as root, so a
     cluster's root is its first member whatever the order of unions, and the
-    clusters equal a from-scratch pass exactly.
+    clusters equal a from-scratch pass exactly. Each call must pass the
+    sequence it was last given, extended: the episodes already seen are not
+    read again.
     """
 
     embedder: EmbeddingProvider
     threshold: float
-    lessons: list[tuple[str, ...]] = field(default_factory=list)
     vectors: list[EmbeddingVector] = field(default_factory=list)
     parent: list[int] = field(default_factory=list)
-
-    def fits(
-        self, episodes: Sequence[Episode], embedder: EmbeddingProvider, threshold: float
-    ) -> bool:
-        """Whether this state is a prefix of ``episodes`` under the same settings."""
-        n = len(self.lessons)
-        return (
-            self.embedder is embedder
-            and self.threshold == threshold
-            and n <= len(episodes)
-            and self.lessons == [e.lessons for e in episodes[:n]]
-        )
 
     def _find(self, i: int) -> int:
         parent = self.parent
@@ -231,7 +220,7 @@ class _SingleLink:
 
     def clusters(self, episodes: Sequence[Episode]) -> list[list[Episode]]:
         """Extend over the episodes past the known prefix; return every cluster."""
-        for j in range(len(self.lessons), len(episodes)):
+        for j in range(len(self.vectors), len(episodes)):
             vector = lesson_vector(episodes[j], self.embedder)
             self.parent.append(j)
             for i, earlier in enumerate(self.vectors):
@@ -239,7 +228,6 @@ class _SingleLink:
                     ri, rj = self._find(i), self._find(j)
                     if ri != rj:
                         self.parent[max(ri, rj)] = min(ri, rj)
-            self.lessons.append(episodes[j].lessons)
             self.vectors.append(vector)
         groups: dict[int, list[Episode]] = {}
         for i, episode in enumerate(episodes):
@@ -259,21 +247,17 @@ def cluster_by_lessons(
     return _SingleLink(embedder, threshold).clusters(episodes)
 
 
-def _view_clusters(
-    view: MemoryView, embedder: EmbeddingProvider, threshold: float
-) -> list[list[Episode]]:
-    """:func:`cluster_by_lessons` over the view's episodes, kept incrementally.
+def _view_clusters(view: MemoryView, embedder: EmbeddingProvider) -> list[list[Episode]]:
+    """:func:`cluster_by_lessons` over the view's episodes at ``CLUSTER_THRESHOLD``.
 
-    The state lives on the store set that owns the episodes and is rebuilt
-    when the lessons, the embedder or the threshold no longer match it.
+    The state lives on the store set that owns the episodes. That log only
+    grows, so the state is extended over the new episodes and rebuilt only
+    for another embedder.
     """
-    episodes = view.episodes()
     store = view.episodic_store()
-    if store.cluster_state is None or not store.cluster_state.fits(
-        episodes, embedder, threshold
-    ):
-        store.cluster_state = _SingleLink(embedder, threshold)
-    return store.cluster_state.clusters(episodes)
+    if store.cluster_state is None or store.cluster_state.embedder is not embedder:
+        store.cluster_state = _SingleLink(embedder, CLUSTER_THRESHOLD)
+    return store.cluster_state.clusters(store.episodic)
 
 
 def _prune_dominated(view: MemoryView) -> set[str]:
@@ -315,21 +299,20 @@ def consolidate(
 ) -> list[Procedure]:
     """Run one consolidation pass over every episode visible to ``view``.
 
-    Clusters of at least ``min_cluster`` episodes whose successful members
-    number at least ``min_successes`` are generalized into procedures seeded
-    with one success per source episode. The episodic store is never
-    modified. Every upsert and the prune are flushed once, at the end.
-    Returns the new procedures that survive pruning.
+    Clusters with at least ``MIN_SUCCESSES`` successful members are
+    generalized into procedures seeded with one success per source episode.
+    The episodic store is never modified. Every upsert and the prune are
+    flushed once, at the end. Returns the new procedures that survive
+    pruning. ``cfg`` sets only the interval, which :func:`maybe_consolidate`
+    reads.
     """
     with view.batch():
         owner = view.agent_id if view.topology is Topology.LOCAL else SHARED_OWNER
         stamp = timestamp or _now_iso()
         created: list[Procedure] = []
-        for cluster in _view_clusters(view, embedder, cfg.cluster_threshold):
-            if len(cluster) < cfg.min_cluster:
-                continue
+        for cluster in _view_clusters(view, embedder):
             successful = [e for e in cluster if e.outcome.success]
-            if len(successful) < cfg.min_successes:
+            if len(successful) < MIN_SUCCESSES:
                 continue
             try:
                 title, knowledge = generator.generalize(successful)

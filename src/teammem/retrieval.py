@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .embedding import EmbeddingProvider, cosines
-from .store import MemoryView, StoreSet
+from .store import MemoryView
 from .types import (
     Episode,
     MemoryItem,
@@ -108,22 +108,6 @@ def procedural_items(procedures: Iterable[Procedure]) -> list[MemoryItem]:
     ]
 
 
-def importance(item: MemoryItem, stores: StoreSet) -> float:
-    """Recompute an item's importance from the backing store.
-
-    Dangling references raise ``LookupError`` naming the id.
-    """
-    if item.kind == "procedural":
-        procedure = stores.procedural.get(item.id)
-        if procedure is None:
-            raise LookupError(f"dangling procedural reference {item.id!r}")
-        return derive_reliability(procedure)
-    for episode in stores.episodic:
-        if episode.episode_id == item.id:
-            return episode_importance(episode)
-    raise LookupError(f"dangling episodic reference {item.id!r}")
-
-
 def _zscores(values: Sequence[float]) -> list[float]:
     n = len(values)
     mean = sum(values) / n
@@ -140,13 +124,12 @@ def _relevances(
     return cosines(query_vec, (embedder.embed(item.text_for_embedding) for item in pool))
 
 
-def _rank(
-    pool: Sequence[MemoryItem], rels: Sequence[float], k: int | None = None
-) -> list[ScoredItem]:
-    """The pool ranked best first, or only its ``k`` best when ``k`` is given.
+def _rank(pool: Sequence[MemoryItem], rels: Sequence[float], k: int) -> list[ScoredItem]:
+    """The pool's ``k`` best items, best first.
 
     ``heapq.nsmallest`` returns exactly ``sorted(...)[:k]``, so the top ``k``
-    are the first ``k`` of the full ranking; only they become ScoredItems.
+    are the first ``k`` of the full ranking, and ``k >= len(pool)`` ranks the
+    whole pool; only the selected items become ScoredItems.
     """
     imps = [item.importance_raw for item in pool]
     rel_z = _zscores(rels)
@@ -156,8 +139,6 @@ def _rank(
     def key(i: int) -> tuple[float, float, str]:
         return (-scores[i], -rels[i], pool[i].id)
 
-    indices = range(len(pool))
-    order = sorted(indices, key=key) if k is None else heapq.nsmallest(k, indices, key=key)
     return [
         ScoredItem(
             item=pool[i],
@@ -167,7 +148,7 @@ def _rank(
             imp_z=imp_z[i],
             score=scores[i],
         )
-        for i in order
+        for i in heapq.nsmallest(k, range(len(pool)), key=key)
     ]
 
 
@@ -182,7 +163,7 @@ def score_pool(
     """
     if not pool:
         return []
-    return _rank(pool, _relevances(query, pool, embedder))
+    return _rank(pool, _relevances(query, pool, embedder), len(pool))
 
 
 def _procedural_hit(
@@ -223,19 +204,12 @@ def retrieve_from_pools(
 def _episodic_pool(view: MemoryView) -> list[MemoryItem]:
     """The view's episodes as memory items, kept on the store set that owns them.
 
-    Only the episodes appended since the last call become new items. The
-    pool is rebuilt when it is no longer a prefix of the episodes: the store
-    only appends, and a reopened store starts with an empty pool.
+    The episode log only grows, so only the episodes appended since the last
+    call become new items; a reopened store starts with an empty pool.
     """
     store = view.episodic_store()
-    episodes = store.episodic
     pool = store.episodic_pool
-    n = len(pool)
-    if n > len(episodes) or (n and pool[-1].payload is not episodes[n - 1]):
-        pool = store.episodic_pool = []
-        n = 0
-    if n < len(episodes):
-        pool.extend(episodic_items(episodes[n:]))
+    pool.extend(episodic_items(store.episodic[len(pool):]))
     return pool
 
 

@@ -105,17 +105,18 @@ def _now_iso() -> str:
 class StoreSet:
     """All memory of one owner: episodic log, procedures, transactive state.
 
+    ``episodic`` is append-only: only :class:`MemoryStore` writes it, by
+    loading the log and by :meth:`MemoryStore.add_episode`. The derived
+    indices below rely on this and are never checked against it.
     ``consolidation_watermark`` records the episodic length at the last
     consolidation; ``next_procedure_seq`` feeds deterministic procedure ids.
     ``cluster_state`` is consolidation's incremental clustering of
-    ``episodic``: derived, never persisted, and rebuilt whenever it no longer
-    matches the episodes. ``episode_keys`` holds the ``(agent_id,
-    task_index)`` of every episode for the duplicate check: derived as well,
-    and rebuilt whenever its size no longer matches ``episodic``.
+    ``episodic``, extended over the episodes it has not seen yet.
+    ``episode_keys`` holds the ``(agent_id, task_index)`` of every episode
+    for the duplicate check, filled on load and on each append.
     ``episodic_pool`` holds retrieval's memory items for ``episodic``, in
-    order: derived, never persisted, extended by the episodes appended since
-    the last episodic fallback and rebuilt whenever it is no longer a prefix
-    of them.
+    order, extended by the episodes appended since the last episodic
+    fallback. None of the three is persisted.
     """
 
     episodic: list[Episode] = field(default_factory=list)
@@ -274,6 +275,7 @@ class MemoryStore:
                 store.episodic = read_jsonl(log_path, decode)
             except ValueError as exc:
                 raise StoreError(str(exc)) from exc
+            store.episode_keys = {(e.agent_id, e.task_index) for e in store.episodic}
         procedural_path = self._path(owner, "procedural")
         if procedural_path.exists():
             doc = _load_json(procedural_path, "seq", "next_procedure_seq", "procedures")
@@ -501,7 +503,12 @@ class MemoryView:
         return tuple(self._store.store_set(self._episodic_owner()).episodic)
 
     def episodic_store(self) -> StoreSet:
-        """The live store set holding this view's episodes; not a copy."""
+        """The live store set holding this view's episodes; not a copy.
+
+        Its ``episodic`` list is append-only and written only by
+        :class:`MemoryStore`; the derived indices on it rely on that, so a
+        caller must not modify it.
+        """
         return self._store.store_set(self._episodic_owner())
 
     def procedures(self) -> dict[str, Procedure]:
@@ -578,10 +585,7 @@ class MemoryView:
                 f"{episode.agent_id!r}"
             )
         owner = self._episodic_owner()
-        store = self._store.store_set(owner)
-        if len(store.episode_keys) != len(store.episodic):
-            store.episode_keys = {(e.agent_id, e.task_index) for e in store.episodic}
-        if (episode.agent_id, episode.task_index) in store.episode_keys:
+        if (episode.agent_id, episode.task_index) in self._store.store_set(owner).episode_keys:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
         known = self._store.store_set(self._procedural_owner()).procedural
         missing = sorted({*episode.related_procedures, *procedures_used} - known.keys())

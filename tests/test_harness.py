@@ -105,6 +105,12 @@ def test_load_sim_config_rejects_non_integers():
         ({"families": ["triage"]}, "families[0]"),
         ({"families": [{"key": "triage"}, {"task_type": "ops"}]}, "families[1].key"),
         ({"families": [{"key": 7}]}, "families[0].key"),
+        # task types and the provider name must be strings; a task type not blank
+        ({"families": [{"key": "triage", "task_type": 5}]}, "families[0].task_type"),
+        ({"families": [{"key": "triage", "task_type": " "}]}, "families[0].task_type"),
+        ({"families": [{"key": "a"}, {"key": "b", "task_type": None}]}, "families[1].task_type"),
+        ({"embedding": {"provider": ["hash"]}}, "embedding.provider"),
+        ({"embedding": {"provider": 1}}, "embedding.provider"),
     ]:
         with pytest.raises(ConfigError) as exc:
             load_sim_config(config)

@@ -3,7 +3,6 @@
 import logging
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from teammem.embedding import EmbeddingVector, HashEmbedder, cosine, hash_embed, mean_vector
 from teammem.lifecycle import (
+    CLUSTER_THRESHOLD,
     EXTRACTION_FAILED_LESSON,
     ConsolidationConfig,
     StubGenerator,
@@ -24,6 +24,7 @@ from teammem.lifecycle import (
     stub_extract_lessons,
     stub_generalize,
 )
+from teammem.retrieval import _episodic_pool, episodic_items
 from teammem.store import MemoryView, open_store
 from teammem.types import Episode, Outcome, Procedure
 
@@ -364,39 +365,36 @@ EMBEDDERS = (HashEmbedder(), HashEmbedder(), HashEmbedder(dim=16), ConstantEmbed
 LESSONS = st.lists(st.sampled_from(LESSON_POOL), max_size=3)
 OPS = st.one_of(
     st.tuples(st.just("append"), st.lists(LESSONS, min_size=1, max_size=4)),
-    st.tuples(st.just("cluster"), st.integers(0, 3), st.sampled_from([0.5, 0.8, 0.95])),
+    st.tuples(st.just("cluster"), st.integers(0, 3)),
     st.tuples(st.just("reopen")),
-    st.tuples(st.just("rewrite"), st.integers(0, 50), LESSONS),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(OPS, max_size=12))
 def test_incremental_clusters_equal_from_scratch(ops):
+    """Every index derived from the episode log equals a from-scratch build."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "store"
         view = open_store(root, "local", ["agent-1"])["agent-1"]
         next_index = 1
-        for op in [*ops, ("cluster", 0, 0.80)]:
+        for op in [*ops, ("cluster", 0)]:
             if op[0] == "append":
                 for lessons in op[1]:
                     record(view, episode("agent-1", next_index, lessons))
                     next_index += 1
             elif op[0] == "reopen":
                 view = open_store(root)["agent-1"]
-            elif op[0] == "rewrite":
-                # edit an already-clustered episode in place: the cached
-                # lesson prefix no longer matches and must be rebuilt
-                live = view.episodic_store().episodic
-                if live:
-                    i = op[1] % len(live)
-                    live[i] = replace(live[i], lessons=tuple(op[2]))
             else:
-                embedder, threshold = EMBEDDERS[op[1]], op[2]
-                got = _view_clusters(view, embedder, threshold)
+                embedder = EMBEDDERS[op[1]]
+                got = _view_clusters(view, embedder)
                 episodes = view.episodes()
-                assert got == cluster_by_lessons(episodes, embedder, threshold)
-                assert got == oracle_clusters(episodes, embedder, threshold)
+                assert got == cluster_by_lessons(episodes, embedder, CLUSTER_THRESHOLD)
+                assert got == oracle_clusters(episodes, embedder, CLUSTER_THRESHOLD)
+            episodes = view.episodes()
+            keys = {(e.agent_id, e.task_index) for e in episodes}
+            assert view.episodic_store().episode_keys == keys
+            assert _episodic_pool(view) == episodic_items(episodes)
 
 
 def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
@@ -429,7 +427,7 @@ def test_cluster_state_is_derived_only(tmp_path):
     record(view, episode("agent-1", 1, ["alpha beta gamma"]))
     record(view, episode("agent-1", 2, ["alpha beta gamma"]))
     files = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*") if p.is_file()}
-    _view_clusters(view, EMBEDDER, 0.80)
+    _view_clusters(view, EMBEDDER)
     live = view.episodic_store()
     assert live.cluster_state is not None
     assert view.snapshot().cluster_state is None
@@ -600,8 +598,6 @@ def test_watermark_blocks_reconsolidation_after_reopen(tmp_path):
 def test_consolidation_config_validation():
     with pytest.raises(ValueError):
         ConsolidationConfig(interval_n=0)
-    with pytest.raises(ValueError):
-        ConsolidationConfig(min_cluster=0)
 
 
 # -- prompt templates for external generators ----------------------------------------

@@ -23,11 +23,10 @@ from teammem.retrieval import (
     embedding_text_for_procedure,
     episode_importance,
     episodic_items,
-    importance,
     procedural_items,
     RetrievalResult,
 )
-from teammem.store import StoreSet, open_store
+from teammem.store import open_store
 from teammem.types import Episode, MemoryItem, Outcome, Procedure
 
 from helpers import record
@@ -91,22 +90,6 @@ def test_item_builders_carry_payloads():
     (pi,) = procedural_items([p])
     assert ei.id == "a:1" and ei.payload is e and ei.importance_raw == 0.70
     assert pi.id == "proc-00001" and pi.payload is p and pi.importance_raw == 0.75
-
-
-def test_importance_recomputes_from_store():
-    e = episode("a", 1, "x", ts=80.0, cs=60.0)
-    p = procedure("proc-00001", "t", "k", s=1, f=1)
-    stores = StoreSet(episodic=[e], procedural={"proc-00001": p})
-    assert importance(item("episodic", "a:1", "", 0.0), stores) == 0.70
-    assert importance(item("procedural", "proc-00001", "", 0.0), stores) == 0.5
-
-
-def test_importance_dangling_reference_raises():
-    stores = StoreSet()
-    with pytest.raises(LookupError):
-        importance(item("procedural", "proc-00009", "", 0.0), stores)
-    with pytest.raises(LookupError):
-        importance(item("episodic", "a:9", "", 0.0), stores)
 
 
 # -- scoring ---------------------------------------------------------------
@@ -432,15 +415,6 @@ def test_the_episodic_pool_grows_with_the_store_and_is_rebuilt_on_reopen(
     miss(view)
     miss(view)
     assert len(built) == 8  # the reopened store rebuilt its pool once
-
-    # A pool that is no longer a prefix of the episodes is rebuilt.
-    store = view.episodic_store()
-    store.episodic = [dataclasses.replace(e) for e in store.episodic]
-    miss(view)
-    assert len(built) == 12
-    store.episodic = store.episodic[:3]
-    miss(view)
-    assert len(built) == 15
 
 
 # -- rendering -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -144,12 +145,26 @@ _TOP_LEVEL_KEYS = {
     "topology", "team_size", "n_tasks", "consolidation", "retrieval", "seed",
     "memory_enabled", "families", "success_threshold", "embedding",
 }
+_SECTION_KEYS = {
+    "consolidation": {"n"},
+    "retrieval": {"k", "proc_threshold"},
+    "embedding": {"provider", "dim"},
+}
+_FAMILY_KEYS = {f.name for f in dataclasses.fields(TaskFamily)}
+
+
+def _reject_unknown_keys(data: dict[str, Any], keys: set[str], prefix: str = "") -> None:
+    unknown = sorted(str(key) for key in set(data) - keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(prefix + key for key in unknown)}")
 
 
 def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
     """Build a :class:`SimConfig` from a dict or a JSON file path.
 
-    Raises :class:`ConfigError` with a message naming the offending key.
+    Raises :class:`ConfigError` with a message naming the offending key,
+    including an unknown key inside a section or a family and a number that
+    is not finite.
     """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -157,9 +172,7 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
         data = dict(source)
     if not isinstance(data, dict):
         raise ConfigError(f"config: must be an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    _reject_unknown_keys(data, _TOP_LEVEL_KEYS)
 
     topology_raw = data.get("topology", "local")
     try:
@@ -177,15 +190,25 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
     def _number(name: str, value: Any) -> int | float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{name}: must be a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"{name}: must be finite, got {value!r}")
         return value
 
-    def _object(name: str, value: Any) -> dict[str, Any]:
+    def _object(name: str, value: Any, keys: set[str]) -> dict[str, Any]:
         if not isinstance(value, dict):
             raise ConfigError(f"{name}: must be an object, got {value!r}")
+        _reject_unknown_keys(value, keys, f"{name}.")
         return value
 
+    def _section(name: str) -> dict[str, Any]:
+        return _object(name, data.get(name, {}), _SECTION_KEYS[name])
+
     def _family(name: str, value: Any) -> TaskFamily:
-        f = _object(name, value)
+        f = _object(name, value, _FAMILY_KEYS)
         if "key" not in f:
             raise ConfigError(f"{name}.key: missing")
         if not isinstance(f["key"], str):
@@ -204,9 +227,9 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
     memory_enabled = data.get("memory_enabled", True)
     if not isinstance(memory_enabled, bool):
         raise ConfigError(f"memory_enabled: must be true or false, got {memory_enabled!r}")
-    consolidation = _object("consolidation", data.get("consolidation", {}))
-    retrieval_cfg = _object("retrieval", data.get("retrieval", {}))
-    embedding_cfg = _object("embedding", data.get("embedding", {}))
+    consolidation = _section("consolidation")
+    retrieval_cfg = _section("retrieval")
+    embedding_cfg = _section("embedding")
     families_raw = data.get("families")
     if families_raw is None:
         families = DEFAULT_FAMILIES

@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .embedding import EmbeddingProvider, EmbeddingVector, cosine, mean_vector
+from .embedding import EmbeddingProvider, EmbeddingVector, cosines, mean_vector
 from .store import SHARED_OWNER, MemoryView, Topology, _now_iso
 from .types import Episode, Outcome, Procedure, derive_reliability
 
@@ -199,17 +199,29 @@ class _SingleLink:
 
     Single-link clusters only ever merge when points are appended (Sibson's
     SLINK), so each new episode is compared with the earlier ones and earlier
-    pairs are never revisited. Union keeps the lower index as root, so a
-    cluster's root is its first member whatever the order of unions, and the
-    clusters equal a from-scratch pass exactly. Each call must pass the
-    sequence it was last given, extended: the episodes already seen are not
-    read again.
+    pairs are never revisited. The state holds one lesson vector per distinct
+    lesson tuple. Equal text embeds to equal vectors and the ``cosines``
+    kernel is symmetric, so an episode links to exactly the episodes its
+    tuple's first episode links to. Hence a repeated tuple whose vector
+    clears the threshold against itself joins that first episode with no
+    embedding and no comparison, and a new tuple is embedded once and
+    compared with one vector per earlier tuple. A tuple that does not clear
+    it against itself (a zero or non-finite vector, or a threshold above its
+    self-cosine) keeps its member list and the full comparison. Union keeps
+    the lower index as root, so a cluster's root is its first member whatever
+    the order of unions, and the clusters equal a from-scratch pass exactly.
+    Each call must pass the sequence it was last given, extended: the
+    episodes already seen are not read again.
     """
 
     embedder: EmbeddingProvider
     threshold: float
-    vectors: list[EmbeddingVector] = field(default_factory=list)
     parent: list[int] = field(default_factory=list)
+    slots: dict[tuple[str, ...], int] = field(default_factory=dict)
+    vectors: list[EmbeddingVector] = field(default_factory=list)
+    # Per tuple: its first episode, then every later one unless it self-links.
+    members: list[list[int]] = field(default_factory=list)
+    self_linked: list[bool] = field(default_factory=list)
 
     def _find(self, i: int) -> int:
         parent = self.parent
@@ -218,17 +230,33 @@ class _SingleLink:
             i = parent[i]
         return i
 
+    def _union(self, i: int, j: int) -> None:
+        ri, rj = self._find(i), self._find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
     def clusters(self, episodes: Sequence[Episode]) -> list[list[Episode]]:
         """Extend over the episodes past the known prefix; return every cluster."""
-        for j in range(len(self.vectors), len(episodes)):
-            vector = lesson_vector(episodes[j], self.embedder)
+        for j in range(len(self.parent), len(episodes)):
             self.parent.append(j)
-            for i, earlier in enumerate(self.vectors):
-                if cosine(earlier, vector) >= self.threshold:
-                    ri, rj = self._find(i), self._find(j)
-                    if ri != rj:
-                        self.parent[max(ri, rj)] = min(ri, rj)
-            self.vectors.append(vector)
+            lessons = episodes[j].lessons
+            slot = self.slots.get(lessons)
+            if slot is None:
+                slot = self.slots[lessons] = len(self.vectors)
+                self.vectors.append(lesson_vector(episodes[j], self.embedder))
+                self.members.append([j])
+                similarities = cosines(self.vectors[slot], self.vectors)
+                self.self_linked.append(similarities[slot] >= self.threshold)
+            elif self.self_linked[slot]:
+                self._union(self.members[slot][0], j)
+                continue
+            else:
+                self.members[slot].append(j)
+                similarities = cosines(self.vectors[slot], self.vectors)
+            for k, similarity in enumerate(similarities):
+                if similarity >= self.threshold:
+                    for i in self.members[k]:
+                        self._union(i, j)
         groups: dict[int, list[Episode]] = {}
         for i, episode in enumerate(episodes):
             groups.setdefault(self._find(i), []).append(episode)

@@ -111,7 +111,11 @@ class StoreSet:
     ``consolidation_watermark`` records the episodic length at the last
     consolidation; ``next_procedure_seq`` feeds deterministic procedure ids.
     ``cluster_state`` is consolidation's incremental clustering of
-    ``episodic``, extended over the episodes it has not seen yet.
+    ``episodic``, extended over the episodes it has not seen yet. It holds
+    one lesson vector per distinct lesson tuple: equal text embeds to equal
+    vectors and the cosine kernel is symmetric, so a repeated tuple that
+    clears the threshold against itself joins its first episode exactly;
+    tuples that do not keep the full comparison.
     ``episode_keys`` holds the ``(agent_id, task_index)`` of every episode
     for the duplicate check, filled on load and on each append.
     ``episodic_pool`` holds retrieval's memory items for ``episodic``, in

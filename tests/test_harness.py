@@ -80,6 +80,22 @@ def test_load_sim_config_rejects_unknown_keys():
     assert "topolgy" in str(exc.value)
 
 
+def test_load_sim_config_rejects_unknown_keys_inside_sections():
+    for config, keys in [
+        # the removed cluster knobs, and a typo of dim
+        (
+            {"consolidation": {"n": 5, "threshold": 0.95, "min_cluster": 3}},
+            "consolidation.min_cluster, consolidation.threshold",
+        ),
+        ({"embedding": {"dimm": 16}}, "embedding.dimm"),
+        ({"retrieval": {"k": 2, "proc_treshold": 0.5}}, "retrieval.proc_treshold"),
+        ({"families": [{"key": "a"}, {"key": "b", "bonus": 5}]}, "families[1].bonus"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(config)
+        assert str(exc.value) == f"unknown config keys: {keys}", config
+
+
 def test_load_sim_config_rejects_bad_topology():
     with pytest.raises(ConfigError) as exc:
         load_sim_config({"topology": "galactic"})
@@ -111,6 +127,14 @@ def test_load_sim_config_rejects_non_integers():
         ({"families": [{"key": "a"}, {"key": "b", "task_type": None}]}, "families[1].task_type"),
         ({"embedding": {"provider": ["hash"]}}, "embedding.provider"),
         ({"embedding": {"provider": 1}}, "embedding.provider"),
+        # numbers must be finite: JSON's NaN and Infinity literals parse
+        ({"retrieval": {"proc_threshold": float("nan")}}, "retrieval.proc_threshold"),
+        ({"success_threshold": float("inf")}, "success_threshold"),
+        ({"success_threshold": 10**400}, "success_threshold"),
+        (
+            {"families": [{"key": "triage", "memory_bonus": -float("inf")}]},
+            "families[].memory_bonus",
+        ),
     ]:
         with pytest.raises(ConfigError) as exc:
             load_sim_config(config)
@@ -135,6 +159,26 @@ def test_load_sim_config_from_file(tmp_path):
 def test_config_round_trips_through_dict():
     cfg = SimConfig(topology="hybrid", team_size=5, n_tasks=11, seed=42)
     assert load_sim_config(config_to_dict(cfg)) == cfg
+
+
+def test_config_with_every_field_set_round_trips_through_json(tmp_path):
+    cfg = SimConfig(
+        topology="shared",
+        team_size=2,
+        n_tasks=9,
+        consolidation_n=4,
+        retrieval_k=2,
+        proc_threshold=0.45,
+        seed=3,
+        memory_enabled=False,
+        families=(TaskFamily("log shipper backlog", "ops", 40.0, 60.0, 2.5),),
+        success_threshold=65.0,
+        embedding_dim=32,
+    )
+    assert load_sim_config(config_to_dict(cfg)) == cfg
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+    assert load_sim_config(path) == cfg
 
 
 def test_config_validation():

@@ -1,6 +1,7 @@
 """Lifecycle tests: per-task updates, clustering, consolidation, pruning."""
 
 import logging
+import math
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,7 @@ from teammem.lifecycle import (
     EXTRACTION_FAILED_LESSON,
     ConsolidationConfig,
     StubGenerator,
+    _SingleLink,
     _view_clusters,
     cluster_by_lessons,
     consolidate,
@@ -359,13 +361,30 @@ class ConstantEmbedder:
         return EmbeddingVector(values=(1.0, 0.0, 0.0, 0.0))
 
 
-# Two distinct embedders with equal settings, one with another dim, and one
-# that disagrees with all of them.
-EMBEDDERS = (HashEmbedder(), HashEmbedder(), HashEmbedder(dim=16), ConstantEmbedder())
+class NanEmbedder:
+    """Hash embeddings, except that a text naming zulu embeds to NaN entries.
+
+    A lesson tuple holding such a text averages to a non-finite vector, whose
+    cosine with anything, itself included, is NaN and clears no threshold.
+    """
+
+    dim = 16
+
+    def embed(self, text):
+        if "zulu" in text:
+            return EmbeddingVector(values=(math.nan,) * self.dim)
+        return hash_embed(text, self.dim)
+
+
+# Two distinct embedders with equal settings, one with another dim, one that
+# disagrees with all of them, and one with non-finite vectors.
+EMBEDDERS = (
+    HashEmbedder(), HashEmbedder(), HashEmbedder(dim=16), ConstantEmbedder(), NanEmbedder()
+)
 LESSONS = st.lists(st.sampled_from(LESSON_POOL), max_size=3)
 OPS = st.one_of(
     st.tuples(st.just("append"), st.lists(LESSONS, min_size=1, max_size=4)),
-    st.tuples(st.just("cluster"), st.integers(0, 3)),
+    st.tuples(st.just("cluster"), st.integers(0, len(EMBEDDERS) - 1)),
     st.tuples(st.just("reopen")),
 )
 
@@ -397,13 +416,47 @@ def test_incremental_clusters_equal_from_scratch(ops):
             assert _episodic_pool(view) == episodic_items(episodes)
 
 
+# A few lesson tuples, so that repeats dominate; the empty tuple embeds to the
+# zero vector.
+TUPLE_POOL = [
+    (),
+    ("alpha beta gamma",),
+    ("keep alpha keep beta gamma", "keep alpha keep beta delta"),
+    ("keep alpha keep omega delta",),
+    ("start zulu route echo canyon",),
+    ("start zulu route echo harbor", "alpha beta gamma"),
+]
+# Below, at and above every self-cosine, so that repeats of one tuple link to
+# each other under some thresholds and not under others.
+THRESHOLDS = (-1.0, 0.0, CLUSTER_THRESHOLD, 1.0, 1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(TUPLE_POOL), max_size=24),
+    st.integers(0, len(EMBEDDERS) - 1),
+    st.integers(0, 24),
+)
+def test_clusters_of_repeated_tuples_equal_the_oracle(tuples, which, cut):
+    """Clustering one vector per distinct tuple stays exact at any threshold."""
+    episodes = [episode("a", i, lessons) for i, lessons in enumerate(tuples)]
+    embedder = EMBEDDERS[which]
+    for threshold in THRESHOLDS:
+        expected = oracle_clusters(episodes, embedder, threshold)
+        assert cluster_by_lessons(episodes, embedder, threshold) == expected
+        state = _SingleLink(embedder, threshold)
+        state.clusters(episodes[:cut])
+        assert state.clusters(episodes) == expected
+
+
 def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
     view = one_agent_view(tmp_path)
     embedder = CountingEmbedder()
     for i in range(1, 7):
         record(view, episode("agent-1", i, [f"lesson {i % 3}", "alpha beta gamma"]))
     consolidate(view, CFG, StubGenerator(), embedder)
-    assert sum(embedder.calls.values()) == 12
+    # one embedding per lesson of each distinct tuple: 3 tuples of 2 lessons
+    assert sum(embedder.calls.values()) == 6
 
     embedder.calls.clear()
     new = [episode("agent-1", i, [f"fresh lesson {i}"]) for i in range(7, 10)]
@@ -412,12 +465,20 @@ def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
     consolidate(view, CFG, StubGenerator(), embedder)
     assert embedder.calls == Counter(lesson for e in new for lesson in e.lessons)
 
-    # a reopened store rebuilds the state once, then extends it again
+    # a reopened store rebuilds the state once (6 distinct tuples, 9 lessons),
+    # then extends it again
     view = open_store(tmp_path / "store")["agent-1"]
     embedder.calls.clear()
     consolidate(view, CFG, StubGenerator(), embedder)
-    assert sum(embedder.calls.values()) == 15
+    assert sum(embedder.calls.values()) == 9
     embedder.calls.clear()
+    consolidate(view, CFG, StubGenerator(), embedder)
+    assert sum(embedder.calls.values()) == 0
+
+    # appended episodes whose tuples were all seen before embed nothing
+    for i in range(10, 16):
+        record(view, episode("agent-1", i, [f"lesson {i % 3}", "alpha beta gamma"]))
+    record(view, episode("agent-1", 16, ["fresh lesson 7"]))
     consolidate(view, CFG, StubGenerator(), embedder)
     assert sum(embedder.calls.values()) == 0
 

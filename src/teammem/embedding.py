@@ -14,6 +14,13 @@ Hash recipe (the contract tests recompute this independently):
 3. Bucket ``h % dim`` accumulates ``+1`` when the top digest bit
    (``h >> 63``) is 0, else ``-1``.
 4. L2-normalize the bucket counts. No tokens at all yields the zero vector.
+
+Vectors are built from the buckets their inputs touch: ``hash_embed`` and
+``mean_vector`` never walk the empty ones, and they hand each new vector its
+norm and nonzero indices, so building one costs time in proportion to the
+tokens (or nonzero entries) read, not to ``dim``. The recipe above does not
+change, and neither does a single bit of its output: every skipped term is an
+exact zero, and adding an exact zero changes no float sum that starts at +0.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ def tokenize(text: str) -> list[str]:
 class EmbeddingVector:
     """Fixed-dimension embedding; unit L2 norm or the all-zero vector.
 
-    The norm and the nonzero entries are derived once, on first use; they are
-    not dataclass fields, so equality, hashing and ``values`` ignore them.
+    The norm and the nonzero entries are derived once: set by the builders
+    below, else computed on first use. They are not dataclass fields, so
+    equality, hashing and ``values`` ignore them.
     """
 
     values: tuple[float, ...]
@@ -68,7 +76,7 @@ class EmbeddingVector:
         return self._norm
 
     def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
+        return not self._nonzero
 
 
 def _token_signature(token: str, dim: int) -> tuple[int, float]:
@@ -78,18 +86,36 @@ def _token_signature(token: str, dim: int) -> tuple[int, float]:
     return h % dim, sign
 
 
+def _built(values: list[float], touched: list[int]) -> EmbeddingVector:
+    """The vector of ``values``, its derived state set from ``touched``.
+
+    ``touched`` lists ascending every index whose entry may be nonzero; every
+    other entry is ``_ZERO``. The norm sums the kept squares in index order,
+    so it is bit-equal to the dense ``_norm``: each skipped square is +0.0.
+    """
+    nonzero = tuple(i for i in touched if values[i] != 0.0)
+    vector = EmbeddingVector(values=tuple(values))
+    derived = vector.__dict__
+    derived["_nonzero"] = nonzero
+    derived["_norm"] = math.sqrt(sum(values[i] * values[i] for i in nonzero))
+    return vector
+
+
 def hash_embed(text: str, dim: int = DEFAULT_DIM) -> EmbeddingVector:
     """Embed ``text`` with the signed feature-hashing recipe above."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    buckets = [0.0] * dim
+    counts: dict[int, float] = {}
     for token in tokenize(text):
         index, sign = _token_signature(token, dim)
-        buckets[index] += sign
-    norm = math.sqrt(sum(v * v for v in buckets))
-    if norm == 0.0:
-        return EmbeddingVector(values=(_ZERO,) * dim)
-    return EmbeddingVector(values=tuple(v / norm if v else _ZERO for v in buckets))
+        counts[index] = counts.get(index, 0.0) + sign
+    # Counts are small integers, so their squares sum exactly in any order.
+    touched = sorted(i for i, count in counts.items() if count)
+    norm = math.sqrt(sum(counts[i] * counts[i] for i in touched))
+    values = [_ZERO] * dim
+    for i in touched:
+        values[i] = counts[i] / norm
+    return _built(values, touched)
 
 
 def cosines(u: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[float]:
@@ -133,17 +159,27 @@ def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
 
 
 def mean_vector(vectors: list[EmbeddingVector], dim: int) -> EmbeddingVector:
-    """Plain componentwise mean; zero vector for an empty list."""
-    if not vectors:
-        return EmbeddingVector(values=(_ZERO,) * dim)
-    acc = [0.0] * dim
+    """Plain componentwise mean; zero vector for an empty list.
+
+    Each input adds only its nonzero entries. A running sum that starts at
+    +0.0 is never -0.0, and adding +-0.0 leaves any other float unchanged, so
+    the sums equal the dense ones bit for bit.
+    """
+    sums: dict[int, float] = {}
     for vec in vectors:
         if vec.dim != dim:
             raise ValueError(f"dimension mismatch: {vec.dim} != {dim}")
-        for i, value in enumerate(vec.values):
-            acc[i] += value
+        entries = vec.values
+        for i in vec._nonzero:
+            sums[i] = sums.get(i, 0.0) + entries[i]
     n = len(vectors)
-    return EmbeddingVector(values=tuple(v / n if v else _ZERO for v in acc))
+    touched = sorted(sums)
+    values = [_ZERO] * dim
+    for i in touched:
+        total = sums[i]
+        if total:
+            values[i] = total / n
+    return _built(values, touched)
 
 
 class EmbeddingProvider(Protocol):

@@ -187,7 +187,7 @@ def post_task_update(
     return episode
 
 
-def lesson_vector(episode: Episode, embedder: EmbeddingProvider):
+def lesson_vector(episode: Episode, embedder: EmbeddingProvider) -> EmbeddingVector:
     """Mean embedding of an episode's lessons (zero vector when empty)."""
     vectors = [embedder.embed(lesson) for lesson in episode.lessons]
     return mean_vector(vectors, embedder.dim)

@@ -5,16 +5,18 @@ normalize) so that any drift in the implementation shows up against an
 independent reimplementation rather than against itself.
 """
 
+import functools
 import hashlib
 import math
 import string
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from teammem.embedding import (
     _MEMO_SIZE,
+    _ZERO,
     _memo_embed,
     DEFAULT_DIM,
     EmbeddingVector,
@@ -29,15 +31,25 @@ from teammem.embedding import (
 )
 
 
-def reference_embed(text, dim=DEFAULT_DIM):
-    """Independent recomputation of the documented recipe."""
+def reference_hash(token):
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def reference_counts(text, dim=DEFAULT_DIM):
+    """Independent recomputation of the documented recipe's bucket counts."""
     import re
 
     buckets = [0.0] * dim
     for token in re.findall(r"[a-z0-9]+", text.lower()):
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "big")
+        h = reference_hash(token)
         buckets[h % dim] += 1.0 if (h >> 63) == 0 else -1.0
+    return buckets
+
+
+def reference_embed(text, dim=DEFAULT_DIM):
+    """Independent recomputation of the documented recipe."""
+    buckets = reference_counts(text, dim)
     norm = math.sqrt(sum(v * v for v in buckets))
     if norm == 0.0:
         return tuple(buckets)
@@ -263,6 +275,88 @@ def test_cosine_with_non_finite_entries_matches_dense_sum():
     assert math.isnan(cosine(u, v)) and math.isnan(dense_cosine(u, v))
 
 
+# -- sparse builders against the dense ones ------------------------------------
+
+
+def assert_built_like_dense(vector, dense_values, empty):
+    """``vector`` holds ``dense_values`` bit for bit, its derived state was set
+    at build time and equals the dense derivation, and each index in ``empty``
+    is the shared ``_ZERO``."""
+    assert {"_norm", "_nonzero"} <= vector.__dict__.keys()
+    assert [bits(x) for x in vector.values] == [bits(x) for x in dense_values]
+    assert bits(vector._norm) == bits(math.sqrt(sum(x * x for x in dense_values)))
+    assert vector._nonzero == tuple(i for i, x in enumerate(dense_values) if x != 0.0)
+    assert vector.is_zero() == all(x == 0.0 for x in dense_values)
+    assert all(vector.values[i] is _ZERO for i in empty)
+
+
+@functools.lru_cache(maxsize=None)
+def cancelling_pair(dim):
+    """Two tokens that land in one bucket of ``dim`` with opposite signs."""
+    first_by_key = {}
+    for i in range(100_000):
+        token = f"t{i}"
+        h = reference_hash(token)
+        opposite = first_by_key.get((h % dim, 1 - (h >> 63)))
+        if opposite is not None:
+            return opposite, token
+        first_by_key.setdefault((h % dim, h >> 63), token)
+    raise AssertionError(f"no cancelling pair for dim {dim}")
+
+
+@given(st.integers(1, DEFAULT_DIM), WORDS, st.integers(0, 3), st.randoms(use_true_random=False))
+@example(dim=DEFAULT_DIM, words=[], pairs=1, rng=None)
+@example(dim=DEFAULT_DIM, words=["alpha", "beta"], pairs=2, rng=None)
+def test_hash_embed_is_bit_equal_to_the_dense_builder(dim, words, pairs, rng):
+    tokens = words + list(cancelling_pair(dim)) * pairs
+    if rng is not None:
+        rng.shuffle(tokens)
+    text = " ".join(tokens)
+    empty = [i for i, count in enumerate(reference_counts(text, dim)) if not count]
+    assert_built_like_dense(hash_embed(text, dim), reference_embed(text, dim), empty)
+
+
+def dense_mean(rows, dim):
+    """The componentwise mean over every entry; also returns the sums."""
+    sums = [0.0] * dim
+    for row in rows:
+        for i, x in enumerate(row):
+            sums[i] += x
+    n = len(rows)
+    return [v / n if v else 0.0 for v in sums], sums
+
+
+MEAN_ENTRY = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan]
+)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim), st.lists(st.lists(MEAN_ENTRY, min_size=dim, max_size=dim), max_size=5)
+        )
+    )
+)
+@example(case=(3, [[1.0, -0.0, math.nan], [-1.0, 0.0, 0.0], [0.0, -0.0, 5e-324]]))
+@example(case=(2, [[math.inf, 1.0], [-math.inf, 1.0]]))
+@example(case=(4, []))
+@example(case=(2, [[5e-324, 0.0]]))  # nonzero, yet its norm underflows to 0.0
+def test_mean_vector_is_bit_equal_to_the_dense_mean(case):
+    dim, rows = case
+    vectors = [EmbeddingVector(values=tuple(row)) for row in rows]
+    dense, sums = dense_mean(rows, dim)
+    empty = [i for i, total in enumerate(sums) if total == 0.0]
+    assert_built_like_dense(mean_vector(vectors, dim), dense, empty)
+
+
+def test_is_zero_counts_nan_as_nonzero_and_negative_zero_as_zero():
+    assert EmbeddingVector(values=(-0.0, 0.0)).is_zero()
+    assert not EmbeddingVector(values=(0.0, math.nan)).is_zero()
+    assert not EmbeddingVector(values=(0.0, 5e-324)).is_zero()
+    assert not mean_vector([hash_embed("alpha", 8)], 8).is_zero()
+
+
 def test_derived_state_stays_out_of_equality_and_hash():
     fresh = hash_embed("alpha beta gamma")
     used = hash_embed("alpha beta gamma")
@@ -270,6 +364,21 @@ def test_derived_state_stays_out_of_equality_and_hash():
     assert used.norm() == fresh.norm()
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
+    built = [
+        fresh,
+        mean_vector([hash_embed("alpha beta"), hash_embed("beta gamma delta")], DEFAULT_DIM),
+        hash_embed("?!"),
+        hash_embed(" ".join(cancelling_pair(DEFAULT_DIM))),
+        mean_vector([], 8),
+        mean_vector([EmbeddingVector(values=(1.0, -0.0)), EmbeddingVector(values=(-1.0, 0.0))], 2),
+    ]
+    for vector in built:
+        rebuilt = EmbeddingVector(values=vector.values)
+        assert "_norm" in vector.__dict__ and "_norm" not in rebuilt.__dict__
+        assert rebuilt == vector and hash(rebuilt) == hash(vector)
+        assert repr(rebuilt) == repr(vector)
+        assert rebuilt.norm() == vector.norm() and rebuilt._nonzero == vector._nonzero
+    assert [v.is_zero() for v in built] == [False, False, True, True, True, True]
 
 
 def test_hash_embedder_memoizes_by_text():

@@ -238,6 +238,15 @@ def register_provider(name: str, factory: Callable[[int], EmbeddingProvider]) ->
     _PROVIDER_FACTORIES[name] = factory
 
 
+def provider_factory(name: str) -> Callable[[int], EmbeddingProvider]:
+    """The factory registered under ``name``; ``ValueError`` lists the known names."""
+    factory = _PROVIDER_FACTORIES.get(name)
+    if factory is None:
+        known = ", ".join(sorted(_PROVIDER_FACTORIES))
+        raise ValueError(f"unknown provider {name!r} (known: {known})")
+    return factory
+
+
 def provider_from_config(config: dict | None) -> EmbeddingProvider:
     """Build a provider from an ``embedding`` config section.
 
@@ -246,10 +255,8 @@ def provider_from_config(config: dict | None) -> EmbeddingProvider:
     the offending key.
     """
     config = config or {}
-    name = config.get("provider", "hash")
-    dim = config.get("dim", DEFAULT_DIM)
-    factory = _PROVIDER_FACTORIES.get(name)
-    if factory is None:
-        known = ", ".join(sorted(_PROVIDER_FACTORIES))
-        raise ValueError(f"embedding.provider: unknown provider {name!r} (known: {known})")
-    return factory(dim)
+    try:
+        factory = provider_factory(config.get("provider", "hash"))
+    except ValueError as exc:
+        raise ValueError(f"embedding.provider: {exc}") from None
+    return factory(config.get("dim", DEFAULT_DIM))

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-from .embedding import EmbeddingProvider, provider_from_config
+from .embedding import EmbeddingProvider, provider_factory
 from .lifecycle import (
     ConsolidationConfig,
     StubGenerator,
@@ -43,20 +43,144 @@ class ConfigError(Exception):
     """Raised when a simulation config is structurally invalid."""
 
 
+# Each config dataclass is described by one row per field: (JSON path, field,
+# kind, check). A kind takes a value as given and returns it as stored; a
+# check then inspects the stored value. Both raise ValueError with a message
+# that gets the path as its prefix. Loading, dumping, unknown-key detection and
+# validation all walk these rows; defaults are the dataclass defaults.
+_Row = tuple[str, str, Callable[[Any], Any], Callable[[Any], Any] | None]
+
+
+def _kind(
+    *rules: tuple[Callable[[Any], bool], str], convert: Callable[[Any], Any] | None = None
+) -> Callable[[Any], Any]:
+    """Reject a value failing a ``(test, message)`` rule; return it, through ``convert`` if set."""
+
+    def accept(value: Any) -> Any:
+        for test, message in rules:
+            if not test(value):
+                raise ValueError(message.format(value))
+        return value if convert is None else convert(value)
+
+    return accept
+
+
+_integer = _kind(
+    (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer, got {!r}")
+)
+_NUMBER_RULES = (
+    (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+        "must be a number, got {!r}",
+    ),
+    # exact for ints too large for a float, which math.isfinite cannot take
+    (lambda v: abs(v) <= sys.float_info.max, "must be finite, got {!r}"),
+)
+_number = _kind(*_NUMBER_RULES)
+_float = _kind(*_NUMBER_RULES, convert=float)
+_boolean = _kind((lambda v: isinstance(v, bool), "must be true or false, got {!r}"))
+_string = _kind((lambda v: isinstance(v, str), "must be a string, got {!r}"))
+_name = _kind(
+    (lambda v: isinstance(v, str) and bool(v.strip()), "must be a non-empty string, got {!r}")
+)
+_topology = _kind(
+    (lambda v: any(v == t for t in Topology), "must be one of local, shared, hybrid; got {!r}"),
+    convert=Topology,
+)
+_non_empty = _kind((bool, "must list at least one task family"))
+_phrase = _kind((lambda v: bool(v.strip()), "must be a non-empty phrase"))
+_at_least_one = _kind((lambda v: v >= 1, "must be >= 1, got {!r}"))
+_percent = _kind((lambda v: 0.0 <= v <= 100.0, "must be in [0, 100], got {!r}"))
+
+_FAMILY_ROWS: tuple[_Row, ...] = (
+    ("key", "key", _string, _phrase),
+    ("task_type", "task_type", _name, None),
+    ("base_ts", "base_ts", _number, _percent),
+    ("base_cs", "base_cs", _number, _percent),
+    ("memory_bonus", "memory_bonus", _number, None),
+)
+
+_SIM_ROWS: tuple[_Row, ...] = (
+    ("topology", "topology", _topology, None),
+    ("team_size", "team_size", _integer, _at_least_one),
+    ("n_tasks", "n_tasks", _integer, _at_least_one),
+    ("consolidation.n", "consolidation_n", _integer, _at_least_one),
+    ("retrieval.k", "retrieval_k", _integer, _at_least_one),
+    ("retrieval.proc_threshold", "proc_threshold", _float, None),
+    ("seed", "seed", _integer, None),
+    ("memory_enabled", "memory_enabled", _boolean, None),
+    ("families", "families", tuple, _non_empty),
+    ("success_threshold", "success_threshold", _float, None),
+    ("embedding.provider", "embedding_provider", _string, provider_factory),
+    ("embedding.dim", "embedding_dim", _integer, _at_least_one),
+)
+
+
+def _validate(rows: Sequence[_Row], values: dict[str, Any], name: str = "") -> None:
+    """Check each field ``values`` holds and store its kind's form in place.
+
+    Errors name ``name.path``. A frozen dataclass passes its instance dict.
+    """
+    prefix = f"{name}." if name else ""
+    for path, field, kind, check in rows:
+        if field in values:
+            try:
+                values[field] = kind(values[field])
+                if check is not None:
+                    check(values[field])
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}{path}: {exc}") from None
+
+
+def _read(cls: type, rows: Sequence[_Row], data: Any, name: str = "") -> dict[str, Any]:
+    """Field -> raw value for each row ``data`` sets; rejects unknown keys at every level."""
+    prefix = f"{name}." if name else ""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: must be an object, got {data!r}")
+    unknown = sorted(str(key) for key in set(data) - {path.split(".")[0] for path, *_ in rows})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(prefix + key for key in unknown)}")
+    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    values: dict[str, Any] = {}
+    sections: dict[str, list[_Row]] = {}
+    for path, field, kind, check in rows:
+        head, dot, rest = path.partition(".")
+        if dot:
+            sections.setdefault(head, []).append((rest, field, kind, check))
+        elif head in data:
+            values[field] = data[head]
+        elif field in required:
+            raise ConfigError(f"{prefix}{path}: missing")
+    for head, section_rows in sections.items():
+        values.update(_read(cls, section_rows, data.get(head, {}), prefix + head))
+    return values
+
+
+def _dump(obj: Any, rows: Sequence[_Row]) -> dict[str, Any]:
+    """``obj`` as a JSON object holding each field at its row's path."""
+    out: dict[str, Any] = {}
+    for path, field, _, _ in rows:
+        section, _, key = path.rpartition(".")
+        node = out.setdefault(section, {}) if section else out
+        value = getattr(obj, field)
+        if isinstance(value, Topology):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = [_dump(family, _FAMILY_ROWS) for family in value]
+        node[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class TaskFamily:
     key: str
-    task_type: str
-    base_ts: float
-    base_cs: float
-    memory_bonus: float
+    task_type: str = "general"
+    base_ts: float = 55.0
+    base_cs: float = 55.0
+    memory_bonus: float = 10.0
 
     def __post_init__(self) -> None:
-        if not self.key.strip():
-            raise ConfigError("families[].key: must be a non-empty phrase")
-        for name, value in (("base_ts", self.base_ts), ("base_cs", self.base_cs)):
-            if not 0.0 <= float(value) <= 100.0:
-                raise ConfigError(f"families[].{name}: must be in [0, 100], got {value!r}")
+        _validate(_FAMILY_ROWS, vars(self), "families[]")
 
 
 @dataclass(frozen=True)
@@ -73,27 +197,9 @@ class SyntheticTask:
 
 
 DEFAULT_FAMILIES = (
-    TaskFamily(
-        key="payment gateway retry storm triage",
-        task_type="incident",
-        base_ts=55.0,
-        base_cs=55.0,
-        memory_bonus=10.0,
-    ),
-    TaskFamily(
-        key="nightly data warehouse sync audit",
-        task_type="analytics",
-        base_ts=55.0,
-        base_cs=55.0,
-        memory_bonus=10.0,
-    ),
-    TaskFamily(
-        key="customer onboarding flow regression sweep",
-        task_type="qa",
-        base_ts=55.0,
-        base_cs=55.0,
-        memory_bonus=10.0,
-    ),
+    TaskFamily(key="payment gateway retry storm triage", task_type="incident"),
+    TaskFamily(key="nightly data warehouse sync audit", task_type="analytics"),
+    TaskFamily(key="customer onboarding flow regression sweep", task_type="qa"),
 )
 
 _NOISE_WORDS = (
@@ -121,42 +227,11 @@ class SimConfig:
     embedding_dim: int = 256
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topology", Topology(self.topology))
-        object.__setattr__(self, "families", tuple(self.families))
-        if self.team_size < 1:
-            raise ConfigError(f"team_size: must be >= 1, got {self.team_size}")
-        if self.n_tasks < 1:
-            raise ConfigError(f"n_tasks: must be >= 1, got {self.n_tasks}")
-        if self.consolidation_n < 1:
-            raise ConfigError(f"consolidation.n: must be >= 1, got {self.consolidation_n}")
-        if self.retrieval_k < 1:
-            raise ConfigError(f"retrieval.k: must be >= 1, got {self.retrieval_k}")
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding.dim: must be >= 1, got {self.embedding_dim}")
-        if not self.families:
-            raise ConfigError("families: must list at least one task family")
+        _validate(_SIM_ROWS, vars(self))
 
     @property
     def agent_ids(self) -> tuple[str, ...]:
         return tuple(f"agent-{i + 1}" for i in range(self.team_size))
-
-
-_TOP_LEVEL_KEYS = {
-    "topology", "team_size", "n_tasks", "consolidation", "retrieval", "seed",
-    "memory_enabled", "families", "success_threshold", "embedding",
-}
-_SECTION_KEYS = {
-    "consolidation": {"n"},
-    "retrieval": {"k", "proc_threshold"},
-    "embedding": {"provider", "dim"},
-}
-_FAMILY_KEYS = {f.name for f in dataclasses.fields(TaskFamily)}
-
-
-def _reject_unknown_keys(data: dict[str, Any], keys: set[str], prefix: str = "") -> None:
-    unknown = sorted(str(key) for key in set(data) - keys)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(prefix + key for key in unknown)}")
 
 
 def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
@@ -172,108 +247,23 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
         data = dict(source)
     if not isinstance(data, dict):
         raise ConfigError(f"config: must be an object, got {type(data).__name__}")
-    _reject_unknown_keys(data, _TOP_LEVEL_KEYS)
-
-    topology_raw = data.get("topology", "local")
-    try:
-        topology = Topology(topology_raw)
-    except ValueError:
-        raise ConfigError(
-            f"topology: must be one of local, shared, hybrid; got {topology_raw!r}"
-        ) from None
-
-    def _int(name: str, value: Any) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{name}: must be an integer, got {value!r}")
-        return value
-
-    def _number(name: str, value: Any) -> int | float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{name}: must be a number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError(f"{name}: must be finite, got {value!r}")
-        return value
-
-    def _object(name: str, value: Any, keys: set[str]) -> dict[str, Any]:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name}: must be an object, got {value!r}")
-        _reject_unknown_keys(value, keys, f"{name}.")
-        return value
-
-    def _section(name: str) -> dict[str, Any]:
-        return _object(name, data.get(name, {}), _SECTION_KEYS[name])
-
-    def _family(name: str, value: Any) -> TaskFamily:
-        f = _object(name, value, _FAMILY_KEYS)
-        if "key" not in f:
-            raise ConfigError(f"{name}.key: missing")
-        if not isinstance(f["key"], str):
-            raise ConfigError(f"{name}.key: must be a string, got {f['key']!r}")
-        task_type = f.get("task_type", "general")
-        if not isinstance(task_type, str) or not task_type.strip():
-            raise ConfigError(f"{name}.task_type: must be a non-empty string, got {task_type!r}")
-        return TaskFamily(
-            key=f["key"],
-            task_type=task_type,
-            base_ts=_number("families[].base_ts", f.get("base_ts", 55.0)),
-            base_cs=_number("families[].base_cs", f.get("base_cs", 55.0)),
-            memory_bonus=_number("families[].memory_bonus", f.get("memory_bonus", 10.0)),
-        )
-
-    memory_enabled = data.get("memory_enabled", True)
-    if not isinstance(memory_enabled, bool):
-        raise ConfigError(f"memory_enabled: must be true or false, got {memory_enabled!r}")
-    consolidation = _section("consolidation")
-    retrieval_cfg = _section("retrieval")
-    embedding_cfg = _section("embedding")
-    families_raw = data.get("families")
-    if families_raw is None:
-        families = DEFAULT_FAMILIES
-    else:
-        if not isinstance(families_raw, list) or not families_raw:
+    values = _read(SimConfig, _SIM_ROWS, data)
+    if "families" in values:
+        entries = values["families"]
+        if not isinstance(entries, list) or not entries:
             raise ConfigError("families: must be a non-empty list")
-        families = tuple(_family(f"families[{i}]", f) for i, f in enumerate(families_raw))
-    provider = embedding_cfg.get("provider", "hash")
-    if not isinstance(provider, str):
-        raise ConfigError(f"embedding.provider: must be a string, got {provider!r}")
-
-    return SimConfig(
-        topology=topology,
-        team_size=_int("team_size", data.get("team_size", 3)),
-        n_tasks=_int("n_tasks", data.get("n_tasks", 30)),
-        consolidation_n=_int("consolidation.n", consolidation.get("n", 5)),
-        retrieval_k=_int("retrieval.k", retrieval_cfg.get("k", 3)),
-        proc_threshold=float(
-            _number("retrieval.proc_threshold", retrieval_cfg.get("proc_threshold", 0.30))
-        ),
-        seed=_int("seed", data.get("seed", 0)),
-        memory_enabled=memory_enabled,
-        families=families,
-        success_threshold=float(
-            _number("success_threshold", data.get("success_threshold", DEFAULT_SUCCESS_THRESHOLD))
-        ),
-        embedding_provider=provider,
-        embedding_dim=_int("embedding.dim", embedding_cfg.get("dim", 256)),
-    )
+        families = []
+        for i, entry in enumerate(entries):
+            name = f"families[{i}]"
+            fields = _read(TaskFamily, _FAMILY_ROWS, entry, name)
+            _validate(_FAMILY_ROWS, fields, name)
+            families.append(TaskFamily(**fields))
+        values["families"] = families
+    return SimConfig(**values)
 
 
 def config_to_dict(cfg: SimConfig) -> dict[str, Any]:
-    return {
-        "topology": cfg.topology.value,
-        "team_size": cfg.team_size,
-        "n_tasks": cfg.n_tasks,
-        "consolidation": {"n": cfg.consolidation_n},
-        "retrieval": {"k": cfg.retrieval_k, "proc_threshold": cfg.proc_threshold},
-        "seed": cfg.seed,
-        "memory_enabled": cfg.memory_enabled,
-        "families": [dataclasses.asdict(f) for f in cfg.families],
-        "success_threshold": cfg.success_threshold,
-        "embedding": {"provider": cfg.embedding_provider, "dim": cfg.embedding_dim},
-    }
+    return _dump(cfg, _SIM_ROWS)
 
 
 def sim_timestamp(index: int) -> str:
@@ -378,17 +368,12 @@ class SimRunner:
                     f"{config_path}: cannot resume under a different config; "
                     f"differing keys: {', '.join(differing)}"
                 )
-        else:
-            config_path.write_text(
-                json.dumps(current, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
         self.runlog_path = self.out_dir / "runlog.jsonl"
         self.completed = (
             len(read_runlog(self.runlog_path)) if self.runlog_path.exists() else 0
         )
-        self.embedder: EmbeddingProvider = provider_from_config(
-            {"provider": cfg.embedding_provider, "dim": cfg.embedding_dim}
-        )
+        factory = provider_factory(cfg.embedding_provider)
+        self.embedder: EmbeddingProvider = factory(cfg.embedding_dim)
         self.generator = StubGenerator()
         self.consolidation_cfg = ConsolidationConfig(interval_n=cfg.consolidation_n)
         self.views: dict[str, MemoryView] | None = None
@@ -398,6 +383,11 @@ class SimRunner:
             )
         self.context_tokens: list[int] = []
         self.consolidations: list[tuple[int, int]] = []
+        # frozen only once the run can start: a corrected rerun need not match a failed one
+        if not config_path.exists():
+            config_path.write_text(
+                json.dumps(current, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
 
     @property
     def done(self) -> bool:

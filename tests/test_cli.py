@@ -175,3 +175,15 @@ def test_bad_config_reports_the_key(tmp_path, capsys):
     rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "topolgy" in capsys.readouterr().err
+
+
+def test_bad_provider_leaves_nothing_to_resume_under(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    bad = write_config(tmp_path, embedding={"provider": "bogus"})
+    assert main(["run", "--config", str(bad), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedding.provider: unknown provider 'bogus' (known: ")
+    assert not (out_dir / "config.json").exists()
+    good = write_config(tmp_path)
+    assert main(["run", "--config", str(good), "--out", str(out_dir)]) == 0
+    assert (out_dir / "config.json").exists()

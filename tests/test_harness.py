@@ -2,13 +2,19 @@
 
 import hashlib
 import json
+import math
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import teammem.embedding as embedding_module
 from teammem.harness import (
+    _FAMILY_ROWS,
+    _SIM_ROWS,
     DEFAULT_FAMILIES,
     ConfigError,
     SimConfig,
@@ -37,6 +43,7 @@ SINGLE_FAMILY = (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 # -- config ---------------------------------------------------------------
@@ -113,7 +120,7 @@ def test_load_sim_config_rejects_non_integers():
         ({"memory_enabled": 0}, "memory_enabled"),
         ({"retrieval": {"proc_threshold": "high"}}, "retrieval.proc_threshold"),
         ({"success_threshold": None}, "success_threshold"),
-        ({"families": [{"key": "triage", "memory_bonus": "10"}]}, "families[].memory_bonus"),
+        ({"families": [{"key": "triage", "memory_bonus": "10"}]}, "families[0].memory_bonus"),
         # sections and family entries must be JSON objects, and a family needs a key
         ({"consolidation": 5}, "consolidation"),
         ({"retrieval": [1]}, "retrieval"),
@@ -133,7 +140,7 @@ def test_load_sim_config_rejects_non_integers():
         ({"success_threshold": 10**400}, "success_threshold"),
         (
             {"families": [{"key": "triage", "memory_bonus": -float("inf")}]},
-            "families[].memory_bonus",
+            "families[0].memory_bonus",
         ),
     ]:
         with pytest.raises(ConfigError) as exc:
@@ -193,6 +200,100 @@ def test_config_validation():
     assert str(exc.value) == "embedding.dim: must be >= 1, got 0"
     with pytest.raises(ConfigError):
         TaskFamily(key=" ", task_type="x", base_ts=50, base_cs=50, memory_bonus=0)
+    # direct construction applies the loader's checks, with the loader's messages
+    for fields, config, message in [
+        ({"team_size": True}, {"team_size": True}, "team_size: must be an integer, got True"),
+        ({"team_size": 2.5}, {"team_size": 2.5}, "team_size: must be an integer, got 2.5"),
+        (
+            {"proc_threshold": math.nan},
+            {"retrieval": {"proc_threshold": math.nan}},
+            "retrieval.proc_threshold: must be finite, got nan",
+        ),
+        (
+            {"embedding_provider": "bogus"},
+            {"embedding": {"provider": "bogus"}},
+            "embedding.provider: unknown provider 'bogus' (known: ",
+        ),
+    ]:
+        with pytest.raises(ConfigError) as direct:
+            SimConfig(**fields)
+        with pytest.raises(ConfigError) as loaded:
+            load_sim_config(config)
+        assert str(direct.value) == str(loaded.value), fields
+        assert str(direct.value).startswith(message), fields
+
+
+_ODD = (
+    st.booleans()
+    | st.floats()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.text(max_size=3)
+)
+_POSITIVE = st.integers(min_value=1, max_value=2**70)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+    min_value=-(2**70), max_value=2**70
+)
+_PERCENT = st.floats(min_value=0, max_value=100) | st.integers(min_value=0, max_value=100)
+
+
+def _fields_with_one_odd(required, optional):
+    """Valid constructor fields, with at most one of them swapped for an odd value."""
+    names = sorted({**required, **optional})
+    return st.tuples(
+        st.fixed_dictionaries(required, optional=optional),
+        st.dictionaries(st.sampled_from(names), _ODD, max_size=1),
+    ).map(lambda pair: {**pair[0], **pair[1]})
+
+
+_FAMILY_FIELDS = _fields_with_one_odd(
+    {"key": st.text(min_size=1, max_size=8)},
+    {
+        "task_type": st.text(min_size=1, max_size=8),
+        "base_ts": _PERCENT,
+        "base_cs": _PERCENT,
+        "memory_bonus": _FINITE,
+    },
+)
+_SIM_FIELDS = _fields_with_one_odd(
+    {},
+    {
+        "topology": st.sampled_from(["local", "shared", "hybrid", Topology.HYBRID]),
+        "team_size": _POSITIVE,
+        "n_tasks": _POSITIVE,
+        "consolidation_n": _POSITIVE,
+        "retrieval_k": _POSITIVE,
+        "proc_threshold": _FINITE,
+        "seed": st.integers(min_value=-(2**70), max_value=2**70),
+        "memory_enabled": st.booleans(),
+        "success_threshold": _FINITE,
+        "embedding_provider": st.just("hash"),
+        "embedding_dim": _POSITIVE,
+    },
+)
+
+
+@given(_SIM_FIELDS, st.none() | st.lists(_FAMILY_FIELDS, max_size=3))
+@example({"team_size": True}, None)
+@example({"team_size": 2.5}, None)
+@example({"proc_threshold": math.nan}, None)
+def test_every_constructible_config_round_trips_through_json(fields, families):
+    try:
+        if families is not None:
+            fields["families"] = tuple(TaskFamily(**family) for family in families)
+        cfg = SimConfig(**fields)
+    except ConfigError:
+        return
+    assert load_sim_config(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+def test_readme_config_reference_matches_the_table():
+    section = README.read_text(encoding="utf-8").split("\n## Quick start (CLI)\n")[1]
+    section = section.split("\n## ")[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    paths = [path for path, *_ in _SIM_ROWS] + [f"families[].{path}" for path, *_ in _FAMILY_ROWS]
+    assert sorted(documented) == sorted(paths)
+    quick_start = section.split("```json\n")[1].split("```")[0]
+    load_sim_config(json.loads(quick_start))
 
 
 # -- task generation ---------------------------------------------------------
@@ -352,6 +453,19 @@ def test_resume_under_a_different_config_fails_loudly(tmp_path):
     # the same config still resumes, and leaves config.json untouched
     assert SimRunner(cfg, out).completed == 1
     assert (out / "config.json").read_bytes() == written
+
+
+def test_a_runner_that_cannot_start_freezes_no_config(tmp_path, monkeypatch):
+    def unavailable(dim):
+        raise OSError("model files not found")
+
+    monkeypatch.setitem(embedding_module._PROVIDER_FACTORIES, "unavailable", unavailable)
+    cfg = SimConfig(n_tasks=2, embedding_provider="unavailable")
+    with pytest.raises(OSError):
+        SimRunner(cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "config.json").exists()
+    # a different config then starts in the same directory
+    assert run_sim(SimConfig(n_tasks=2), tmp_path / "run").log.entries
 
 
 def test_step_after_completion_raises(tmp_path):

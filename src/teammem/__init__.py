@@ -1,8 +1,8 @@
 """Lifelong memory engine for multi-agent systems.
 
-Episodic, procedural, and transactive stores behind topology-aware views,
-with standardized retrieval, periodic consolidation, evaluation metrics, and
-a deterministic simulation harness.
+Episodic and procedural stores, and transactive state derived from them,
+behind topology-aware views, with standardized retrieval, periodic
+consolidation, evaluation metrics, and a deterministic simulation harness.
 """
 
 from .embedding import HashEmbedder, cosine, hash_embed, provider_from_config

@@ -6,7 +6,7 @@ Subcommands:
 * ``sweep``: run the team-size grid with and without memory.
 * ``metrics``: summarize a run log, optionally against a baseline log.
 * ``consolidate``: force a consolidation pass over an existing store.
-* ``inspect``: print what each agent sees, and how far each snapshot lags the log.
+* ``inspect``: print what each agent sees, and how far each procedure snapshot lags the log.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Memory lifecycle: per-task updates and periodic consolidation.
 
 After every finished task, :func:`post_task_update` extracts lessons, appends
-the episode, bumps the evidence counters of any procedures that were used,
-and folds the result into transactive state. Every ``interval_n`` new
-episodes, :func:`maybe_consolidate` clusters the episodic store by lesson
-similarity and distills clusters with enough successful members into
-procedures, pruning procedures whose source sets are dominated.
+the episode and bumps the evidence counters of any procedures that were
+used; transactive state is derived from the stored tasks when it is read.
+Every ``interval_n`` new episodes, :func:`maybe_consolidate` clusters the
+episodic store by lesson similarity and distills clusters with enough
+successful members into procedures, pruning procedures whose source sets
+are dominated.
 
 Lesson extraction and generalization go through a :class:`Generator`. The
 bundled :class:`StubGenerator` is fully deterministic; an external
@@ -161,10 +162,12 @@ def post_task_update(
     """Fold one finished task into memory; returns the stored episode.
 
     Extraction failures never lose the episode: a placeholder lesson is
-    stored and a warning logged. The episode, the evidence counters of the
-    procedures used and the transactive update persist as one task record
-    (see :meth:`MemoryView.record_task`) before return, or at the end of the
-    caller's batch inside one.
+    stored and a warning logged. The episode and the evidence counters of
+    the procedures used persist as one task record (see
+    :meth:`MemoryView.record_task`) before return, or at the end of the
+    caller's batch inside one. The record, with its ``task_type``, is all
+    that profiles and team patterns are derived from; nothing else is
+    written for them.
     """
     lessons = _safe_lessons(generator, task, actions, outcome, role)
     if task_index is None:

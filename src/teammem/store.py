@@ -7,7 +7,6 @@ On disk a store root looks like::
       <owner>/episodic.jsonl       # episode log; owner is an agent id or "shared"
       <owner>/episodic.json        # consolidation watermark
       <owner>/procedural.json      # procedure snapshot
-      <owner>/transactive.json     # profile and team-pattern snapshot
 
 Three topologies decide which owner each view resolves to:
 
@@ -22,19 +21,24 @@ since the previous flush, and reading rejects a malformed or truncated (torn)
 line.
 
 The log is also a write-ahead log, and every line of it is a *task record*.
-:meth:`MemoryView.record_task` stores one finished task (its episode,
-procedure outcomes and transactive update) as a single compact sorted-key
-JSON line: the episode plus its ``task_type``, a store-wide sequence number
-``seq`` and, when the episode's ``related_procedures`` do not already say it,
-the ``procedures_used``. Appending that line is the task's commit point.
-``procedural.json`` and ``transactive.json`` are snapshots that name the last
-``seq`` they include, so they may lag the log. Opening a store replays into
-each snapshot's state the task records logged after it, all logs merged in
-``seq`` order; a snapshot never takes a record twice, and opening writes
-nothing. A flush that writes any snapshot or watermark file (the latter on an
-owner's first log flush and after consolidation moved the watermark) is a
-checkpoint: it also rewrites every snapshot that lags the log. A flush
-appends the logs first, then writes snapshots, then watermark files.
+:meth:`MemoryView.record_task` stores one finished task (its episode and
+procedure outcomes) as a single compact sorted-key JSON line: the episode
+plus its ``task_type``, a store-wide sequence number ``seq`` and, when the
+episode's ``related_procedures`` do not already say it, the
+``procedures_used``. Appending that line is the task's commit point.
+``procedural.json`` is a snapshot that names the last ``seq`` it includes, so
+it may lag the log. Opening a store replays into it the task records logged
+after it, all logs merged in ``seq`` order; it never takes a record twice,
+and opening writes nothing. A flush that writes a procedure snapshot or a
+watermark file (the latter on an owner's first log flush and after
+consolidation moved the watermark) is a checkpoint: it also rewrites every
+procedure snapshot that lags the log. A flush appends the logs first, then
+writes snapshots, then watermark files.
+
+Transactive state (agent profiles, collaboration histories, team patterns)
+is not stored at all. It is a fold of the task records, built on the first
+read and extended on later reads over the records appended since; a
+``transactive.json`` left by an older build is ignored.
 
 Every other mutation (procedure upserts and removals, the consolidation
 watermark) rewrites its file whole and atomically, via a temp file plus
@@ -56,10 +60,11 @@ import copy
 import enum
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .types import (
     AgentProfile,
@@ -67,8 +72,6 @@ from .types import (
     MemoryItem,
     Procedure,
     TeamPattern,
-    agent_profile_from_dict,
-    agent_profile_to_dict,
     canonical_team_key,
     episode_from_dict,
     episode_to_dict,
@@ -76,15 +79,12 @@ from .types import (
     procedure_from_dict,
     procedure_to_dict,
     read_jsonl,
-    team_pattern_from_dict,
-    team_pattern_to_dict,
 )
 
 SCHEMA_VERSION = 3
 SHARED_OWNER = "shared"
 
-_KINDS = ("episodic", "procedural", "transactive")
-_SNAPSHOT_KINDS = ("procedural", "transactive")
+_KINDS = ("episodic", "procedural")
 
 
 class StoreError(Exception):
@@ -103,13 +103,19 @@ def _now_iso() -> str:
 
 @dataclass
 class StoreSet:
-    """All memory of one owner: episodic log, procedures, transactive state.
+    """All memory of one owner: episodic log, procedures, transactive fold.
 
     ``episodic`` is append-only: only :class:`MemoryStore` writes it, by
     loading the log and by :meth:`MemoryStore.add_episode`. The derived
-    indices below rely on this and are never checked against it.
+    state below relies on this and is never checked against it.
     ``consolidation_watermark`` records the episodic length at the last
     consolidation; ``next_procedure_seq`` feeds deterministic procedure ids.
+    ``profiles`` and ``team_patterns`` are this owner's share of the
+    transactive fold (see :meth:`MemoryStore.fold_transactive`); they are
+    never persisted. ``task_types`` holds each episode's task type, in
+    order, the one field of a task record the fold needs that an
+    :class:`Episode` lacks; ``transactive_folded`` counts the episodes of
+    this log already folded.
     ``cluster_state`` is consolidation's incremental clustering of
     ``episodic``, extended over the episodes it has not seen yet. It holds
     one lesson vector per distinct lesson tuple: equal text embeds to equal
@@ -120,7 +126,7 @@ class StoreSet:
     for the duplicate check, filled on load and on each append.
     ``episodic_pool`` holds retrieval's memory items for ``episodic``, in
     order, extended by the episodes appended since the last episodic
-    fallback. None of the three is persisted.
+    fallback. None of these is persisted.
     """
 
     episodic: list[Episode] = field(default_factory=list)
@@ -129,6 +135,8 @@ class StoreSet:
     team_patterns: dict[tuple[str, ...], TeamPattern] = field(default_factory=dict)
     consolidation_watermark: int = 0
     next_procedure_seq: int = 1
+    task_types: list[str] = field(default_factory=list, compare=False, repr=False)
+    transactive_folded: int = field(default=0, compare=False, repr=False)
     cluster_state: Any = field(default=None, compare=False, repr=False)
     episode_keys: set[tuple[str, int]] = field(default_factory=set, compare=False, repr=False)
     episodic_pool: list[MemoryItem] = field(default_factory=list, compare=False, repr=False)
@@ -183,9 +191,9 @@ class MemoryStore:
         self._pending: dict[str, list[str]] = {}
         self._disk_watermark: dict[str, int] = {}
         # Task records: the last seq handed out, and how many records each
-        # snapshot file on disk lacks.
+        # procedure snapshot on disk lacks.
         self._seq = 0
-        self._lag: dict[tuple[str, str], int] = {}
+        self._lag: dict[str, int] = {}
         self._load_or_init()
 
     # -- layout -------------------------------------------------------------
@@ -231,7 +239,7 @@ class MemoryStore:
                 )
 
         records: list[_TaskRecord] = []
-        checkpoints: dict[tuple[str, str], int] = {}
+        checkpoints: dict[str, int] = {}
         for owner in self._owners():
             self._sets[owner] = self._load_owner(owner, records, checkpoints)
         self._replay(records, checkpoints)
@@ -247,15 +255,12 @@ class MemoryStore:
         )
 
     def _load_owner(
-        self,
-        owner: str,
-        records: list[_TaskRecord],
-        checkpoints: dict[tuple[str, str], int],
+        self, owner: str, records: list[_TaskRecord], checkpoints: dict[str, int]
     ) -> StoreSet:
         """Read one owner's files.
 
-        Its task records are added to ``records``, and the last seq each of
-        its snapshots includes to ``checkpoints``.
+        Its task records are added to ``records``, and the last seq its
+        procedure snapshot includes to ``checkpoints``.
         """
         store = StoreSet()
         episodic_path = self._path(owner, "episodic")
@@ -273,6 +278,7 @@ class MemoryStore:
                     raise ValueError(f"seq must be an integer, got {seq!r}")
                 used = d.get("procedures_used", sorted(episode.related_procedures))
                 records.append(_TaskRecord(seq, episode, d["task_type"], tuple(used)))
+                store.task_types.append(sys.intern(d["task_type"]))
                 return episode
 
             try:
@@ -287,33 +293,19 @@ class MemoryStore:
                 d["procedure_id"]: procedure_from_dict(d) for d in doc["procedures"]
             }
             store.next_procedure_seq = doc["next_procedure_seq"]
-            checkpoints[owner, "procedural"] = doc["seq"]
-        transactive_path = self._path(owner, "transactive")
-        if transactive_path.exists():
-            doc = _load_json(transactive_path, "seq", "profiles", "team_patterns")
-            store.profiles = {d["agent_id"]: agent_profile_from_dict(d) for d in doc["profiles"]}
-            store.team_patterns = {}
-            for d in doc["team_patterns"]:
-                pattern = team_pattern_from_dict(d)
-                store.team_patterns[pattern.composition] = pattern
-            checkpoints[owner, "transactive"] = doc["seq"]
+            checkpoints[owner] = doc["seq"]
         return store
 
-    def _replay(
-        self, records: list[_TaskRecord], checkpoints: dict[tuple[str, str], int]
-    ) -> None:
-        """Apply to every snapshot the task records logged after its checkpoint."""
+    def _replay(self, records: list[_TaskRecord], checkpoints: dict[str, int]) -> None:
+        """Apply to every procedure snapshot the task records logged after it."""
         records.sort(key=lambda record: record.seq)
         self._seq = max([*checkpoints.values(), *(r.seq for r in records)], default=0)
         for record in records:
             view = MemoryView(self, record.episode.agent_id)
+            if checkpoints.get(view._procedural_owner(), 0) >= record.seq:
+                continue
             try:
-                view._apply_task(
-                    record.episode,
-                    record.task_type,
-                    record.procedures_used,
-                    lambda owner, kind: checkpoints.get((owner, kind), 0) < record.seq,
-                )
+                view._apply_procedures(record.episode, record.procedures_used)
             except StoreError as exc:
                 raise StoreError(f"replaying task record seq {record.seq}: {exc}") from exc
 
@@ -324,25 +316,12 @@ class MemoryStore:
                 "schema_version": SCHEMA_VERSION,
                 "consolidation_watermark": store.consolidation_watermark,
             }
-        if kind == "procedural":
-            return {
-                "schema_version": SCHEMA_VERSION,
-                "seq": self._seq,
-                "next_procedure_seq": store.next_procedure_seq,
-                "procedures": [
-                    procedure_to_dict(store.procedural[pid])
-                    for pid in sorted(store.procedural)
-                ],
-            }
         return {
             "schema_version": SCHEMA_VERSION,
             "seq": self._seq,
-            "profiles": [
-                agent_profile_to_dict(store.profiles[aid]) for aid in sorted(store.profiles)
-            ],
-            "team_patterns": [
-                team_pattern_to_dict(store.team_patterns[key])
-                for key in sorted(store.team_patterns)
+            "next_procedure_seq": store.next_procedure_seq,
+            "procedures": [
+                procedure_to_dict(store.procedural[pid]) for pid in sorted(store.procedural)
             ],
         }
 
@@ -359,6 +338,7 @@ class MemoryStore:
         """Append a validated episode to the owner's log as the next task record."""
         store = self._sets[owner]
         store.episodic.append(episode)
+        store.task_types.append(task_type)
         store.episode_keys.add((episode.agent_id, episode.task_index))
         self._seq += 1
         record = {**episode_to_dict(episode), "seq": self._seq, "task_type": task_type}
@@ -367,17 +347,32 @@ class MemoryStore:
         self._pending.setdefault(owner, []).append(json_line(record))
         self.mark_dirty(owner, "episodic")
 
-    def add_lag(self, keys: Iterable[tuple[str, str]]) -> None:
-        """Count one more task record that each of these snapshot files lacks."""
-        for key in keys:
-            self._lag[key] = self._lag.get(key, 0) + 1
+    def add_lag(self, owner: str) -> None:
+        """Count one more task record that the owner's procedure snapshot lacks."""
+        self._lag[owner] = self._lag.get(owner, 0) + 1
 
     def checkpoint_lag(self) -> dict[str, dict[str, int]]:
-        """Task records logged past each snapshot's checkpoint, by owner and kind."""
-        return {
-            owner: {kind: self._lag.get((owner, kind), 0) for kind in _SNAPSHOT_KINDS}
-            for owner in self._owners()
-        }
+        """Task records logged past each procedure snapshot's checkpoint, by owner.
+
+        Only the owners that can hold a procedure snapshot are listed: every
+        agent under ``local``, the shared owner otherwise.
+        """
+        owners = self.agents if self.topology is Topology.LOCAL else [SHARED_OWNER]
+        return {owner: {"procedural": self._lag.get(owner, 0)} for owner in owners}
+
+    def fold_transactive(self) -> None:
+        """Extend the transactive fold over the task records not folded yet.
+
+        Each log is folded from where the previous call stopped. Every
+        counter the fold keeps is a sum, so folding log by log gives what
+        folding in ``seq`` order would.
+        """
+        for owner in self._owners():
+            log = self._sets[owner]
+            for index in range(log.transactive_folded, len(log.episodic)):
+                episode = log.episodic[index]
+                MemoryView(self, episode.agent_id)._fold_task(episode, log.task_types[index])
+            log.transactive_folded = len(log.episodic)
 
     # -- flush -----------------------------------------------------------------
 
@@ -390,17 +385,17 @@ class MemoryStore:
                 handle.write("".join(lines))
             del self._pending[owner]
 
-    def _write_snapshot(self, owner: str, kind: str) -> None:
+    def _write_snapshot(self, owner: str) -> None:
         (self.root / owner).mkdir(parents=True, exist_ok=True)
-        _dump_json(self._path(owner, kind), self._document(owner, kind))
-        self._lag.pop((owner, kind), None)
+        _dump_json(self._path(owner, "procedural"), self._document(owner, "procedural"))
+        self._lag.pop(owner, None)
 
     def flush(self) -> None:
         """Write every dirty store file once; a checkpoint also catches up the snapshots.
 
         Logs are appended first (the commit point), then snapshots written,
         then moved watermarks. A flush that writes any snapshot or watermark
-        is a checkpoint and also rewrites every lagging snapshot. A no-op when
+        is a checkpoint and also rewrites every lagging one. A no-op when
         nothing changed, and deferred to the end of the outermost
         :meth:`batch` when called inside one.
         """
@@ -413,11 +408,11 @@ class MemoryStore:
             owner for owner in logs
             if self._disk_watermark.get(owner) != self._sets[owner].consolidation_watermark
         ]
-        snapshots = {key for key in self._dirty if key[1] != "episodic"}
+        snapshots = {owner for owner, kind in self._dirty if kind == "procedural"}
         if moved or snapshots:
             snapshots.update(self._lag)
-        for owner, kind in sorted(snapshots):
-            self._write_snapshot(owner, kind)
+        for owner in sorted(snapshots):
+            self._write_snapshot(owner)
         for owner in moved:
             _dump_json(self._path(owner, "episodic"), self._document(owner, "episodic"))
             self._disk_watermark[owner] = self._sets[owner].consolidation_watermark
@@ -522,19 +517,20 @@ class MemoryView:
         return self._store.store_set(self._procedural_owner()).procedural.get(procedure_id)
 
     def profiles(self) -> dict[str, AgentProfile]:
-        """Visible agent profiles, merged according to the topology.
+        """Visible agent profiles by agent id, merged according to the topology.
 
         Under ``hybrid`` the aggregates come from the shared store while the
         only collaboration history a view can see is its own agent's, read
         from that agent's private store.
         """
+        self._store.fold_transactive()
         if self.topology is not Topology.HYBRID:
             owner = self._procedural_owner()
-            return dict(self._store.store_set(owner).profiles)
+            return dict(sorted(self._store.store_set(owner).profiles.items()))
         shared = self._store.store_set(SHARED_OWNER).profiles
         local = self._store.store_set(self.agent_id).profiles
         merged: dict[str, AgentProfile] = {}
-        for aid in set(shared) | set(local):
+        for aid in sorted(set(shared) | set(local)):
             base = shared.get(aid, AgentProfile(agent_id=aid))
             history = (
                 local[aid].collaboration_history
@@ -548,7 +544,9 @@ class MemoryView:
         return self.profiles().get(agent_id)
 
     def team_patterns(self) -> dict[tuple[str, ...], TeamPattern]:
-        return dict(self._store.store_set(self._procedural_owner()).team_patterns)
+        """Visible team patterns by canonical composition."""
+        self._store.fold_transactive()
+        return dict(sorted(self._store.store_set(self._procedural_owner()).team_patterns.items()))
 
     def snapshot(self) -> StoreSet:
         """Deep copy of everything this view can currently see."""
@@ -591,6 +589,14 @@ class MemoryView:
         owner = self._episodic_owner()
         if (episode.agent_id, episode.task_index) in self._store.store_set(owner).episode_keys:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
+        # The transactive fold keys team patterns by the team, and under
+        # hybrid keeps each partner's history in that partner's own store.
+        team = set(episode.team_composition)
+        if not team:
+            raise StoreError(f"episode {episode.episode_id!r} has an empty team composition")
+        if self.topology is Topology.HYBRID and not team <= set(self._store.agents):
+            outside = sorted(team - set(self._store.agents))
+            raise StoreError(f"team composition names agents outside the roster: {outside}")
         known = self._store.store_set(self._procedural_owner()).procedural
         missing = sorted({*episode.related_procedures, *procedures_used} - known.keys())
         if missing:
@@ -604,27 +610,29 @@ class MemoryView:
 
         The episode is appended to this view's episode log. Each of
         ``procedures_used`` gets one bump of its success or failure counter,
-        stamped with the episode's timestamp. The task is folded into the
-        profiles and team patterns (see :meth:`_apply_task`). Only the
-        episode log line is written: the procedure and transactive snapshots
-        catch up at the next checkpoint, and :func:`open_store` replays what
-        they lack. Durable before return outside a batch.
+        stamped with the episode's timestamp. Only the episode log line is
+        written: the procedure snapshot catches up at the next checkpoint,
+        and :func:`open_store` replays what it lacks. Profiles and team
+        patterns are derived from the record when they are next read (see
+        :meth:`_fold_task`). Durable before return outside a batch.
         """
         used = list(procedures_used)
         owner = self._check_append(episode, used)
         self._store.add_episode(owner, episode, task_type, used)
-        self._apply_task(episode, task_type, used, lambda owner, kind: True)
+        self._apply_procedures(episode, used)
         self._store.flush()
         return episode.episode_id
 
-    def _apply_task(
-        self,
-        episode: Episode,
-        task_type: str,
-        procedures_used: Sequence[str],
-        lacks: Callable[[str, str], bool],
-    ) -> None:
-        """Apply a task record's effect on procedures and transactive state.
+    def _apply_procedures(self, episode: Episode, procedures_used: Sequence[str]) -> None:
+        """Apply a task record's outcome to the procedures it used."""
+        if not procedures_used:
+            return
+        for procedure_id in procedures_used:
+            self._bump_procedure(procedure_id, episode.outcome.success, episode.timestamp)
+        self._store.add_lag(self._procedural_owner())
+
+    def _fold_task(self, episode: Episode, task_type: str) -> None:
+        """Fold one task record of this view's agent into the transactive state.
 
         The episode's owner gets the aggregate update (task counters plus the
         running per-type success rate). Collaboration counters update for the
@@ -632,44 +640,26 @@ class MemoryView:
         under hybrid each partner's counters land in that partner's private
         store. The team pattern for the canonical composition updates in the
         aggregate store.
-
-        Each snapshot file ``(owner, kind)`` takes its part only if
-        ``lacks(owner, kind)``; this is how replay on open skips the files
-        that already hold the record.
         """
         success = episode.outcome.success
-        touched = set()
-        agg_owner = self._procedural_owner()
-        if procedures_used and lacks(agg_owner, "procedural"):
-            for procedure_id in procedures_used:
-                self._bump_procedure(procedure_id, success, episode.timestamp)
-            touched.add((agg_owner, "procedural"))
-
         owner = episode.agent_id
-        if lacks(agg_owner, "transactive"):
-            agg_store = self._store.store_set(agg_owner)
-            profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
-            agg_store.profiles[owner] = profile.with_task_result(task_type, success)
-            key = canonical_team_key(episode.team_composition)
-            pattern = agg_store.team_patterns.get(key, TeamPattern(composition=key))
-            agg_store.team_patterns[key] = pattern.with_result(task_type, success)
-            touched.add((agg_owner, "transactive"))
-
-        def bump_collab(store_owner: str, subject: str, partner: str) -> None:
-            if not lacks(store_owner, "transactive"):
-                return
-            store = self._store.store_set(store_owner)
-            subject_profile = store.profiles.get(subject, AgentProfile(agent_id=subject))
-            store.profiles[subject] = subject_profile.with_collaboration(partner, success)
-            touched.add((store_owner, "transactive"))
-
-        for partner in canonical_team_key(episode.team_composition):
+        agg_store = self._store.store_set(self._procedural_owner())
+        profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
+        agg_store.profiles[owner] = profile.with_task_result(task_type, success)
+        key = canonical_team_key(episode.team_composition)
+        pattern = agg_store.team_patterns.get(key, TeamPattern(composition=key))
+        agg_store.team_patterns[key] = pattern.with_result(task_type, success)
+        for partner in key:
             if partner == owner:
                 continue
-            bump_collab(self._collab_owner(owner), owner, partner)
+            self._bump_collaboration(owner, partner, success)
             if self.topology is not Topology.LOCAL:
-                bump_collab(self._collab_owner(partner), partner, owner)
-        self._store.add_lag(touched)
+                self._bump_collaboration(partner, owner, success)
+
+    def _bump_collaboration(self, subject: str, partner: str, success: bool) -> None:
+        store = self._store.store_set(self._collab_owner(subject))
+        profile = store.profiles.get(subject, AgentProfile(agent_id=subject))
+        store.profiles[subject] = profile.with_collaboration(partner, success)
 
     def upsert_procedure(self, procedure: Procedure, timestamp: str | None = None) -> str:
         """Insert or replace a procedure, refreshing its ``updated_at``."""
@@ -707,10 +697,10 @@ class MemoryView:
             self._store.flush()
 
     def checkpoint_lag(self) -> dict[str, dict[str, int]]:
-        """Task records logged past each snapshot's checkpoint, store-wide.
+        """Task records logged past each procedure snapshot's checkpoint, store-wide.
 
-        Keyed by owner, then by snapshot kind (``procedural``,
-        ``transactive``); the next checkpoint writes every non-zero one.
+        Keyed by owner, then by snapshot kind (``procedural``); the next
+        checkpoint writes every non-zero one.
         """
         return self._store.checkpoint_lag()
 

@@ -1,13 +1,13 @@
 """Core value types for the memory engine.
 
-Everything in here is a plain immutable value object with an explicit JSON
-shape (snake_case keys, matching the ``*_to_dict`` / ``*_from_dict`` pairs).
-The three memory kinds are:
+Everything in here is a plain immutable value object. The stored ones have
+an explicit JSON shape (snake_case keys, matching the ``*_to_dict`` /
+``*_from_dict`` pairs). The three memory kinds are:
 
 * episodic: one :class:`Episode` per finished task,
 * procedural: generalized :class:`Procedure` strategies with evidence counters,
 * transactive: who-knows-what bookkeeping (:class:`AgentProfile`,
-  :class:`TeamPattern`).
+  :class:`TeamPattern`), derived from the stored tasks and never stored.
 """
 
 from __future__ import annotations
@@ -335,58 +335,6 @@ def procedure_from_dict(d: dict[str, Any]) -> Procedure:
         successes=d["successes"],
         failures=d["failures"],
         source_episodes=frozenset(d["source_episodes"]),
-    )
-
-
-def agent_profile_to_dict(a: AgentProfile) -> dict[str, Any]:
-    return {
-        "agent_id": a.agent_id,
-        "task_type_counts": {
-            k: {"attempts": v.attempts, "successes": v.successes}
-            for k, v in sorted(a.task_type_counts.items())
-        },
-        "collaboration_history": {
-            k: {"joint_tasks": v.joint_tasks, "joint_successes": v.joint_successes}
-            for k, v in sorted(a.collaboration_history.items())
-        },
-        "successes": a.successes,
-        "total_tasks": a.total_tasks,
-    }
-
-
-def agent_profile_from_dict(d: dict[str, Any]) -> AgentProfile:
-    return AgentProfile(
-        agent_id=d["agent_id"],
-        task_type_counts={
-            k: TypeStats(v["attempts"], v["successes"])
-            for k, v in d["task_type_counts"].items()
-        },
-        collaboration_history={
-            k: CollabStats(v["joint_tasks"], v["joint_successes"])
-            for k, v in d["collaboration_history"].items()
-        },
-        successes=d["successes"],
-        total_tasks=d["total_tasks"],
-    )
-
-
-def team_pattern_to_dict(t: TeamPattern) -> dict[str, Any]:
-    return {
-        "composition": list(t.composition),
-        "suited_task_types": {
-            k: {"attempts": v.attempts, "successes": v.successes}
-            for k, v in sorted(t.suited_task_types.items())
-        },
-    }
-
-
-def team_pattern_from_dict(d: dict[str, Any]) -> TeamPattern:
-    return TeamPattern(
-        composition=tuple(d["composition"]),
-        suited_task_types={
-            k: TypeStats(v["attempts"], v["successes"])
-            for k, v in d["suited_task_types"].items()
-        },
     )
 
 

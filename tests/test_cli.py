@@ -100,11 +100,7 @@ def test_inspect_reports_task_records_past_each_checkpoint(tmp_path, capsys):
     assert main(["inspect", "--store", str(out_dir / "store"), "--agent", "agent-2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     start = lines.index("task records past each snapshot's checkpoint:")
-    assert lines[start + 1:] == [
-        "  agent-1: procedural 0, transactive 2",
-        "  agent-2: procedural 0, transactive 2",
-        "  shared: procedural 2, transactive 2",
-    ]
+    assert lines[start + 1:] == ["  shared: procedural 2"]
 
 
 def test_inspect_unknown_agent_fails_cleanly(tmp_path, capsys):

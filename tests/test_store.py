@@ -360,7 +360,6 @@ def test_unsupported_schema_version_rejected(tmp_path):
         ("episodic", "consolidation_watermark"),
         ("procedural", "seq"),
         ("procedural", "next_procedure_seq"),
-        ("transactive", "seq"),
     ],
 )
 def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind, key):
@@ -511,7 +510,7 @@ def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, monkeypatc
         assert dumped == []
         assert not (tmp_path / "store" / SHARED_OWNER).exists()
     shared = tmp_path / "store" / SHARED_OWNER
-    kinds = ("episodic", "procedural", "transactive")
+    kinds = ("episodic", "procedural")
     assert sorted(dumped) == [shared / f"{kind}.json" for kind in kinds]
     assert len(log_lines(tmp_path, SHARED_OWNER)) == 1
     reopened = open_store(tmp_path / "store")["agent-2"].snapshot()

@@ -86,7 +86,7 @@ def test_record_task_writes_one_log_line_and_no_snapshot(tmp_path, monkeypatch):
     assert live.updated_at == "2026-01-01T00:02:00+00:00"
     assert views["agent-2"].profiles()["agent-1"].total_tasks == 2
     assert open_store(tmp_path / "store")["agent-2"].snapshot() == views["agent-2"].snapshot()
-    assert view.checkpoint_lag()[SHARED_OWNER] == {"procedural": 1, "transactive": 1}
+    assert view.checkpoint_lag()[SHARED_OWNER] == {"procedural": 1}
 
 
 def test_procedures_used_is_logged_when_the_episode_does_not_say_it(tmp_path):
@@ -272,7 +272,7 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
                     counted.successes, counted.failures, counted.updated_at
                 ), (k, pid)
     # the flush writes every lagging snapshot plus the watermark
-    assert k - 1 >= 3
+    assert k - 1 >= 2
 
 
 # -- the checkpoint rule -----------------------------------------------------------
@@ -282,13 +282,14 @@ def test_a_direct_consolidation_checkpoints_every_lagging_snapshot(tmp_path):
     # the shape of a store built by post_task_update plus one consolidate,
     # which moves no watermark: writing the new procedures is the checkpoint
     views = open_store(tmp_path / "store", "shared", AGENTS)
+    views["agent-1"].upsert_procedure(procedure("proc-00001"))
     for i in range(200):
         agent = AGENTS[i % 2]
-        views[agent].record_task(episode(agent, i), "incident", [])
-    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER]["transactive"] == 199
+        views[agent].record_task(episode(agent, i, ["proc-00001"]), "incident", ["proc-00001"])
+    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER]["procedural"] == 199
     assert consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
     lag = open_store(tmp_path / "store")["agent-1"].checkpoint_lag()
-    assert lag == {SHARED_OWNER: {"procedural": 0, "transactive": 0}}
+    assert lag == {SHARED_OWNER: {"procedural": 0}}
 
 
 # -- other schema versions ---------------------------------------------------------

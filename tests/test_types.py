@@ -10,8 +10,6 @@ from teammem.types import (
     Procedure,
     TeamPattern,
     TypeStats,
-    agent_profile_from_dict,
-    agent_profile_to_dict,
     canonical_team_key,
     combined_score,
     derive_agent_reliability,
@@ -23,8 +21,6 @@ from teammem.types import (
     outcome_to_dict,
     procedure_from_dict,
     procedure_to_dict,
-    team_pattern_from_dict,
-    team_pattern_to_dict,
 )
 
 
@@ -202,12 +198,6 @@ def test_profile_rejects_impossible_counters():
         AgentProfile(agent_id="x", successes=2, total_tasks=1)
 
 
-def test_profile_json_round_trip():
-    p = AgentProfile(agent_id="agent-1")
-    p = p.with_task_result("incident", True).with_collaboration("agent-2", False)
-    assert agent_profile_from_dict(agent_profile_to_dict(p)) == p
-
-
 # -- team patterns ---------------------------------------------------------
 
 
@@ -235,9 +225,3 @@ def test_team_pattern_suited_types_property():
     t = t.with_result("qa", True).with_result("qa", True)
     t = t.with_result("incident", False).with_result("incident", False)
     assert t.suited_types == frozenset({"qa"})
-
-
-def test_team_pattern_json_round_trip():
-    t = TeamPattern(composition=("a", "b"))
-    t = t.with_result("qa", True).with_result("incident", False)
-    assert team_pattern_from_dict(team_pattern_to_dict(t)) == t

@@ -4,9 +4,8 @@ On disk a store root looks like::
 
     root/
       store_meta.json              # schema version + topology + agent roster
-      <owner>/episodic.jsonl       # episode log; owner is an agent id or "shared"
-      <owner>/episodic.json        # consolidation watermark
-      <owner>/procedural.json      # procedure snapshot
+      <owner>/episodic.jsonl       # episode log; owner is "shared" or an agent id
+      <owner>/procedural.json      # procedure snapshot + consolidation watermarks
 
 Three topologies decide which owner each view resolves to:
 
@@ -27,27 +26,27 @@ plus its ``task_type``, a store-wide sequence number ``seq`` and, when the
 episode's ``related_procedures`` do not already say it, the
 ``procedures_used``. Appending that line is the task's commit point.
 ``procedural.json`` is a snapshot that names the last ``seq`` it includes, so
-it may lag the log. Opening a store replays into it the task records logged
-after it, all logs merged in ``seq`` order; it never takes a record twice,
-and opening writes nothing. A flush that writes a procedure snapshot or a
-watermark file (the latter on an owner's first log flush and after
-consolidation moved the watermark) is a checkpoint: it also rewrites every
-procedure snapshot that lags the log. A flush appends the logs first, then
-writes snapshots, then watermark files.
+it may lag the log. It also holds the consolidation watermark of every
+episodic owner whose procedures it keeps, so a consolidation pass and its
+watermark land in one rename. Opening a store replays into it the task
+records logged after it, all logs merged in ``seq`` order; it never takes a
+record twice, and opening writes nothing. A flush appends the logs first
+(the commit point); if that leaves any procedure snapshot dirty, it is a
+checkpoint and rewrites every dirty or lagging snapshot.
 
 Transactive state (agent profiles, collaboration histories, team patterns)
 is not stored at all. It is a fold of the task records, built on the first
 read and extended on later reads over the records appended since; a
 ``transactive.json`` left by an older build is ignored.
 
-Every other mutation (procedure upserts and removals, the consolidation
-watermark) rewrites its file whole and atomically, via a temp file plus
-rename, as compact sorted-key JSON.
+Every other mutation (procedure upserts and removals, watermark moves)
+marks its procedure snapshot dirty, and the snapshot is rewritten whole and
+atomically, via a temp file plus rename, as compact sorted-key JSON.
 
 All writes go through an agent's :class:`MemoryView` (single writer). Outside
 a batch, each mutating call flushes before it returns (write-through). Inside
-:meth:`MemoryView.batch`, mutating calls only mark their files dirty, and
-leaving the outermost batch writes each dirty file once.
+:meth:`MemoryView.batch`, mutating calls only queue log lines and mark
+snapshots dirty, and leaving the outermost batch writes each file once.
 
 Only the current schema version is read; a store file of any other version
 raises :class:`StoreError` naming the file, and nothing is rewritten.
@@ -81,10 +80,8 @@ from .types import (
     read_jsonl,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 SHARED_OWNER = "shared"
-
-_KINDS = ("episodic", "procedural")
 
 
 class StoreError(Exception):
@@ -180,16 +177,18 @@ class MemoryStore:
             raise StoreError("agents roster must not be empty")
         if len(set(agents)) != len(agents):
             raise StoreError(f"duplicate agent ids in roster: {agents}")
+        # agent ids name owner directories: one path component each, not "shared" under hybrid
+        reserved = {"", ".", ".."} | ({SHARED_OWNER} if topology is Topology.HYBRID else set())
+        for agent in agents:
+            if agent in reserved or {os.sep, os.altsep} & set(agent):
+                raise StoreError(f"agent id {agent!r} cannot name its own owner directory")
         self.root = Path(root)
         self.topology = topology
         self.agents = list(agents)
-        self._sets: dict[str, StoreSet] = {}
-        self._dirty: set[tuple[str, str]] = set()
+        # Dirty procedure snapshots, and each owner's log lines not yet appended.
+        self._dirty: set[str] = set()
         self._batch_depth = 0
-        # Per owner: the episode-log lines not yet appended, and the watermark
-        # episodic.json holds (absent until it is first written).
         self._pending: dict[str, list[str]] = {}
-        self._disk_watermark: dict[str, int] = {}
         # Task records: the last seq handed out, and how many records each
         # procedure snapshot on disk lacks.
         self._seq = 0
@@ -205,8 +204,12 @@ class MemoryStore:
             return [SHARED_OWNER]
         return list(self.agents) + [SHARED_OWNER]
 
-    def _path(self, owner: str, kind: str) -> Path:
-        return self.root / owner / f"{kind}.json"
+    def _covered(self, owner: str) -> list[str]:
+        """The episodic owners whose watermarks ``owner``'s procedure snapshot holds."""
+        return sorted(self.agents) if self.topology is Topology.HYBRID else [owner]
+
+    def _snapshot_path(self, owner: str) -> Path:
+        return self.root / owner / "procedural.json"
 
     def _log_path(self, owner: str) -> Path:
         return self.root / owner / "episodic.jsonl"
@@ -240,8 +243,9 @@ class MemoryStore:
 
         records: list[_TaskRecord] = []
         checkpoints: dict[str, int] = {}
+        self._sets: dict[str, StoreSet] = {owner: StoreSet() for owner in self._owners()}
         for owner in self._owners():
-            self._sets[owner] = self._load_owner(owner, records, checkpoints)
+            self._load_owner(owner, records, checkpoints)
         self._replay(records, checkpoints)
 
     def _write_meta(self) -> None:
@@ -256,18 +260,13 @@ class MemoryStore:
 
     def _load_owner(
         self, owner: str, records: list[_TaskRecord], checkpoints: dict[str, int]
-    ) -> StoreSet:
-        """Read one owner's files.
+    ) -> None:
+        """Read one owner's files into its store set and the watermarks it covers.
 
         Its task records are added to ``records``, and the last seq its
         procedure snapshot includes to ``checkpoints``.
         """
-        store = StoreSet()
-        episodic_path = self._path(owner, "episodic")
-        if episodic_path.exists():
-            doc = _load_json(episodic_path, "consolidation_watermark")
-            store.consolidation_watermark = doc["consolidation_watermark"]
-            self._disk_watermark[owner] = store.consolidation_watermark
+        store = self._sets[owner]
         log_path = self._log_path(owner)
         if log_path.exists():
 
@@ -286,15 +285,19 @@ class MemoryStore:
             except ValueError as exc:
                 raise StoreError(str(exc)) from exc
             store.episode_keys = {(e.agent_id, e.task_index) for e in store.episodic}
-        procedural_path = self._path(owner, "procedural")
-        if procedural_path.exists():
-            doc = _load_json(procedural_path, "seq", "next_procedure_seq", "procedures")
+        path = self._snapshot_path(owner)
+        if path.exists():
+            doc = _load_json(path, "seq", "next_procedure_seq", "procedures", "watermarks")
             store.procedural = {
                 d["procedure_id"]: procedure_from_dict(d) for d in doc["procedures"]
             }
             store.next_procedure_seq = doc["next_procedure_seq"]
             checkpoints[owner] = doc["seq"]
-        return store
+            bad = sorted(doc["watermarks"].keys() ^ set(self._covered(owner)))
+            if bad:
+                raise StoreError(f"{path} holds watermarks for the wrong owners: {bad}")
+            for covered, watermark in doc["watermarks"].items():
+                self._sets[covered].consolidation_watermark = watermark
 
     def _replay(self, records: list[_TaskRecord], checkpoints: dict[str, int]) -> None:
         """Apply to every procedure snapshot the task records logged after it."""
@@ -309,13 +312,8 @@ class MemoryStore:
             except StoreError as exc:
                 raise StoreError(f"replaying task record seq {record.seq}: {exc}") from exc
 
-    def _document(self, owner: str, kind: str) -> dict[str, Any]:
+    def _document(self, owner: str) -> dict[str, Any]:
         store = self._sets[owner]
-        if kind == "episodic":
-            return {
-                "schema_version": SCHEMA_VERSION,
-                "consolidation_watermark": store.consolidation_watermark,
-            }
         return {
             "schema_version": SCHEMA_VERSION,
             "seq": self._seq,
@@ -323,12 +321,11 @@ class MemoryStore:
             "procedures": [
                 procedure_to_dict(store.procedural[pid]) for pid in sorted(store.procedural)
             ],
+            "watermarks": {o: self._sets[o].consolidation_watermark for o in self._covered(owner)},
         }
 
-    def mark_dirty(self, owner: str, kind: str) -> None:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown store kind {kind!r}")
-        self._dirty.add((owner, kind))
+    def mark_dirty(self, owner: str) -> None:
+        self._dirty.add(owner)
 
     # -- task records ----------------------------------------------------------
 
@@ -345,7 +342,6 @@ class MemoryStore:
         if sorted(procedures_used) != sorted(episode.related_procedures):
             record["procedures_used"] = procedures_used
         self._pending.setdefault(owner, []).append(json_line(record))
-        self.mark_dirty(owner, "episodic")
 
     def add_lag(self, owner: str) -> None:
         """Count one more task record that the owner's procedure snapshot lacks."""
@@ -379,44 +375,32 @@ class MemoryStore:
     def _append_log(self, owner: str) -> None:
         """Append the owner's pending episode-log lines."""
         (self.root / owner).mkdir(parents=True, exist_ok=True)
-        lines = self._pending.get(owner)
-        if lines:
-            with open(self._log_path(owner), "a", encoding="utf-8") as handle:
-                handle.write("".join(lines))
-            del self._pending[owner]
+        with open(self._log_path(owner), "a", encoding="utf-8") as handle:
+            handle.write("".join(self._pending[owner]))
+        del self._pending[owner]
 
     def _write_snapshot(self, owner: str) -> None:
         (self.root / owner).mkdir(parents=True, exist_ok=True)
-        _dump_json(self._path(owner, "procedural"), self._document(owner, "procedural"))
+        _dump_json(self._snapshot_path(owner), self._document(owner))
         self._lag.pop(owner, None)
 
     def flush(self) -> None:
-        """Write every dirty store file once; a checkpoint also catches up the snapshots.
+        """Write every pending change once; a checkpoint also catches up the snapshots.
 
-        Logs are appended first (the commit point), then snapshots written,
-        then moved watermarks. A flush that writes any snapshot or watermark
-        is a checkpoint and also rewrites every lagging one. A no-op when
-        nothing changed, and deferred to the end of the outermost
-        :meth:`batch` when called inside one.
+        Logs are appended first (the commit point). Then, if any procedure
+        snapshot is dirty, the flush is a checkpoint: it writes every dirty
+        or lagging snapshot, each with one rename. A no-op when nothing
+        changed, and deferred to the end of the outermost :meth:`batch` when
+        called inside one.
         """
         if self._batch_depth:
             return
-        logs = sorted(owner for owner, kind in self._dirty if kind == "episodic")
-        for owner in logs:
+        for owner in sorted(self._pending):
             self._append_log(owner)
-        moved = [
-            owner for owner in logs
-            if self._disk_watermark.get(owner) != self._sets[owner].consolidation_watermark
-        ]
-        snapshots = {owner for owner, kind in self._dirty if kind == "procedural"}
-        if moved or snapshots:
-            snapshots.update(self._lag)
-        for owner in sorted(snapshots):
-            self._write_snapshot(owner)
-        for owner in moved:
-            _dump_json(self._path(owner, "episodic"), self._document(owner, "episodic"))
-            self._disk_watermark[owner] = self._sets[owner].consolidation_watermark
-        self._dirty.clear()
+        if self._dirty:
+            for owner in sorted(self._dirty | self._lag.keys()):
+                self._write_snapshot(owner)
+            self._dirty.clear()
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -566,7 +550,7 @@ class MemoryView:
     def set_consolidation_watermark(self, value: int) -> None:
         owner = self._episodic_owner()
         self._store.store_set(owner).consolidation_watermark = value
-        self._store.mark_dirty(owner, "episodic")
+        self._store.mark_dirty(self._procedural_owner())
         self._store.flush()
 
     def allocate_procedure_id(self) -> str:
@@ -574,7 +558,7 @@ class MemoryView:
         store = self._store.store_set(owner)
         pid = f"proc-{store.next_procedure_seq:05d}"
         store.next_procedure_seq += 1
-        self._store.mark_dirty(owner, "procedural")
+        self._store.mark_dirty(owner)
         return pid
 
     # -- writes ---------------------------------------------------------------
@@ -667,7 +651,7 @@ class MemoryView:
         store = self._store.store_set(owner)
         stamped = replace(procedure, updated_at=timestamp or _now_iso())
         store.procedural[stamped.procedure_id] = stamped
-        self._store.mark_dirty(owner, "procedural")
+        self._store.mark_dirty(owner)
         self._store.flush()
         return stamped.procedure_id
 
@@ -693,7 +677,7 @@ class MemoryView:
                 del store.procedural[pid]
                 removed = True
         if removed:
-            self._store.mark_dirty(owner, "procedural")
+            self._store.mark_dirty(owner)
             self._store.flush()
 
     def checkpoint_lag(self) -> dict[str, dict[str, int]]:

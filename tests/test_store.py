@@ -1,6 +1,7 @@
 """Store topologies, visibility, durability, and failure modes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_store_meta_written_on_create(tmp_path):
     meta = json.loads((tmp_path / "store" / "store_meta.json").read_text())
     assert meta == {
         "agents": ["agent-1", "agent-2"],
-        "schema_version": 3,
+        "schema_version": 4,
         "topology": "hybrid",
     }
 
@@ -97,6 +98,41 @@ def test_unexpected_owner_directory_rejected(tmp_path):
 def test_duplicate_roster_rejected(tmp_path):
     with pytest.raises(StoreError):
         MemoryStore(tmp_path / "store", Topology.LOCAL, ["a", "a"])
+
+
+@pytest.mark.parametrize(
+    "topology, agents",
+    [
+        ("local", ["../escape", "agent-2"]),
+        ("local", ["agent-1", "a/b"]),
+        ("local", ["agent-1", ".."]),
+        ("local", [".", "agent-2"]),
+        ("shared", ["", "agent-2"]),
+        ("hybrid", ["shared", "agent-2"]),
+    ],
+    ids=["parent-escape", "slash", "dotdot", "dot", "empty", "hybrid-shared"],
+)
+def test_a_roster_id_that_cannot_name_its_own_directory_is_rejected(tmp_path, topology, agents):
+    with pytest.raises(StoreError):
+        open_store(tmp_path / "store", topology, agents)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_roster_read_back_from_store_meta_is_checked(tmp_path):
+    open_views(tmp_path, "local")
+    meta_path = tmp_path / "store" / "store_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "agents": ["../x", "agent-2"]}), encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert "'../x'" in str(exc.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+
+def test_an_agent_named_shared_is_allowed_outside_hybrid(tmp_path):
+    views = open_store(tmp_path / "store", "local", ["shared", "agent-2"])
+    record(views["shared"], replace(episode_for("agent-1", 1), agent_id="shared"))
+    assert len(open_store(tmp_path / "store")["shared"].episodes()) == 1
 
 
 def test_unknown_agent_view_rejected(tmp_path):
@@ -336,7 +372,8 @@ def test_watermark_persists(tmp_path):
 def test_corrupt_json_names_the_file(tmp_path):
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
-    target = tmp_path / "store" / "agent-1" / "episodic.json"
+    views["agent-1"].set_consolidation_watermark(1)
+    target = tmp_path / "store" / "agent-1" / "procedural.json"
     target.write_text("{not json", encoding="utf-8")
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
@@ -346,7 +383,8 @@ def test_corrupt_json_names_the_file(tmp_path):
 def test_unsupported_schema_version_rejected(tmp_path):
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
-    target = tmp_path / "store" / "agent-1" / "episodic.json"
+    views["agent-1"].set_consolidation_watermark(1)
+    target = tmp_path / "store" / "agent-1" / "procedural.json"
     doc = json.loads(target.read_text())
     doc["schema_version"] = 99
     target.write_text(json.dumps(doc), encoding="utf-8")
@@ -357,7 +395,7 @@ def test_unsupported_schema_version_rejected(tmp_path):
 @pytest.mark.parametrize(
     "kind, key",
     [
-        ("episodic", "consolidation_watermark"),
+        ("procedural", "watermarks"),
         ("procedural", "seq"),
         ("procedural", "next_procedure_seq"),
     ],
@@ -374,6 +412,30 @@ def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert str(exc.value) == f"{target} lacks {key}"
+
+
+@pytest.mark.parametrize(
+    "topology, owner, watermarks, bad",
+    [
+        ("local", "agent-1", {"agent-1": 1, "agent-2": 0}, ["agent-2"]),
+        ("local", "agent-1", {}, ["agent-1"]),
+        ("shared", SHARED_OWNER, {"agent-1": 1}, ["agent-1", "shared"]),
+        ("hybrid", SHARED_OWNER, {"agent-1": 1, "agent-9": 0}, ["agent-2", "agent-9"]),
+    ],
+    ids=["local-extra", "local-missing", "shared-foreign", "hybrid-swapped"],
+)
+def test_snapshot_watermarks_must_cover_exactly_its_episodic_owners(
+    tmp_path, topology, owner, watermarks, bad
+):
+    views = open_views(tmp_path, topology)
+    record(views["agent-1"], episode_for("agent-1", 1))
+    views["agent-1"].set_consolidation_watermark(1)
+    target = tmp_path / "store" / owner / "procedural.json"
+    doc = json.loads(target.read_text())
+    target.write_text(json.dumps({**doc, "watermarks": watermarks}), encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert str(target) in str(exc.value) and str(bad) in str(exc.value)
 
 
 def test_no_tmp_files_left_behind(tmp_path):
@@ -397,7 +459,8 @@ def test_persist_is_a_noop_on_clean_store(tmp_path):
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
     owner_dir = tmp_path / "store" / "agent-1"
-    targets = [owner_dir / "episodic.json", owner_dir / "episodic.jsonl"]
+    views["agent-1"].set_consolidation_watermark(1)
+    targets = [owner_dir / "procedural.json", owner_dir / "episodic.jsonl"]
     before = {t: t.read_bytes() for t in targets}
     mtime = {t: t.stat().st_mtime_ns for t in targets}
     views["agent-1"].persist()
@@ -429,19 +492,20 @@ def test_episodes_are_appended_as_one_line_each(tmp_path):
     lines = log_lines(tmp_path)
     assert [json.loads(line)["task_index"] for line in lines] == [1, 2]
     assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True, separators=(",", ":"))
-    meta = json.loads((tmp_path / "store" / "agent-1" / "episodic.json").read_text())
-    assert meta == {"consolidation_watermark": 0, "schema_version": 3}
+    assert not (tmp_path / "store" / "agent-1" / "procedural.json").exists()
 
 
-def test_episodic_json_is_rewritten_only_when_the_watermark_moves(tmp_path):
+def test_the_snapshot_is_rewritten_on_a_watermark_move_not_on_an_append(tmp_path):
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
-    meta = tmp_path / "store" / "agent-1" / "episodic.json"
-    inode = meta.stat().st_ino  # a rewrite renames a new file into place
+    views["agent-1"].set_consolidation_watermark(1)
+    snapshot = tmp_path / "store" / "agent-1" / "procedural.json"
+    inode = snapshot.stat().st_ino  # a rewrite renames a new file into place
     record(views["agent-1"], episode_for("agent-1", 2))
-    assert meta.stat().st_ino == inode
+    assert snapshot.stat().st_ino == inode
     views["agent-1"].set_consolidation_watermark(2)
-    assert json.loads(meta.read_text())["consolidation_watermark"] == 2
+    assert snapshot.stat().st_ino != inode
+    assert json.loads(snapshot.read_text())["watermarks"] == {"agent-1": 2}
     assert len(log_lines(tmp_path)) == 2
 
 
@@ -510,7 +574,7 @@ def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, monkeypatc
         assert dumped == []
         assert not (tmp_path / "store" / SHARED_OWNER).exists()
     shared = tmp_path / "store" / SHARED_OWNER
-    kinds = ("episodic", "procedural")
+    kinds = ("procedural",)
     assert sorted(dumped) == [shared / f"{kind}.json" for kind in kinds]
     assert len(log_lines(tmp_path, SHARED_OWNER)) == 1
     reopened = open_store(tmp_path / "store")["agent-2"].snapshot()

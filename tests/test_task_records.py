@@ -86,7 +86,7 @@ def test_record_task_writes_one_log_line_and_no_snapshot(tmp_path, monkeypatch):
     assert live.updated_at == "2026-01-01T00:02:00+00:00"
     assert views["agent-2"].profiles()["agent-1"].total_tasks == 2
     assert open_store(tmp_path / "store")["agent-2"].snapshot() == views["agent-2"].snapshot()
-    assert view.checkpoint_lag()[SHARED_OWNER] == {"procedural": 1}
+    assert view.checkpoint_lag()[SHARED_OWNER] == {"procedural": 2}
 
 
 def test_procedures_used_is_logged_when_the_episode_does_not_say_it(tmp_path):
@@ -216,20 +216,12 @@ def find_checkpoint_step(cfg, out):
         harness_module.maybe_consolidate = real
 
 
-@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
-def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
-    tmp_path, monkeypatch, topology
-):
-    cfg = SimConfig(topology=topology, n_tasks=60, seed=5)
-    reference, step, before_pass = find_checkpoint_step(cfg, tmp_path / "reference")
-    executor = cfg.agent_ids[(step - 1) % cfg.team_size]
-    assert before_pass
+def cut_each_write(cfg, base, tmp_path, monkeypatch):
+    """Rerun the step after ``base`` on a copy of it, once per whole-file write.
 
-    base = tmp_path / "base"
-    runner = SimRunner(cfg, base)
-    for _ in range(step - 1):
-        runner.step()
-
+    Run ``k`` fails at the step's ``k``-th ``_dump_json``; yields ``k`` and the
+    store root it left. Stops at the first run that finishes its step.
+    """
     real_dump = store_module._dump_json
     k = 0
     while True:
@@ -251,11 +243,29 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
         except Boom:
             pass
         else:
-            break
+            return
         finally:
             monkeypatch.setattr(store_module, "_dump_json", real_dump)
+        yield k, out / "store"
 
-        reopened = open_store(out / "store")
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
+    tmp_path, monkeypatch, topology
+):
+    cfg = SimConfig(topology=topology, n_tasks=60, seed=5)
+    reference, step, before_pass = find_checkpoint_step(cfg, tmp_path / "reference")
+    executor = cfg.agent_ids[(step - 1) % cfg.team_size]
+    assert before_pass
+
+    base = tmp_path / "base"
+    runner = SimRunner(cfg, base)
+    for _ in range(step - 1):
+        runner.step()
+
+    k = 0
+    for k, root in cut_each_write(cfg, base, tmp_path, monkeypatch):
+        reopened = open_store(root)
         for agent, expected in reference.views.items():
             view = reopened[agent]
             assert view.episodes() == expected.episodes(), (k, agent)
@@ -271,8 +281,32 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
                 assert (got.successes, got.failures, got.updated_at) == (
                     counted.successes, counted.failures, counted.updated_at
                 ), (k, pid)
-    # the flush writes every lagging snapshot plus the watermark
-    assert k - 1 >= 2
+    # the flush writes every dirty or lagging snapshot: one file outside local
+    assert k >= 1
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_cut_never_separates_a_consolidation_pass_from_its_watermark(
+    tmp_path, monkeypatch, topology
+):
+    cfg = SimConfig(topology=topology, n_tasks=60, seed=5)
+    reference, step, _ = find_checkpoint_step(cfg, tmp_path / "reference")
+    executor = cfg.agent_ids[(step - 1) % cfg.team_size]
+
+    base = tmp_path / "base"
+    runner = SimRunner(cfg, base)
+    for _ in range(step - 1):
+        runner.step()
+
+    def state(view):
+        return view.consolidation_watermark(), sorted(view.procedures())
+
+    before, after = state(runner.views[executor]), state(reference.views[executor])
+    assert before != after
+    k = 0
+    for k, root in cut_each_write(cfg, base, tmp_path, monkeypatch):
+        assert state(open_store(root)[executor]) in (before, after), k
+    assert k >= 1
 
 
 # -- the checkpoint rule -----------------------------------------------------------
@@ -286,7 +320,7 @@ def test_a_direct_consolidation_checkpoints_every_lagging_snapshot(tmp_path):
     for i in range(200):
         agent = AGENTS[i % 2]
         views[agent].record_task(episode(agent, i, ["proc-00001"]), "incident", ["proc-00001"])
-    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER]["procedural"] == 199
+    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER]["procedural"] == 200
     assert consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
     lag = open_store(tmp_path / "store")["agent-1"].checkpoint_lag()
     assert lag == {SHARED_OWNER: {"procedural": 0}}
@@ -304,10 +338,11 @@ OLD_EPISODE = {
 
 
 def write_old_store(root, version):
-    """A shared store laid out as schema version 1 or 2 wrote it.
+    """A shared store laid out as schema version 1, 2 or 3 wrote it.
 
-    Version 1 kept the episodes inside ``episodic.json``; version 2 logged
-    them in ``episodic.jsonl`` and stored the derived profile fields.
+    Version 1 kept the episodes inside ``episodic.json``; versions 2 and 3
+    logged them in ``episodic.jsonl`` and kept the watermark in
+    ``episodic.json``, and version 2 stored the derived profile fields.
     """
 
     def dump(path, document):
@@ -335,7 +370,7 @@ def write_old_store(root, version):
     })
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_a_store_of_an_older_schema_version_is_rejected_untouched(tmp_path, version):
     root = tmp_path / "store"
     write_old_store(root, version)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .embedding import EmbeddingProvider, EmbeddingVector, cosines, mean_vector
-from .store import SHARED_OWNER, MemoryView, Topology, _now_iso
+from .store import MemoryView, _now_iso
 from .types import Episode, Outcome, Procedure, derive_reliability
 
 logger = logging.getLogger(__name__)
@@ -200,70 +200,56 @@ def lesson_vector(episode: Episode, embedder: EmbeddingProvider) -> EmbeddingVec
 class _SingleLink:
     """Single-link clustering of an episode sequence, extended as it grows.
 
-    Single-link clusters only ever merge when points are appended (Sibson's
-    SLINK), so each new episode is compared with the earlier ones and earlier
-    pairs are never revisited. The state holds one lesson vector per distinct
-    lesson tuple. Equal text embeds to equal vectors and the ``cosines``
-    kernel is symmetric, so an episode links to exactly the episodes its
-    tuple's first episode links to. Hence a repeated tuple whose vector
-    clears the threshold against itself joins that first episode with no
-    embedding and no comparison, and a new tuple is embedded once and
-    compared with one vector per earlier tuple. A tuple that does not clear
-    it against itself (a zero or non-finite vector, or a threshold above its
-    self-cosine) keeps its member list and the full comparison. Union keeps
-    the lower index as root, so a cluster's root is its first member whatever
-    the order of unions, and the clusters equal a from-scratch pass exactly.
-    Each call must pass the sequence it was last given, extended: the
-    episodes already seen are not read again.
+    Equal lesson tuples embed to equal vectors and ``cosines`` is symmetric,
+    so episodes with equal tuples link to exactly the same episodes. The
+    union-find therefore runs over *slots*, one per distinct tuple: a new
+    tuple is embedded once and compared with every earlier slot and itself;
+    a repeated one costs a lookup. Single-link clusters only merge as points
+    are added (Sibson's SLINK), so earlier pairs are never revisited. Every
+    episode of a *linked* slot (one that clears the threshold with any slot,
+    itself included) joins its slot's root; every episode of an unlinked
+    slot (a zero or non-finite vector, or a threshold above its self-cosine)
+    is a cluster of its own. Clusters come out in first-member order, equal
+    to a from-scratch pass. Each call must pass the sequence it was last
+    given, extended: the episodes already seen are not read again.
     """
 
     embedder: EmbeddingProvider
     threshold: float
-    parent: list[int] = field(default_factory=list)
+    slot_of: list[int] = field(default_factory=list)
     slots: dict[tuple[str, ...], int] = field(default_factory=dict)
     vectors: list[EmbeddingVector] = field(default_factory=list)
-    # Per tuple: its first episode, then every later one unless it self-links.
-    members: list[list[int]] = field(default_factory=list)
-    self_linked: list[bool] = field(default_factory=list)
+    parent: list[int] = field(default_factory=list)
+    linked: list[bool] = field(default_factory=list)
 
-    def _find(self, i: int) -> int:
+    def _find(self, slot: int) -> int:
         parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+        while parent[slot] != slot:
+            parent[slot] = parent[parent[slot]]
+            slot = parent[slot]
+        return slot
 
     def clusters(self, episodes: Sequence[Episode]) -> list[list[Episode]]:
         """Extend over the episodes past the known prefix; return every cluster."""
-        for j in range(len(self.parent), len(episodes)):
-            self.parent.append(j)
-            lessons = episodes[j].lessons
-            slot = self.slots.get(lessons)
+        for episode in episodes[len(self.slot_of):]:
+            slot = self.slots.get(episode.lessons)
             if slot is None:
-                slot = self.slots[lessons] = len(self.vectors)
-                self.vectors.append(lesson_vector(episodes[j], self.embedder))
-                self.members.append([j])
-                similarities = cosines(self.vectors[slot], self.vectors)
-                self.self_linked.append(similarities[slot] >= self.threshold)
-            elif self.self_linked[slot]:
-                self._union(self.members[slot][0], j)
-                continue
-            else:
-                self.members[slot].append(j)
-                similarities = cosines(self.vectors[slot], self.vectors)
-            for k, similarity in enumerate(similarities):
-                if similarity >= self.threshold:
-                    for i in self.members[k]:
-                        self._union(i, j)
+                slot = self.slots[episode.lessons] = len(self.vectors)
+                self.vectors.append(lesson_vector(episode, self.embedder))
+                self.parent.append(slot)
+                self.linked.append(False)
+                for k, similarity in enumerate(cosines(self.vectors[slot], self.vectors)):
+                    if similarity >= self.threshold:
+                        self.linked[k] = self.linked[slot] = True
+                        self.parent[self._find(k)] = slot  # slot stays a root
+            self.slot_of.append(slot)
+        roots = [self._find(s) if linked else None for s, linked in enumerate(self.linked)]
+        # Keyed by slot root, or by ~index for an episode that is its own cluster.
         groups: dict[int, list[Episode]] = {}
-        for i, episode in enumerate(episodes):
-            groups.setdefault(self._find(i), []).append(episode)
-        return [groups[root] for root in sorted(groups)]
+        for i, (episode, slot) in enumerate(zip(episodes, self.slot_of)):
+            root = roots[slot]
+            groups.setdefault(~i if root is None else root, []).append(episode)
+        return list(groups.values())
 
 
 def cluster_by_lessons(
@@ -338,7 +324,7 @@ def consolidate(
     reads.
     """
     with view.batch():
-        owner = view.agent_id if view.topology is Topology.LOCAL else SHARED_OWNER
+        owner = view.procedure_owner()
         stamp = timestamp or _now_iso()
         created: list[Procedure] = []
         for cluster in _view_clusters(view, embedder):

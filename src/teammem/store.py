@@ -11,8 +11,9 @@ Three topologies decide which owner each view resolves to:
 
 * ``local``: every agent keeps all three kinds private.
 * ``shared``: one "shared" owner holds everything for everyone.
-* ``hybrid``: episodic memory and collaboration histories stay private;
-  procedures, profile aggregates, and team patterns live in "shared".
+* ``hybrid``: episodic memory stays private and procedures live in
+  "shared"; every view sees all profile aggregates and team patterns, but
+  only its own agent's collaboration history.
 
 Episodes are never modified once stored, so they live in an append-only log,
 ``episodic.jsonl``, in append order. A flush appends only the lines added
@@ -63,7 +64,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .types import (
     AgentProfile,
@@ -107,18 +108,13 @@ class StoreSet:
     state below relies on this and is never checked against it.
     ``consolidation_watermark`` records the episodic length at the last
     consolidation; ``next_procedure_seq`` feeds deterministic procedure ids.
-    ``profiles`` and ``team_patterns`` are this owner's share of the
-    transactive fold (see :meth:`MemoryStore.fold_transactive`); they are
-    never persisted. ``task_types`` holds each episode's task type, in
-    order, the one field of a task record the fold needs that an
-    :class:`Episode` lacks; ``transactive_folded`` counts the episodes of
-    this log already folded.
-    ``cluster_state`` is consolidation's incremental clustering of
-    ``episodic``, extended over the episodes it has not seen yet. It holds
-    one lesson vector per distinct lesson tuple: equal text embeds to equal
-    vectors and the cosine kernel is symmetric, so a repeated tuple that
-    clears the threshold against itself joins its first episode exactly;
-    tuples that do not keep the full comparison.
+    ``profiles`` and ``team_patterns`` are the transactive fold (see
+    :meth:`MemoryStore.fold_transactive`), kept by procedure owners only.
+    ``task_types`` holds each episode's task type, in order, the one field
+    of a task record the fold needs that an :class:`Episode` lacks;
+    ``transactive_folded`` counts the episodes of this log already folded.
+    ``cluster_state`` is consolidation's single-link clustering of
+    ``episodic`` by distinct lesson tuple, extended as the log grows.
     ``episode_keys`` holds the ``(agent_id, task_index)`` of every episode
     for the duplicate check, filled on load and on each append.
     ``episodic_pool`` holds retrieval's memory items for ``episodic``, in
@@ -154,18 +150,45 @@ def _dump_json(path: Path, document: dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
-def _load_json(path: Path, *required: str) -> dict[str, Any]:
+def _all_of(kind: type, values: Iterable[Any]) -> bool:
+    return all(type(value) is kind for value in values)
+
+
+# Each key a store document must hold: what its value must be, and the check.
+# ``type(v) is int`` also rejects a bool, which JSON tells apart from a number.
+_META_KEYS = {
+    "topology": ("a topology name", lambda v: v in [t.value for t in Topology]),
+    "agents": ("a list of strings", lambda v: type(v) is list and _all_of(str, v)),
+}
+_SNAPSHOT_KEYS = {
+    "seq": ("an integer", lambda v: type(v) is int),
+    "next_procedure_seq": ("an integer", lambda v: type(v) is int),
+    "procedures": ("a list", lambda v: type(v) is list),
+    "watermarks": ("an object of integers", lambda v: type(v) is dict and _all_of(int, v.values())),
+}
+
+
+def _load_json(path: Path, keys: dict[str, tuple[str, Callable[[Any], bool]]]) -> dict[str, Any]:
+    """Read a store document: a JSON object of the current schema with ``keys``.
+
+    Anything else raises :class:`StoreError` naming the file (and the key).
+    """
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StoreError(f"corrupt JSON in {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise StoreError(f"{path} is not a JSON object")
     if document.get("schema_version") != SCHEMA_VERSION:
         raise StoreError(
             f"unsupported schema_version in {path}: {document.get('schema_version')!r}"
         )
-    missing = [key for key in required if key not in document]
+    missing = [key for key in keys if key not in document]
     if missing:
         raise StoreError(f"{path} lacks {', '.join(missing)}")
+    for key, (expected, check) in keys.items():
+        if not check(document[key]):
+            raise StoreError(f"{path}: {key} must be {expected}, got {document[key]!r}")
     return document
 
 
@@ -219,7 +242,7 @@ class MemoryStore:
     def _load_or_init(self) -> None:
         meta_path = self.root / "store_meta.json"
         if meta_path.exists():
-            meta = _load_json(meta_path)
+            meta = _load_json(meta_path, _META_KEYS)
             if meta.get("topology") != self.topology.value:
                 raise StoreError(
                     f"{meta_path}: store was created with topology "
@@ -287,10 +310,13 @@ class MemoryStore:
             store.episode_keys = {(e.agent_id, e.task_index) for e in store.episodic}
         path = self._snapshot_path(owner)
         if path.exists():
-            doc = _load_json(path, "seq", "next_procedure_seq", "procedures", "watermarks")
-            store.procedural = {
-                d["procedure_id"]: procedure_from_dict(d) for d in doc["procedures"]
-            }
+            doc = _load_json(path, _SNAPSHOT_KEYS)
+            try:
+                store.procedural = {
+                    d["procedure_id"]: procedure_from_dict(d) for d in doc["procedures"]
+                }
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StoreError(f"{path}: procedures holds a malformed entry: {exc!r}") from exc
             store.next_procedure_seq = doc["next_procedure_seq"]
             checkpoints[owner] = doc["seq"]
             bad = sorted(doc["watermarks"].keys() ^ set(self._covered(owner)))
@@ -305,7 +331,7 @@ class MemoryStore:
         self._seq = max([*checkpoints.values(), *(r.seq for r in records)], default=0)
         for record in records:
             view = MemoryView(self, record.episode.agent_id)
-            if checkpoints.get(view._procedural_owner(), 0) >= record.seq:
+            if checkpoints.get(view.procedure_owner(), 0) >= record.seq:
                 continue
             try:
                 view._apply_procedures(record.episode, record.procedures_used)
@@ -442,7 +468,7 @@ def open_store(
             raise StoreError(
                 f"{meta_path} not found; pass topology and agents to create a store"
             )
-        meta = _load_json(meta_path)
+        meta = _load_json(meta_path, _META_KEYS)
         topology = topology or meta["topology"]
         agents = agents or meta["agents"]
     store = MemoryStore(root, Topology(topology), list(agents))
@@ -471,14 +497,9 @@ class MemoryView:
     def _episodic_owner(self) -> str:
         return SHARED_OWNER if self.topology is Topology.SHARED else self.agent_id
 
-    def _procedural_owner(self) -> str:
-        """Owner of procedures; profile aggregates and team patterns follow it."""
+    def procedure_owner(self) -> str:
+        """Owner of procedures and the transactive fold: the agent under local, else shared."""
         return self.agent_id if self.topology is Topology.LOCAL else SHARED_OWNER
-
-    def _collab_owner(self, agent_id: str) -> str:
-        if self.topology is Topology.SHARED:
-            return SHARED_OWNER
-        return agent_id
 
     # -- reads ---------------------------------------------------------------
 
@@ -495,34 +516,27 @@ class MemoryView:
         return self._store.store_set(self._episodic_owner())
 
     def procedures(self) -> dict[str, Procedure]:
-        return dict(self._store.store_set(self._procedural_owner()).procedural)
+        return dict(self._store.store_set(self.procedure_owner()).procedural)
 
     def get_procedure(self, procedure_id: str) -> Procedure | None:
-        return self._store.store_set(self._procedural_owner()).procedural.get(procedure_id)
+        return self._store.store_set(self.procedure_owner()).procedural.get(procedure_id)
 
     def profiles(self) -> dict[str, AgentProfile]:
-        """Visible agent profiles by agent id, merged according to the topology.
+        """Visible agent profiles by agent id.
 
-        Under ``hybrid`` the aggregates come from the shared store while the
-        only collaboration history a view can see is its own agent's, read
-        from that agent's private store.
+        Under ``hybrid`` collaboration histories are private: the view's own
+        agent keeps its profile whole, every other agent with a task shows an
+        empty history, and one seen only as a partner is left out.
         """
         self._store.fold_transactive()
+        folded = sorted(self._store.store_set(self.procedure_owner()).profiles.items())
         if self.topology is not Topology.HYBRID:
-            owner = self._procedural_owner()
-            return dict(sorted(self._store.store_set(owner).profiles.items()))
-        shared = self._store.store_set(SHARED_OWNER).profiles
-        local = self._store.store_set(self.agent_id).profiles
-        merged: dict[str, AgentProfile] = {}
-        for aid in sorted(set(shared) | set(local)):
-            base = shared.get(aid, AgentProfile(agent_id=aid))
-            history = (
-                local[aid].collaboration_history
-                if aid == self.agent_id and aid in local
-                else {}
-            )
-            merged[aid] = replace(base, collaboration_history=dict(history))
-        return merged
+            return dict(folded)
+        return {
+            aid: profile if aid == self.agent_id else replace(profile, collaboration_history={})
+            for aid, profile in folded
+            if aid == self.agent_id or profile.total_tasks > 0
+        }
 
     def get_profile(self, agent_id: str) -> AgentProfile | None:
         return self.profiles().get(agent_id)
@@ -530,7 +544,7 @@ class MemoryView:
     def team_patterns(self) -> dict[tuple[str, ...], TeamPattern]:
         """Visible team patterns by canonical composition."""
         self._store.fold_transactive()
-        return dict(sorted(self._store.store_set(self._procedural_owner()).team_patterns.items()))
+        return dict(sorted(self._store.store_set(self.procedure_owner()).team_patterns.items()))
 
     def snapshot(self) -> StoreSet:
         """Deep copy of everything this view can currently see."""
@@ -550,11 +564,11 @@ class MemoryView:
     def set_consolidation_watermark(self, value: int) -> None:
         owner = self._episodic_owner()
         self._store.store_set(owner).consolidation_watermark = value
-        self._store.mark_dirty(self._procedural_owner())
+        self._store.mark_dirty(self.procedure_owner())
         self._store.flush()
 
     def allocate_procedure_id(self) -> str:
-        owner = self._procedural_owner()
+        owner = self.procedure_owner()
         store = self._store.store_set(owner)
         pid = f"proc-{store.next_procedure_seq:05d}"
         store.next_procedure_seq += 1
@@ -573,15 +587,15 @@ class MemoryView:
         owner = self._episodic_owner()
         if (episode.agent_id, episode.task_index) in self._store.store_set(owner).episode_keys:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
-        # The transactive fold keys team patterns by the team, and under
-        # hybrid keeps each partner's history in that partner's own store.
+        # The transactive fold keys team patterns by the team. Under hybrid an
+        # agent's history is read only by its own view, which no outsider has.
         team = set(episode.team_composition)
         if not team:
             raise StoreError(f"episode {episode.episode_id!r} has an empty team composition")
         if self.topology is Topology.HYBRID and not team <= set(self._store.agents):
             outside = sorted(team - set(self._store.agents))
             raise StoreError(f"team composition names agents outside the roster: {outside}")
-        known = self._store.store_set(self._procedural_owner()).procedural
+        known = self._store.store_set(self.procedure_owner()).procedural
         missing = sorted({*episode.related_procedures, *procedures_used} - known.keys())
         if missing:
             raise StoreError(f"episode references unknown procedures: {missing}")
@@ -613,41 +627,35 @@ class MemoryView:
             return
         for procedure_id in procedures_used:
             self._bump_procedure(procedure_id, episode.outcome.success, episode.timestamp)
-        self._store.add_lag(self._procedural_owner())
+        self._store.add_lag(self.procedure_owner())
 
     def _fold_task(self, episode: Episode, task_type: str) -> None:
-        """Fold one task record of this view's agent into the transactive state.
+        """Fold one task record of this view's agent into its procedure owner's set.
 
-        The episode's owner gets the aggregate update (task counters plus the
-        running per-type success rate). Collaboration counters update for the
-        owner and, outside the local topology, for every partner as well;
-        under hybrid each partner's counters land in that partner's private
-        store. The team pattern for the canonical composition updates in the
-        aggregate store.
+        That takes the executor's aggregates, the team pattern of the
+        canonical composition, and the collaboration counters of the executor
+        and, outside ``local``, of every partner.
         """
         success = episode.outcome.success
-        owner = episode.agent_id
-        agg_store = self._store.store_set(self._procedural_owner())
-        profile = agg_store.profiles.get(owner, AgentProfile(agent_id=owner))
-        agg_store.profiles[owner] = profile.with_task_result(task_type, success)
+        executor = episode.agent_id
+        store = self._store.store_set(self.procedure_owner())
+        profiles = store.profiles
+        profile = profiles.get(executor, AgentProfile(agent_id=executor))
+        profiles[executor] = profile.with_task_result(task_type, success)
         key = canonical_team_key(episode.team_composition)
-        pattern = agg_store.team_patterns.get(key, TeamPattern(composition=key))
-        agg_store.team_patterns[key] = pattern.with_result(task_type, success)
-        for partner in key:
-            if partner == owner:
-                continue
-            self._bump_collaboration(owner, partner, success)
-            if self.topology is not Topology.LOCAL:
-                self._bump_collaboration(partner, owner, success)
-
-    def _bump_collaboration(self, subject: str, partner: str, success: bool) -> None:
-        store = self._store.store_set(self._collab_owner(subject))
-        profile = store.profiles.get(subject, AgentProfile(agent_id=subject))
-        store.profiles[subject] = profile.with_collaboration(partner, success)
+        pattern = store.team_patterns.get(key, TeamPattern(composition=key))
+        store.team_patterns[key] = pattern.with_result(task_type, success)
+        partners = [agent for agent in key if agent != executor]
+        sides = [(executor, partner) for partner in partners]
+        if self.topology is not Topology.LOCAL:
+            sides += [(partner, executor) for partner in partners]
+        for subject, other in sides:
+            profile = profiles.get(subject, AgentProfile(agent_id=subject))
+            profiles[subject] = profile.with_collaboration(other, success)
 
     def upsert_procedure(self, procedure: Procedure, timestamp: str | None = None) -> str:
         """Insert or replace a procedure, refreshing its ``updated_at``."""
-        owner = self._procedural_owner()
+        owner = self.procedure_owner()
         store = self._store.store_set(owner)
         stamped = replace(procedure, updated_at=timestamp or _now_iso())
         store.procedural[stamped.procedure_id] = stamped
@@ -656,7 +664,7 @@ class MemoryView:
         return stamped.procedure_id
 
     def _bump_procedure(self, procedure_id: str, success: bool, timestamp: str) -> None:
-        owner = self._procedural_owner()
+        owner = self.procedure_owner()
         store = self._store.store_set(owner)
         procedure = store.procedural.get(procedure_id)
         if procedure is None:
@@ -669,7 +677,7 @@ class MemoryView:
         )
 
     def remove_procedures(self, procedure_ids: Iterable[str]) -> None:
-        owner = self._procedural_owner()
+        owner = self.procedure_owner()
         store = self._store.store_set(owner)
         removed = False
         for pid in procedure_ids:

@@ -449,6 +449,24 @@ def test_clusters_of_repeated_tuples_equal_the_oracle(tuples, which, cut):
         assert state.clusters(episodes) == expected
 
 
+def test_a_repeated_tuple_costs_no_cosine(monkeypatch):
+    import teammem.lifecycle as lifecycle
+
+    calls, real = [], lifecycle.cosines
+
+    def counting_cosines(u, vectors):
+        calls.append(u)
+        return real(u, vectors)
+
+    monkeypatch.setattr(lifecycle, "cosines", counting_cosines)
+    tuples = [(), ("alpha beta",), (), ("alpha beta",), (), ()]
+    episodes = [episode("a", i, lessons) for i, lessons in enumerate(tuples)]
+    clusters = _SingleLink(EMBEDDER, CLUSTER_THRESHOLD).clusters(episodes)
+    # one call per distinct tuple; the zero vector links to nothing, itself included
+    assert len(calls) == 2
+    assert [[e.task_index for e in c] for c in clusters] == [[0], [1, 3], [2], [4], [5]]
+
+
 def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
     view = one_agent_view(tmp_path)
     embedder = CountingEmbedder()

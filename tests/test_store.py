@@ -51,6 +51,10 @@ def open_views(tmp_path, topology):
     return open_store(tmp_path / "store", topology, AGENTS)
 
 
+def files_of(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 # -- creation & metadata ------------------------------------------------------
 
 
@@ -127,6 +131,38 @@ def test_a_roster_read_back_from_store_meta_is_checked(tmp_path):
         open_store(tmp_path / "store")
     assert "'../x'" in str(exc.value)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: [], "is not a JSON object"),
+        (lambda meta: {**meta, "agents": "agent-1"}, "agents must be a list of strings"),
+        (lambda meta: {**meta, "agents": [1]}, "agents must be a list of strings"),
+        (lambda meta: {**meta, "topology": 3}, "topology must be a topology name"),
+        (lambda meta: {**meta, "topology": "mesh"}, "topology must be a topology name"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "agents"}, "lacks agents"),
+    ],
+    ids=[
+        "not-an-object", "agents-str", "agent-int", "topology-int", "topology-unknown", "no-agents"
+    ],
+)
+@pytest.mark.parametrize("reopen_with_roster", [False, True])
+def test_a_wrong_typed_store_meta_value_names_the_file_and_key(
+    tmp_path, edit, message, reopen_with_roster
+):
+    views = open_views(tmp_path, "shared")
+    record(views["agent-1"], episode_for("agent-1", 1))
+    meta_path = tmp_path / "store" / "store_meta.json"
+    meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))), encoding="utf-8")
+    files = files_of(tmp_path)
+    with pytest.raises(StoreError) as exc:
+        if reopen_with_roster:
+            open_store(tmp_path / "store", "shared", AGENTS)
+        else:
+            open_store(tmp_path / "store")
+    assert str(meta_path) in str(exc.value) and message in str(exc.value)
+    assert files_of(tmp_path) == files
 
 
 def test_an_agent_named_shared_is_allowed_outside_hybrid(tmp_path):
@@ -398,6 +434,7 @@ def test_unsupported_schema_version_rejected(tmp_path):
         ("procedural", "watermarks"),
         ("procedural", "seq"),
         ("procedural", "next_procedure_seq"),
+        ("procedural", "procedures"),
     ],
 )
 def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind, key):
@@ -412,6 +449,41 @@ def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert str(exc.value) == f"{target} lacks {key}"
+
+
+def untitled(doc):
+    return [{k: v for k, v in d.items() if k != "title"} for d in doc["procedures"]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [], "is not a JSON object"),
+        (lambda doc: {**doc, "watermarks": []}, "watermarks must be"),
+        (lambda doc: {**doc, "watermarks": {"shared": "10"}}, "watermarks must be"),
+        (lambda doc: {**doc, "seq": "3"}, "seq must be"),
+        (lambda doc: {**doc, "seq": True}, "seq must be"),
+        (lambda doc: {**doc, "next_procedure_seq": "x"}, "next_procedure_seq must be"),
+        (lambda doc: {**doc, "procedures": {}}, "procedures must be"),
+        (lambda doc: {**doc, "procedures": [1]}, "procedures holds a malformed entry"),
+        (lambda doc: {**doc, "procedures": untitled(doc)}, "KeyError('title')"),
+    ],
+    ids=[
+        "not-an-object", "watermarks-list", "watermark-str", "seq-str", "seq-bool",
+        "next-seq-str", "procedures-object", "procedure-int", "procedure-untitled",
+    ],
+)
+def test_a_wrong_typed_snapshot_value_names_the_file_and_key(tmp_path, edit, message):
+    views = open_views(tmp_path, "shared")
+    record(views["agent-1"], episode_for("agent-1", 1))
+    views["agent-1"].upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
+    target = tmp_path / "store" / SHARED_OWNER / "procedural.json"
+    target.write_text(json.dumps(edit(json.loads(target.read_text()))), encoding="utf-8")
+    files = files_of(tmp_path)
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert str(target) in str(exc.value) and message in str(exc.value)
+    assert files_of(tmp_path) == files
 
 
 @pytest.mark.parametrize(

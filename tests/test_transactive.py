@@ -208,6 +208,18 @@ def test_a_run_that_never_reads_profiles_never_folds_them(tmp_path, monkeypatch,
     assert not list(root.rglob("transactive.json"))
 
 
+def test_hybrid_folds_into_the_shared_store_set_only(tmp_path):
+    runner = SimRunner(SimConfig(topology="hybrid", team_size=3, n_tasks=12, seed=3), tmp_path)
+    runner.run()
+    seen = {agent: view.profiles() for agent, view in runner.views.items()}
+    assert any(profiles[agent].collaboration_history for agent, profiles in seen.items())
+    store = runner.views["agent-1"]._store
+    for agent in store.agents:
+        assert store.store_set(agent).profiles == {}
+        assert store.store_set(agent).team_patterns == {}
+    assert store.store_set(SHARED_OWNER).team_patterns
+
+
 @pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
 def test_a_team_the_fold_cannot_take_is_rejected_before_changing_anything(tmp_path, topology):
     views = open_store(tmp_path / "store", topology, ["agent-1", "agent-2"])
@@ -216,8 +228,7 @@ def test_a_team_the_fold_cannot_take_is_rejected_before_changing_anything(tmp_pa
     with pytest.raises(StoreError, match="empty team composition"):
         views["agent-1"].record_task(episode("agent-1", 2, ()), "qa", [])
     if topology == "hybrid":
-        # each partner's history folds into that partner's private store,
-        # which an agent outside the roster does not have
+        # no view could read the history of an agent outside the roster
         with pytest.raises(StoreError, match="outside the roster: \\['agent-9'\\]"):
             views["agent-1"].record_task(episode("agent-1", 2, ("agent-1", "agent-9")), "qa", [])
     assert files_of(tmp_path / "store") == files

@@ -84,9 +84,11 @@ def _cmd_consolidate(args: argparse.Namespace) -> int:
     embedder = provider_from_config(None)
     total = 0
     for agent_id, view in sorted(selected.items()):
-        created = consolidate(view, cfg, generator, embedder)
-        total += len(created)
-        print(f"{agent_id}: {len(created)} new procedures")
+        known = view.procedures()
+        changed = consolidate(view, cfg, generator, embedder)
+        new = sum(p.procedure_id not in known for p in changed)
+        total += new
+        print(f"{agent_id}: {new} new procedures, {len(changed) - new} extended")
         if view.topology is Topology.SHARED:
             break  # one pass covers the shared episodic pool
     print(f"total new procedures: {total}")

@@ -4,9 +4,12 @@ After every finished task, :func:`post_task_update` extracts lessons, appends
 the episode and bumps the evidence counters of any procedures that were
 used; transactive state is derived from the stored tasks when it is read.
 Every ``interval_n`` new episodes, :func:`maybe_consolidate` clusters the
-episodic store by lesson similarity and distills clusters with enough
-successful members into procedures, pruning procedures whose source sets
-are dominated.
+episodic store by lesson similarity. Each cluster with enough successful
+members keeps one procedure for its whole life: a new cluster is distilled
+into a fresh procedure (under ``hybrid``, merged into a shared one of the
+same strategy), a grown cluster extends its procedure in place, and
+clusters that merged merge their procedures. Procedures whose source sets
+are dominated are pruned.
 
 Lesson extraction and generalization go through a :class:`Generator`. The
 bundled :class:`StubGenerator` is fully deterministic; an external
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence
 
 from .embedding import EmbeddingProvider, EmbeddingVector, cosines, mean_vector
-from .store import MemoryView, _now_iso
+from .retrieval import embedding_text_for_procedure
+from .store import MemoryView, Topology, _now_iso
 from .types import Episode, Outcome, Procedure, derive_reliability
 
 logger = logging.getLogger(__name__)
@@ -306,6 +310,18 @@ def _prune_dominated(view: MemoryView) -> set[str]:
     return removed
 
 
+def _similar_procedure(
+    live: dict[str, Procedure], text: str, embedder: EmbeddingProvider
+) -> Procedure | None:
+    """The lowest-id live procedure whose text embeds at ``CLUSTER_THRESHOLD`` to ``text``."""
+    ids = sorted(live)
+    vectors = [embedder.embed(embedding_text_for_procedure(live[pid])) for pid in ids]
+    for pid, similarity in zip(ids, cosines(embedder.embed(text), vectors)):
+        if similarity >= CLUSTER_THRESHOLD:
+            return live[pid]
+    return None
+
+
 def consolidate(
     view: MemoryView,
     cfg: ConsolidationConfig,
@@ -316,46 +332,97 @@ def consolidate(
 ) -> list[Procedure]:
     """Run one consolidation pass over every episode visible to ``view``.
 
-    Clusters with at least ``MIN_SUCCESSES`` successful members are
-    generalized into procedures seeded with one success per source episode.
-    The episodic store is never modified. Every upsert and the prune are
-    flushed once, at the end. Returns the new procedures that survive
-    pruning. ``cfg`` sets only the interval, which :func:`maybe_consolidate`
-    reads.
+    Each cluster with at least ``MIN_SUCCESSES`` successful members (ids
+    ``S``) is matched to the live procedures whose sources share an id with
+    ``S``. Single-link clusters only merge as episodes are appended, so a
+    procedure's sources stay inside one cluster of their pool:
+
+    * one match: the procedure is extended in place without a ``generalize``
+      call. Its id, ``created_at``, text and counters stay; ``S`` joins its
+      sources and each new source adds a success. Nothing is written when
+      ``S`` is already covered.
+    * no match: ``S`` is generalized into a fresh procedure seeded with one
+      success per source. Under ``hybrid``, where every agent's pool feeds
+      one shared set, a text that embeds at ``CLUSTER_THRESHOLD`` or above to
+      a live procedure is merged into the lowest-id such procedure instead:
+      ``S`` joins its sources and adds ``|S|`` successes.
+    * several matches (their clusters merged): ``S`` is generalized once
+      into the lowest-id match, which takes the summed counters and the
+      union of the sources; the other matches are removed.
+
+    Then procedures whose source sets are dominated are pruned. The
+    episodic store is never modified, and every change is flushed once, at
+    the end. Returns the procedures the pass created, extended or merged
+    into that survive pruning. ``cfg`` sets only the interval, which
+    :func:`maybe_consolidate` reads.
     """
     with view.batch():
         owner = view.procedure_owner()
         stamp = timestamp or _now_iso()
-        created: list[Procedure] = []
+        live = view.procedures()
+        changed: dict[str, Procedure] = {}
         for cluster in _view_clusters(view, embedder):
             successful = [e for e in cluster if e.outcome.success]
             if len(successful) < MIN_SUCCESSES:
                 continue
-            try:
-                title, knowledge = generator.generalize(successful)
-                if not title or not knowledge:
-                    raise ValueError("generalization returned empty title or knowledge")
-            except Exception:
-                logger.warning(
-                    "generalization failed for a cluster of %d episodes; skipping",
-                    len(cluster),
-                )
-                continue
-            procedure = Procedure(
-                procedure_id=view.allocate_procedure_id(),
-                owner_id=owner,
-                created_at=stamp,
-                updated_at=stamp,
-                title=title,
-                knowledge=knowledge,
-                successes=len(successful),
-                failures=0,
-                source_episodes=frozenset(e.episode_id for e in successful),
+            sources = frozenset(e.episode_id for e in successful)
+            matches = [p for p in live.values() if not p.source_episodes.isdisjoint(sources)]
+            if len(matches) == 1:
+                procedure = matches[0]
+                if sources <= procedure.source_episodes:
+                    continue
+            else:
+                try:
+                    title, knowledge = generator.generalize(successful)
+                    if not title or not knowledge:
+                        raise ValueError("generalization returned empty title or knowledge")
+                except Exception:
+                    logger.warning(
+                        "generalization failed for a cluster of %d episodes; skipping",
+                        len(cluster),
+                    )
+                    continue
+                if matches:  # their clusters merged: the lowest id takes them all
+                    matches.sort(key=lambda p: p.procedure_id)
+                    procedure = replace(
+                        matches[0],
+                        title=title,
+                        knowledge=knowledge,
+                        successes=sum(p.successes for p in matches),
+                        failures=sum(p.failures for p in matches),
+                        source_episodes=frozenset().union(*(p.source_episodes for p in matches)),
+                    )
+                    gone = [p.procedure_id for p in matches[1:]]
+                    view.remove_procedures(gone)
+                    for pid in gone:
+                        del live[pid]
+                        changed.pop(pid, None)
+                else:  # under hybrid, another agent's pool may have this strategy
+                    procedure = None
+                    if view.topology is Topology.HYBRID:
+                        procedure = _similar_procedure(live, f"{title} {knowledge}", embedder)
+                if procedure is None:
+                    procedure = Procedure(
+                        procedure_id=view.allocate_procedure_id(),
+                        owner_id=owner,
+                        created_at=stamp,
+                        updated_at=stamp,
+                        title=title,
+                        knowledge=knowledge,
+                        successes=len(sources),
+                        failures=0,
+                        source_episodes=sources,
+                    )
+            # one success per source it did not hold yet
+            procedure = replace(
+                procedure,
+                successes=procedure.successes + len(sources - procedure.source_episodes),
+                source_episodes=procedure.source_episodes | sources,
             )
-            view.upsert_procedure(procedure, timestamp=stamp)
-            created.append(procedure)
+            pid = view.upsert_procedure(procedure, timestamp=stamp)
+            live[pid] = changed[pid] = view.get_procedure(pid)
         removed = _prune_dominated(view)
-        return [p for p in created if p.procedure_id not in removed]
+        return [p for pid, p in changed.items() if pid not in removed]
 
 
 def maybe_consolidate(

@@ -125,8 +125,11 @@ class Episode:
 class Procedure:
     """A generalized, reusable strategy distilled from successful episodes.
 
-    ``successes`` / ``failures`` count later applications of the procedure;
-    its reliability is derived from them (see :func:`derive_reliability`).
+    ``successes`` holds one success per source episode, added as
+    consolidation gives it sources, plus one per recorded use of the
+    procedure that succeeded; ``failures`` counts the recorded uses that
+    failed. Both accumulate for the procedure's whole life, and its
+    reliability is derived from them (see :func:`derive_reliability`).
     """
 
     procedure_id: str
@@ -295,7 +298,34 @@ def episode_to_dict(e: Episode) -> dict[str, Any]:
     }
 
 
+def _check_types(d: dict[str, Any], fields: tuple[tuple[str, type], ...]) -> None:
+    """Raise :class:`TypeError` unless each ``d[key]`` is exactly of its type.
+
+    ``type(v) is int`` also rejects a bool, and ``type(v) is list`` a string,
+    which ``tuple()`` or ``frozenset()`` would split into characters.
+    """
+    for key, kind in fields:
+        if type(d[key]) is not kind:
+            raise TypeError(f"{key} must be a {kind.__name__}, got {d[key]!r}")
+
+
+_EPISODE_FIELDS = (
+    ("agent_id", str), ("task_index", int), ("timestamp", str), ("task_description", str),
+    ("team_composition", list), ("actions", list), ("outcome", dict), ("lessons", list),
+    ("related_procedures", list),
+)
+_PROCEDURE_FIELDS = (
+    ("procedure_id", str), ("owner_id", str), ("created_at", str), ("updated_at", str),
+    ("title", str), ("knowledge", str), ("successes", int), ("failures", int),
+    ("source_episodes", list),
+)
+
+
 def episode_from_dict(d: dict[str, Any]) -> Episode:
+    """Decode an episode; a wrongly typed field raises :class:`TypeError`."""
+    _check_types(d, _EPISODE_FIELDS)
+    if type(d.get("env_context", "")) is not str:
+        raise TypeError(f"env_context must be a str, got {d['env_context']!r}")
     return Episode(
         agent_id=d["agent_id"],
         task_index=d["task_index"],
@@ -325,6 +355,8 @@ def procedure_to_dict(p: Procedure) -> dict[str, Any]:
 
 
 def procedure_from_dict(d: dict[str, Any]) -> Procedure:
+    """Decode a procedure; a wrongly typed field raises :class:`TypeError`."""
+    _check_types(d, _PROCEDURE_FIELDS)
     return Procedure(
         procedure_id=d["procedure_id"],
         owner_id=d["owner_id"],

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teammem.embedding import EmbeddingVector, HashEmbedder, cosine, hash_embed, mean_vector
+from teammem.harness import SimConfig, TaskFamily, run_sim
 from teammem.lifecycle import (
     CLUSTER_THRESHOLD,
     EXTRACTION_FAILED_LESSON,
@@ -630,6 +631,181 @@ def test_consolidation_never_deletes_episodes(tmp_path):
         record(view, episode("agent-1", i, ["alpha beta gamma"]))
     consolidate(view, CFG, StubGenerator(), EMBEDDER)
     assert len(view.episodes()) == 4
+
+
+# -- procedures keep their identity and evidence ------------------------------------
+
+
+class CountingGenerator(StubGenerator):
+    def __init__(self):
+        self.calls = 0
+
+    def generalize(self, episodes):
+        self.calls += 1
+        return super().generalize(episodes)
+
+
+# Pass stamps before every episode's, so that a later recorded use never
+# stamps a procedure earlier than its creation.
+EARLY = "2025-12-31T01:00:00+00:00"
+LATER = "2025-12-31T02:00:00+00:00"
+
+
+def store_files(root):
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
+def test_a_grown_cluster_extends_its_procedure_in_place(tmp_path):
+    view = one_agent_view(tmp_path)
+    gen = CountingGenerator()
+    record(view, episode("agent-1", 1, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"]))
+    (first,) = consolidate(view, CFG, gen, EMBEDDER, timestamp=EARLY)
+    view.record_task(episode("agent-1", 3, ["alpha beta gamma"], success=False), "qa",
+                     [first.procedure_id])
+    record(view, episode("agent-1", 4, ["alpha beta gamma"]))
+    (grown,) = consolidate(view, CFG, gen, EMBEDDER, timestamp=LATER)
+    assert gen.calls == 1
+    assert grown.procedure_id == first.procedure_id
+    assert (grown.created_at, grown.title, grown.knowledge) == (
+        first.created_at, first.title, first.knowledge
+    )
+    assert grown.updated_at == LATER
+    assert (grown.successes, grown.failures) == (3, 1)
+    assert grown.source_episodes == {"agent-1:1", "agent-1:2", "agent-1:4"}
+    assert view.procedures() == {first.procedure_id: grown}
+
+
+def test_merged_clusters_merge_their_procedures(tmp_path):
+    view = one_agent_view(tmp_path)
+    gen = CountingGenerator()
+    for i, lessons in enumerate(["keep alpha keep beta gamma", "keep alpha keep omega delta"] * 2):
+        record(view, episode("agent-1", i + 1, [lessons]))
+    first, second = consolidate(view, CFG, gen, EMBEDDER, timestamp=EARLY)
+    view.record_task(episode("agent-1", 5, ["zulu"], success=False), "qa",
+                     [second.procedure_id])
+    # a lesson that links both clusters merges them
+    record(view, episode("agent-1", 6, ["keep alpha keep beta delta"]))
+    (merged,) = consolidate(view, CFG, gen, EMBEDDER, timestamp=LATER)
+    assert gen.calls == 3
+    assert merged.procedure_id == first.procedure_id
+    assert merged.source_episodes == first.source_episodes | second.source_episodes | {"agent-1:6"}
+    assert (merged.successes, merged.failures) == (5, 1)
+    assert sorted(view.procedures()) == [first.procedure_id]
+
+
+def test_failures_of_procedure_served_tasks_survive_later_passes(tmp_path):
+    # procedures distilled from the steady family serve every task, and the
+    # other family's memory bonus is too small for its tasks to succeed
+    families = (
+        TaskFamily("payment gateway retry storm triage", "incident", 65.0, 65.0, 0.0),
+        TaskFamily("nightly data warehouse sync audit", "analytics", 55.0, 55.0, 1.0),
+    )
+    cfg = SimConfig(topology="shared", team_size=2, n_tasks=40, seed=3, families=families,
+                    proc_threshold=-1.0)
+    result = run_sim(cfg, tmp_path / "run")
+    assert len(result.consolidations) >= 4
+    view = open_store(tmp_path / "run" / "store")["agent-1"]
+    procedures = view.procedures()
+    assert sum(p.failures for p in procedures.values()) >= 10
+    for pid, p in procedures.items():
+        used = [e.outcome.success for e in view.episodes() if pid in e.related_procedures]
+        assert p.failures == used.count(False), pid
+        assert p.successes == len(p.source_episodes) + used.count(True), pid
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_repeated_pass_calls_no_generator_and_writes_nothing(tmp_path, topology):
+    views = open_store(tmp_path / "store", topology, ["agent-1", "agent-2"])
+    for i in range(12):
+        agent = f"agent-{i % 2 + 1}"
+        lessons = ["alpha beta gamma"] if i % 3 else ["start zulu route echo canyon"]
+        record(views[agent], episode(agent, i, lessons, success=i != 5))
+    first = CountingGenerator()
+    for view in views.values():
+        consolidate(view, CFG, first, EMBEDDER)
+    assert first.calls > 0
+    files = store_files(tmp_path / "store")
+    again = CountingGenerator()
+    for view in open_store(tmp_path / "store").values():
+        assert consolidate(view, CFG, again, EMBEDDER) == []
+    assert again.calls == 0
+    assert store_files(tmp_path / "store") == files
+
+
+def test_hybrid_agents_with_one_strategy_share_one_procedure(tmp_path):
+    views = open_store(tmp_path / "store", "hybrid", ["agent-1", "agent-2", "agent-3"])
+    for agent in ("agent-1", "agent-2"):
+        for i in (1, 2):
+            record(views[agent], episode(agent, i, ["alpha beta gamma"]))
+    (shared,) = consolidate(views["agent-1"], CFG, StubGenerator(), EMBEDDER, timestamp=EARLY)
+    views["agent-1"].record_task(episode("agent-1", 3, ["zulu"], success=False), "qa",
+                                 [shared.procedure_id])
+    (merged,) = consolidate(views["agent-2"], CFG, StubGenerator(), EMBEDDER, timestamp=LATER)
+    assert merged.procedure_id == shared.procedure_id
+    assert merged.source_episodes == {"agent-1:1", "agent-1:2", "agent-2:1", "agent-2:2"}
+    assert (merged.successes, merged.failures) == (4, 1)
+    assert (merged.title, merged.knowledge) == (shared.title, shared.knowledge)
+    # every view sees the one procedure; the merge allocated no id
+    for view in views.values():
+        assert view.procedures() == {shared.procedure_id: merged}
+    assert views["agent-3"].allocate_procedure_id() == "proc-00002"
+
+
+def test_hybrid_agents_with_different_strategies_keep_both(tmp_path):
+    views = open_store(tmp_path / "store", "hybrid", ["agent-1", "agent-2"])
+    for agent, lessons in (("agent-1", "alpha beta gamma"), ("agent-2", "start zulu route")):
+        for i in (1, 2):
+            record(views[agent], episode(agent, i, [lessons]))
+    consolidate(views["agent-1"], CFG, StubGenerator(), EMBEDDER)
+    consolidate(views["agent-2"], CFG, StubGenerator(), EMBEDDER)
+    assert sorted(views["agent-1"].procedures()) == ["proc-00001", "proc-00002"]
+
+
+# Two clusters of lessons, a lesson that bridges them, and an unrelated one.
+BRIDGED = [
+    "keep alpha keep beta gamma", "keep alpha keep omega delta", "keep alpha keep beta delta",
+    "start zulu route echo canyon",
+]
+# (lesson, success, use the lowest-id live procedure), mostly successes, so
+# that clusters qualify, grow and merge.
+TASK = st.tuples(st.sampled_from(BRIDGED), st.sampled_from([True, True, False]), st.booleans())
+EVIDENCE_OPS = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 1), st.lists(TASK, min_size=1, max_size=6)),
+    st.tuples(st.just("pass"), st.integers(0, 1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["local", "shared", "hybrid"]),
+    st.lists(EVIDENCE_OPS, min_size=2, max_size=16),
+)
+def test_a_pass_never_loses_evidence(topology, ops):
+    """Across a pass every procedure's evidence lives on, and sources are successes."""
+    agents = ["agent-1", "agent-2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        views = open_store(Path(tmp) / "store", topology, agents)
+        index = 0
+        for op in ops:
+            view = views[agents[op[1]]]
+            if op[0] == "append":
+                for lesson, success, use in op[2]:
+                    used = sorted(view.procedures())[:1] if use else []
+                    index += 1
+                    view.record_task(episode(view.agent_id, index, [lesson], success), "qa", used)
+                continue
+            before = view.procedures()
+            consolidate(view, CFG, StubGenerator(), EMBEDDER, timestamp=EARLY)
+            after = view.procedures()
+            for pid, p in before.items():
+                # a procedure merged away lives on in the lowest id of its merge
+                heir = after.get(pid) or next(
+                    q for q in after.values() if p.source_episodes <= q.source_episodes
+                )
+                assert heir.successes + heir.failures >= p.successes + p.failures, pid
+            for p in after.values():
+                assert p.successes >= len(p.source_episodes), p.procedure_id
 
 
 # -- the watermark trigger ---------------------------------------------------------

@@ -486,6 +486,49 @@ def test_a_wrong_typed_snapshot_value_names_the_file_and_key(tmp_path, edit, mes
     assert files_of(tmp_path) == files
 
 
+WRONG_TYPED_FIELDS = [
+    ("list", "source_episodes", "lessons", "ab"),
+    ("text", "title", "task_description", 5),
+    ("count", "successes", "task_index", True),
+]
+WRONG_TYPED_IDS = [kind for kind, *_ in WRONG_TYPED_FIELDS]
+
+
+@pytest.mark.parametrize("kind, key, _, value", WRONG_TYPED_FIELDS, ids=WRONG_TYPED_IDS)
+def test_a_wrong_typed_procedure_field_names_the_file(tmp_path, kind, key, _, value):
+    # a string where a list belongs would decode into its characters
+    views = open_views(tmp_path, "shared")
+    record(views["agent-1"], episode_for("agent-1", 1))
+    views["agent-1"].upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
+    target = tmp_path / "store" / SHARED_OWNER / "procedural.json"
+    doc = json.loads(target.read_text())
+    doc["procedures"][0][key] = value
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    files = files_of(tmp_path)
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert str(target) in str(exc.value) and f"{key} must be a" in str(exc.value)
+    assert files_of(tmp_path) == files
+
+
+@pytest.mark.parametrize("kind, _, key, value", WRONG_TYPED_FIELDS, ids=WRONG_TYPED_IDS)
+def test_a_wrong_typed_episode_field_names_the_log_and_line(tmp_path, kind, _, key, value):
+    views = open_views(tmp_path, "shared")
+    record(views["agent-1"], episode_for("agent-1", 1))
+    record(views["agent-2"], episode_for("agent-2", 2))
+    target = tmp_path / "store" / SHARED_OWNER / "episodic.jsonl"
+    first, second = target.read_text().splitlines()
+    line = json.loads(second)
+    line[key] = value
+    target.write_text(f"{first}\n{json.dumps(line)}\n", encoding="utf-8")
+    files = files_of(tmp_path)
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert f"{target}, line 2: malformed record" in str(exc.value)
+    assert f"{key} must be a" in str(exc.value)
+    assert files_of(tmp_path) == files
+
+
 @pytest.mark.parametrize(
     "topology, owner, watermarks, bad",
     [

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 DEFAULT_DIM = 256
 
@@ -151,6 +152,90 @@ def cosines(u: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[floa
         dot = sum(map(operator.mul, map(at_u, indices), kept_v))
         out.append(dot / (norm_u * norm_v))
     return out
+
+
+class BucketIndex:
+    """Vectors in order, with an inverted index of their nonzero buckets.
+
+    ``index.cosines(u)`` equals ``cosines(u, index.vectors)`` bit for bit,
+    but reads only the postings of ``u``'s nonzero buckets: feature-hashed
+    vectors are sparse (Weinberger et al., "Feature hashing for large scale
+    multitask learning", ICML 2009), so a short query shares few buckets with
+    any item (Zobel and Moffat, "Inverted files for text search engines", ACM
+    Computing Surveys 2006). A vector's dot with ``u`` sums ``u[j] * v[j]``
+    over the buckets both hold, ascending, from int 0. Every term ``cosines``
+    adds beyond these is an exact +-0.0, so the sums are equal, and a vector
+    sharing no bucket with ``u`` scores +0.0, as there. Any case where
+    ``cosines`` leaves the sparse dot (a dimension mismatch, which raises; a
+    norm product that is not finite, or that underflows to zero) scores the
+    whole list with ``cosines`` itself; a zero query scores 0.0 throughout.
+
+    A bucket's postings are built the first time a query reads it, by one
+    scan over every vector's entry there; from then on :meth:`extend` appends
+    to them. Building only the buckets queries read keeps a fresh index cheap.
+    """
+
+    def __init__(self) -> None:
+        self.vectors: list[EmbeddingVector] = []
+        # Each vector's entries, so that a bucket's postings are scanned in C.
+        self._values: list[tuple[float, ...]] = []
+        # Postings of the buckets read so far.
+        self._buckets: dict[int, list[int]] = {}
+        self._dims: set[int] = set()
+        # Over the vectors with a nonzero entry: the largest norm (inf if one
+        # is not finite) and the smallest.
+        self._max_norm = 0.0
+        self._min_norm = math.inf
+
+    def extend(self, vectors: Iterable[EmbeddingVector]) -> None:
+        start = len(self.vectors)
+        added = list(vectors)
+        if not added:
+            return
+        values = [v.values for v in added]
+        self.vectors += added
+        self._values += values
+        self._dims.update(map(len, values))
+        norms = [v._norm for v in added if v._nonzero]
+        if norms:
+            finite = all(map(math.isfinite, norms))
+            self._max_norm = max(self._max_norm, *norms) if finite else math.inf
+            self._min_norm = min(self._min_norm, *norms)
+        buckets = self._buckets
+        if buckets:
+            for i, vector in enumerate(added, start):
+                for j in buckets.keys() & vector._nonzero:
+                    buckets[j].append(i)
+
+    def _postings(self, j: int) -> list[int]:
+        """Indices of the vectors with a nonzero entry in bucket ``j``, ascending."""
+        postings = self._buckets.get(j)
+        if postings is None:
+            entries = map(operator.itemgetter(j), self._values)
+            postings = self._buckets[j] = list(itertools.compress(itertools.count(), entries))
+        return postings
+
+    def cosines(self, u: EmbeddingVector) -> list[float]:
+        """``cosines(u, self.vectors)``, reading only the postings ``u`` touches."""
+        norm_u = u._norm
+        if self._dims - {u.dim} or not (
+            norm_u == 0.0
+            or (math.isfinite(norm_u * self._max_norm) and norm_u * self._min_norm != 0.0)
+        ):
+            return cosines(u, self.vectors)
+        out = [0.0] * len(self.vectors)
+        if norm_u == 0.0:
+            return out
+        values = self._values
+        dots: dict[int, Any] = {}
+        for j in u._nonzero:
+            a = u.values[j]
+            for i in self._postings(j):
+                dots[i] = dots.get(i, 0) + a * values[i][j]
+        vectors = self.vectors
+        for i, dot in dots.items():
+            out[i] = dot / (norm_u * vectors[i]._norm)
+        return out
 
 
 def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:

@@ -10,6 +10,15 @@ combined score rescaled to [0, 1]), and both are z-standardized over the
 query-time pool of that kind. Retrieval is hierarchical: procedures are
 preferred when the best raw procedural relevance clears a threshold,
 otherwise episodes serve as fallback.
+
+Procedures are few and rebuilt per query, so they are scored with
+``cosines``. Episodes are ranked through an :class:`EpisodicIndex`, which the
+store set owning the log keeps between queries: its bucket index computes
+only the dot products a query's nonzero buckets can reach, bit-equal to
+``cosines``, and the importance z-scores are kept until the pool grows. The
+top ``k`` are the items scoring at least the ``k``-th largest score
+(``heapq.nlargest``), sorted by the ranking key. Every result equals the
+first ``k`` of :func:`score_pool`'s full ranking, float for float.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .embedding import EmbeddingProvider, cosines
+from .embedding import BucketIndex, EmbeddingProvider, cosines
 from .store import MemoryView
 from .types import (
     Episode,
@@ -124,31 +133,44 @@ def _relevances(
     return cosines(query_vec, (embedder.embed(item.text_for_embedding) for item in pool))
 
 
-def _rank(pool: Sequence[MemoryItem], rels: Sequence[float], k: int) -> list[ScoredItem]:
+def _rank(
+    pool: Sequence[MemoryItem],
+    rels: Sequence[float],
+    k: int,
+    imp_z: Sequence[float] | None = None,
+) -> list[ScoredItem]:
     """The pool's ``k`` best items, best first.
 
     ``heapq.nsmallest`` returns exactly ``sorted(...)[:k]``, so the top ``k``
-    are the first ``k`` of the full ranking, and ``k >= len(pool)`` ranks the
-    whole pool; only the selected items become ScoredItems.
+    are the first ``k`` of the full ranking. Every one of them scores at
+    least the ``k``-th largest score, so only the items that do are ranked;
+    a NaN ``k``-th score (z-scores are all NaN or none) ranks them all, as
+    does ``k >= len(pool)``. Only the selected items become ScoredItems. The
+    importance z-scores are computed here unless the caller kept them.
     """
-    imps = [item.importance_raw for item in pool]
+    if imp_z is None:
+        imp_z = _zscores([item.importance_raw for item in pool])
     rel_z = _zscores(rels)
-    imp_z = _zscores(imps)
     scores = [r + i for r, i in zip(rel_z, imp_z)]
 
     def key(i: int) -> tuple[float, float, str]:
         return (-scores[i], -rels[i], pool[i].id)
 
+    candidates: Sequence[int] = range(len(pool))
+    if k < len(pool):
+        kth = heapq.nlargest(k, scores)[-1]
+        if kth == kth:
+            candidates = [i for i, s in enumerate(scores) if s >= kth]
     return [
         ScoredItem(
             item=pool[i],
             rel=rels[i],
-            imp=imps[i],
+            imp=pool[i].importance_raw,
             rel_z=rel_z[i],
             imp_z=imp_z[i],
             score=scores[i],
         )
-        for i in heapq.nsmallest(k, range(len(pool)), key=key)
+        for i in heapq.nsmallest(k, candidates, key=key)
     ]
 
 
@@ -178,10 +200,46 @@ def _procedural_hit(
     return None
 
 
+class EpisodicIndex:
+    """Episodic memory items with their vectors, bound to one embedder.
+
+    The items in order, and their vectors in a
+    :class:`~teammem.embedding.BucketIndex`. The importance z-scores do not
+    depend on the query, so they are kept until the next :meth:`extend`.
+    Vectors are embedded once, so a reused index assumes a provider that maps
+    equal text to equal vectors.
+    """
+
+    def __init__(self, embedder: EmbeddingProvider, items: Iterable[MemoryItem] = ()) -> None:
+        self.embedder = embedder
+        self.items: list[MemoryItem] = []
+        self.vectors = BucketIndex()
+        self._imp_z: list[float] = []
+        self.extend(items)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def extend(self, items: Iterable[MemoryItem]) -> None:
+        added = list(items)
+        self.items += added
+        embed = self.embedder.embed
+        self.vectors.extend([embed(item.text_for_embedding) for item in added])
+
+    def rank(self, query: Query) -> list[ScoredItem]:
+        """The first ``query.k`` of :func:`score_pool` over the items."""
+        if not self.items:
+            return []
+        if len(self._imp_z) != len(self.items):
+            self._imp_z = _zscores([item.importance_raw for item in self.items])
+        rels = self.vectors.cosines(self.embedder.embed(query.text))
+        return _rank(self.items, rels, query.k, self._imp_z)
+
+
 def retrieve_from_pools(
     query: Query,
     procedural_pool: Sequence[MemoryItem],
-    episodic_pool: Sequence[MemoryItem],
+    episodic_pool: Sequence[MemoryItem] | EpisodicIndex,
     embedder: EmbeddingProvider,
 ) -> RetrievalResult:
     """Hierarchical retrieval over prebuilt pools.
@@ -190,39 +248,45 @@ def retrieve_from_pools(
     otherwise episodes are used. Empty pools yield an empty result, never an
     error. Procedural relevances are computed once and serve both the
     threshold test and the ranking. Only the top ``k`` of a pool become
-    ScoredItems; they equal the first ``k`` of :func:`score_pool`.
+    ScoredItems; they equal the first ``k`` of :func:`score_pool`. Episodes
+    are ranked through an :class:`EpisodicIndex`: ``episodic_pool`` itself
+    when it is one bound to ``embedder``, else one built for this query.
     """
     hit = _procedural_hit(query, procedural_pool, embedder)
     if hit is not None:
         return hit
-    if not episodic_pool:
-        return RetrievalResult(kind_used="episodic", items=())
-    ranked = _rank(episodic_pool, _relevances(query, episodic_pool, embedder), query.k)
-    return RetrievalResult(kind_used="episodic", items=tuple(ranked))
+    index = episodic_pool
+    if not isinstance(index, EpisodicIndex):
+        index = EpisodicIndex(embedder, index)
+    elif index.embedder is not embedder:
+        index = EpisodicIndex(embedder, index.items)
+    return RetrievalResult(kind_used="episodic", items=tuple(index.rank(query)))
 
 
-def _episodic_pool(view: MemoryView) -> list[MemoryItem]:
-    """The view's episodes as memory items, kept on the store set that owns them.
+def _episodic_index(view: MemoryView, embedder: EmbeddingProvider) -> EpisodicIndex:
+    """The view's episodes, indexed for ``embedder``, kept on the store set that owns them.
 
     The episode log only grows, so only the episodes appended since the last
-    call become new items; a reopened store starts with an empty pool.
+    call are added; a reopened store, or another embedder, starts a new index.
     """
     store = view.episodic_store()
-    pool = store.episodic_pool
-    pool.extend(episodic_items(store.episodic[len(pool):]))
-    return pool
+    index = store.episodic_index
+    if index is None or index.embedder is not embedder:
+        index = store.episodic_index = EpisodicIndex(embedder)
+    index.extend(episodic_items(store.episodic[len(index):]))
+    return index
 
 
 def retrieve(view: MemoryView, query: Query, embedder: EmbeddingProvider) -> RetrievalResult:
     """Retrieve the top-k memory items visible to ``view`` for this query.
 
-    The episodic pool is built only when procedures do not serve the query,
+    The episodic index is built only when procedures do not serve the query,
     and then only extended by the episodes appended since the last fallback.
     """
     hit = _procedural_hit(query, procedural_items(view.procedures().values()), embedder)
     if hit is not None:
         return hit
-    return retrieve_from_pools(query, (), _episodic_pool(view), embedder)
+    return retrieve_from_pools(query, (), _episodic_index(view, embedder), embedder)
 
 
 def render_memory_context(result: RetrievalResult) -> str:

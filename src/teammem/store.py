@@ -69,7 +69,6 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 from .types import (
     AgentProfile,
     Episode,
-    MemoryItem,
     Procedure,
     TeamPattern,
     canonical_team_key,
@@ -117,9 +116,12 @@ class StoreSet:
     ``episodic`` by distinct lesson tuple, extended as the log grows.
     ``episode_keys`` holds the ``(agent_id, task_index)`` of every episode
     for the duplicate check, filled on load and on each append.
-    ``episodic_pool`` holds retrieval's memory items for ``episodic``, in
-    order, extended by the episodes appended since the last episodic
-    fallback. None of these is persisted.
+    ``episodic_index`` is retrieval's :class:`~teammem.retrieval.EpisodicIndex`
+    over ``episodic``: the memory items in order, their vectors under a bucket
+    index, their importances and its z-scores. It is bound to the embedder
+    it was built with, started on the first episodic fallback, extended by
+    the episodes appended since the last one, and started afresh for another
+    embedder. None of these is persisted.
     """
 
     episodic: list[Episode] = field(default_factory=list)
@@ -132,7 +134,7 @@ class StoreSet:
     transactive_folded: int = field(default=0, compare=False, repr=False)
     cluster_state: Any = field(default=None, compare=False, repr=False)
     episode_keys: set[tuple[str, int]] = field(default_factory=set, compare=False, repr=False)
-    episodic_pool: list[MemoryItem] = field(default_factory=list, compare=False, repr=False)
+    episodic_index: Any = field(default=None, compare=False, repr=False)
 
 
 class _TaskRecord(NamedTuple):

@@ -19,6 +19,7 @@ from teammem.embedding import (
     _ZERO,
     _memo_embed,
     DEFAULT_DIM,
+    BucketIndex,
     EmbeddingVector,
     HashEmbedder,
     cosine,
@@ -256,9 +257,44 @@ def test_cosines_is_bit_equal_to_the_dense_sum_for_every_vector(u_values, vs_val
 
 def test_cosines_checks_every_dimension():
     u = hash_embed("alpha beta", 8)
-    assert cosines(u, []) == []
-    with pytest.raises(ValueError, match="dimension mismatch: 8 != 4"):
-        cosines(u, [hash_embed("alpha", 8), hash_embed("alpha", 4)])
+    vectors = [hash_embed("alpha", 8), hash_embed("alpha", 4)]
+    index = BucketIndex()
+    assert cosines(u, []) == index.cosines(u) == []
+    index.extend(vectors)
+    for score in (lambda: cosines(u, vectors), lambda: index.cosines(u)):
+        with pytest.raises(ValueError, match="dimension mismatch: 8 != 4"):
+            score()
+
+
+def outcome(score, *args):
+    """The scores' bits, or the error raised."""
+    try:
+        return [bits(c) for c in score(*args)]
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# 1e200 overflows a norm to inf; 1e-170 keeps each norm but underflows a
+# product of two of them to 0.0; 1e-200 underflows the norm itself.
+SCALED = st.tuples(RAW, st.sampled_from([1.0, 1.0, 1e200, 1e-170, 1e-200])).map(
+    lambda raw_scale: EmbeddingVector(values=tuple(x * raw_scale[1] for x in raw_scale[0]))
+)
+
+
+@given(SCALED, st.lists(SCALED, max_size=8), st.integers(0, 8))
+@example(  # only ascending buckets sum this dot to exactly 0.0
+    u=EmbeddingVector(values=(1.0, 1.0, 1.0, 0.0)),
+    vs=[EmbeddingVector(values=(1.0, 1e-16, -1.0, 0.0))],
+    split=0,
+)
+def test_bucket_index_cosines_equal_cosines_bit_for_bit(u, vs, split):
+    """Including every case cosines leaves the sparse dot, and postings read
+    before some vectors were added."""
+    index = BucketIndex()
+    index.extend(vs[:split])
+    assert outcome(index.cosines, u) == outcome(cosines, u, vs[:split])
+    index.extend(vs[split:])
+    assert outcome(index.cosines, u) == outcome(cosines, u, vs)
 
 
 def test_cosine_with_zero_vectors_is_zero():

@@ -27,7 +27,7 @@ from teammem.lifecycle import (
     stub_extract_lessons,
     stub_generalize,
 )
-from teammem.retrieval import _episodic_pool, episodic_items
+from teammem.retrieval import _episodic_index, episodic_items
 from teammem.store import MemoryView, open_store
 from teammem.types import Episode, Outcome, Procedure
 
@@ -414,7 +414,7 @@ def test_incremental_clusters_equal_from_scratch(ops):
             episodes = view.episodes()
             keys = {(e.agent_id, e.task_index) for e in episodes}
             assert view.episodic_store().episode_keys == keys
-            assert _episodic_pool(view) == episodic_items(episodes)
+            assert _episodic_index(view, EMBEDDER).items == episodic_items(episodes)
 
 
 # A few lesson tuples, so that repeats dominate; the empty tuple embeds to the

@@ -7,13 +7,15 @@ frozen; see the score constants in test_pool_of_five_frozen_ranking.
 
 import dataclasses
 import random
+import struct
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from teammem.embedding import HashEmbedder, cosine, hash_embed
+from teammem.embedding import EmbeddingVector, HashEmbedder, cosine, cosines, hash_embed
 from teammem.retrieval import (
+    EpisodicIndex,
     Query,
     render_memory_context,
     retrieve,
@@ -276,6 +278,98 @@ def test_top_k_selection_equals_sort_then_slice(procs, eps, text, k, threshold):
         assert got.item is want.item
 
 
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def scored_bits(items):
+    return [
+        (s.item.id, bits(s.rel), bits(s.imp), bits(s.rel_z), bits(s.imp_z), bits(s.score))
+        for s in items
+    ]
+
+
+# More words than buckets at dim 8 or 16, so buckets collide; "", "!!" and
+# "..." embed to the zero vector.
+INDEX_TEXTS = st.lists(
+    st.sampled_from("alpha beta gamma delta epsilon zeta eta theta iota kappa".split()),
+    max_size=4,
+).map(" ".join) | st.sampled_from(["", "!!", "..."])
+
+
+@given(
+    st.lists(
+        st.tuples(INDEX_TEXTS, st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 9)),
+        max_size=14,
+    ),
+    INDEX_TEXTS,
+    st.integers(1, 16),
+    st.sampled_from([HashEmbedder(8), HashEmbedder(16)]),
+    st.integers(0, 14),
+)
+def test_indexed_ranking_equals_the_full_ranking_bit_for_bit(entries, text, k, embedder, split):
+    """Also through an index extended after a query read its postings."""
+    pool = [item("episodic", f"e{i}", t, imp) for t, imp, i in entries]
+    query = Query(text=text, k=k)
+    index = EpisodicIndex(embedder, pool[:split])
+    assert scored_bits(retrieve_from_pools(query, (), index, embedder).items) == scored_bits(
+        score_pool(query, pool[:split], embedder)[:k]
+    )
+    index.extend(pool[split:])
+    want = scored_bits(score_pool(query, pool, embedder)[:k])
+    assert scored_bits(retrieve_from_pools(query, (), pool, embedder).items) == want
+    assert scored_bits(retrieve_from_pools(query, (), index, embedder).items) == want
+
+
+class ScaledEmbedder:
+    """Hash vectors, times 1e200 for texts that say "huge": their norms overflow to inf."""
+
+    dim = 16
+
+    def embed(self, text):
+        vector = hash_embed(text, self.dim)
+        scale = 1e200 if "huge" in text else 1.0
+        return EmbeddingVector(values=tuple(x * scale for x in vector.values))
+
+
+@pytest.mark.parametrize("query_text", ["alpha beta", "huge alpha", ""])
+def test_huge_vectors_score_as_cosines_does(query_text):
+    embedder = ScaledEmbedder()
+    texts = ["alpha beta", "huge alpha beta", "huge gamma", "", "beta delta", "alpha"]
+    pool = [item("episodic", f"e{i}", t, 0.1 * i) for i, t in enumerate(texts)]
+    result = retrieve_from_pools(Query(text=query_text, k=len(pool)), (), pool, embedder)
+    want = cosines(embedder.embed(query_text), [embedder.embed(t) for t in texts])
+    assert {s.item.id: bits(s.rel) for s in result.items} == {
+        entry.id: bits(rel) for entry, rel in zip(pool, want)
+    }
+    # NaN scores rank too
+    assert len(retrieve_from_pools(Query(text=query_text, k=2), (), pool, embedder).items) == 2
+
+
+class SplitDimEmbedder:
+    """Embeds queries at dim 8 and everything else at dim 16."""
+
+    dim = 16
+
+    def embed(self, text):
+        return hash_embed(text, 8 if text.startswith("query") else 16)
+
+
+def test_a_dimension_mismatch_raises_on_the_indexed_path(tmp_path):
+    embedder = SplitDimEmbedder()
+    query = Query(text="query alpha")
+    view = open_store(tmp_path / "store", "local", ["agent-1"])["agent-1"]
+    record(view, episode("agent-1", 1, "alpha beta"))
+    pool = episodic_items(view.episodes())
+    for retrieval in (
+        lambda: retrieve_from_pools(query, (), pool, embedder),
+        lambda: retrieve_from_pools(query, (), EpisodicIndex(embedder, pool), embedder),
+        lambda: retrieve(view, query, embedder),
+    ):
+        with pytest.raises(ValueError, match="dimension mismatch: 8 != 16"):
+            retrieval()
+
+
 def test_query_case_does_not_change_results():
     rng = random.Random(13)
     pool = _random_pool(rng, "episodic", 8)
@@ -407,14 +501,59 @@ def test_the_episodic_pool_grows_with_the_store_and_is_rebuilt_on_reopen(
     assert len(built) == 4  # each miss built items for the new episodes only
 
     store = view.episodic_store()
-    assert len(store.episodic_pool) == 4
-    assert dataclasses.replace(store, episodic_pool=[]) == store
-    assert "episodic_pool" not in repr(store)
+    assert len(store.episodic_index.items) == 4
+    assert dataclasses.replace(store, episodic_index=None) == store
+    assert "episodic_index" not in repr(store)
 
     view = open_store(root)["agent-1"]
     miss(view)
     miss(view)
     assert len(built) == 8  # the reopened store rebuilt its pool once
+
+
+def test_the_episodic_index_follows_the_store_and_the_embedder(tmp_path):
+    """Appends after a fallback, a second embedder of another dim, and a reopen
+    each give the from-scratch ranking; queries change no store byte."""
+    roots = [tmp_path / "queried", tmp_path / "twin"]
+    views = [open_store(root, "local", ["agent-1"])["agent-1"] for root in roots]
+    first, other = HashEmbedder(), HashEmbedder(16)
+    query = Query(text="quarterly audit")
+
+    def append(index):
+        for view in views:
+            record(view, episode("agent-1", index, f"quarterly audit number {index}"))
+
+    def miss(embedder):
+        view = views[0]
+        result = retrieve(view, query, embedder)
+        assert result.kind_used == "episodic"
+        assert result == retrieve_from_pools(query, (), episodic_items(view.episodes()), embedder)
+        index = view.episodic_store().episodic_index
+        assert index.embedder is embedder and len(index) == len(view.episodes())
+        assert {v.dim for v in index.vectors.vectors} == {embedder.dim}
+
+    append(1)
+    append(2)
+    miss(first)
+    append(3)
+    miss(first)
+    miss(other)
+    append(4)
+    miss(other)
+    miss(first)
+    views[0] = open_store(roots[0])["agent-1"]
+    miss(first)
+    append(5)
+    miss(first)
+
+    def files(root):
+        return {
+            path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+
+    assert files(roots[0]) == files(roots[1])
 
 
 # -- rendering -------------------------------------------------------------------

@@ -33,7 +33,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 DEFAULT_DIM = 256
 
@@ -162,25 +162,30 @@ class BucketIndex:
     vectors are sparse (Weinberger et al., "Feature hashing for large scale
     multitask learning", ICML 2009), so a short query shares few buckets with
     any item (Zobel and Moffat, "Inverted files for text search engines", ACM
-    Computing Surveys 2006). A vector's dot with ``u`` sums ``u[j] * v[j]``
-    over the buckets both hold, ascending, from int 0. Every term ``cosines``
-    adds beyond these is an exact +-0.0, so the sums are equal, and a vector
-    sharing no bucket with ``u`` scores +0.0, as there. Any case where
-    ``cosines`` leaves the sparse dot (a dimension mismatch, which raises; a
-    norm product that is not finite, or that underflows to zero) scores the
-    whole list with ``cosines`` itself; a zero query scores 0.0 throughout.
+    Computing Surveys 2006). A vector's dot with ``u`` is ``sum()`` of the
+    products ``u[j] * v[j]`` at the buckets both hold, ascending. ``cosines``
+    sums the same products with ``sum()``, and each term it adds beyond them
+    is an exact +-0.0, which changes no float sum that starts at +0, plain or
+    compensated (Python 3.12 on), so the sums are equal. A vector sharing no
+    bucket with ``u`` scores +0.0, as there. Any case where ``cosines``
+    leaves the sparse dot (a dimension mismatch, which raises; a norm product
+    that is not finite, or that underflows to zero) scores the whole list
+    with ``cosines`` itself.
 
-    A bucket's postings are built the first time a query reads it, by one
-    scan over every vector's entry there; from then on :meth:`extend` appends
-    to them. Building only the buckets queries read keeps a fresh index cheap.
+    A bucket's postings are built when a query first reads it, by one scan
+    over every vector's entry there, and each later read scans only the
+    vectors added since. Building only the buckets queries read keeps a fresh
+    index cheap: a bucket list per vector at extension costs more than the
+    first query's whole scan.
     """
 
     def __init__(self) -> None:
         self.vectors: list[EmbeddingVector] = []
         # Each vector's entries, so that a bucket's postings are scanned in C.
         self._values: list[tuple[float, ...]] = []
-        # Postings of the buckets read so far.
+        # Postings of the buckets read so far, and how many vectors each has scanned.
         self._buckets: dict[int, list[int]] = {}
+        self._scanned: dict[int, int] = {}
         self._dims: set[int] = set()
         # Over the vectors with a nonzero entry: the largest norm (inf if one
         # is not finite) and the smallest.
@@ -188,10 +193,7 @@ class BucketIndex:
         self._min_norm = math.inf
 
     def extend(self, vectors: Iterable[EmbeddingVector]) -> None:
-        start = len(self.vectors)
         added = list(vectors)
-        if not added:
-            return
         values = [v.values for v in added]
         self.vectors += added
         self._values += values
@@ -201,18 +203,15 @@ class BucketIndex:
             finite = all(map(math.isfinite, norms))
             self._max_norm = max(self._max_norm, *norms) if finite else math.inf
             self._min_norm = min(self._min_norm, *norms)
-        buckets = self._buckets
-        if buckets:
-            for i, vector in enumerate(added, start):
-                for j in buckets.keys() & vector._nonzero:
-                    buckets[j].append(i)
 
     def _postings(self, j: int) -> list[int]:
         """Indices of the vectors with a nonzero entry in bucket ``j``, ascending."""
-        postings = self._buckets.get(j)
-        if postings is None:
-            entries = map(operator.itemgetter(j), self._values)
-            postings = self._buckets[j] = list(itertools.compress(itertools.count(), entries))
+        postings = self._buckets.setdefault(j, [])
+        start = self._scanned.get(j, 0)
+        if start < len(self._values):
+            entries = map(operator.itemgetter(j), self._values[start:])
+            postings += itertools.compress(itertools.count(start), entries)
+            self._scanned[j] = len(self._values)
         return postings
 
     def cosines(self, u: EmbeddingVector) -> list[float]:
@@ -227,14 +226,14 @@ class BucketIndex:
         if norm_u == 0.0:
             return out
         values = self._values
-        dots: dict[int, Any] = {}
+        terms: dict[int, list[float]] = {}
         for j in u._nonzero:
             a = u.values[j]
             for i in self._postings(j):
-                dots[i] = dots.get(i, 0) + a * values[i][j]
+                terms.setdefault(i, []).append(a * values[i][j])
         vectors = self.vectors
-        for i, dot in dots.items():
-            out[i] = dot / (norm_u * vectors[i]._norm)
+        for i, products in terms.items():
+            out[i] = sum(products) / (norm_u * vectors[i]._norm)
         return out
 
 

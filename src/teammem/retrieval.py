@@ -250,7 +250,8 @@ def retrieve_from_pools(
     threshold test and the ranking. Only the top ``k`` of a pool become
     ScoredItems; they equal the first ``k`` of :func:`score_pool`. Episodes
     are ranked through an :class:`EpisodicIndex`: ``episodic_pool`` itself
-    when it is one bound to ``embedder``, else one built for this query.
+    when it is one, which must be bound to ``embedder`` (else ``ValueError``),
+    or one built for this query.
     """
     hit = _procedural_hit(query, procedural_pool, embedder)
     if hit is not None:
@@ -259,7 +260,7 @@ def retrieve_from_pools(
     if not isinstance(index, EpisodicIndex):
         index = EpisodicIndex(embedder, index)
     elif index.embedder is not embedder:
-        index = EpisodicIndex(embedder, index.items)
+        raise ValueError("the episodic index is bound to another embedder")
     return RetrievalResult(kind_used="episodic", items=tuple(index.rank(query)))
 
 

@@ -370,6 +370,13 @@ def test_a_dimension_mismatch_raises_on_the_indexed_path(tmp_path):
             retrieval()
 
 
+def test_an_index_bound_to_another_embedder_is_rejected():
+    pool = [item("episodic", "e1", "alpha beta", 0.5)]
+    index = EpisodicIndex(HashEmbedder(), pool)
+    with pytest.raises(ValueError, match="bound to another embedder"):
+        retrieve_from_pools(Query(text="alpha"), (), index, HashEmbedder())
+
+
 def test_query_case_does_not_change_results():
     rng = random.Random(13)
     pool = _random_pool(rng, "episodic", 8)

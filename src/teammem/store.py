@@ -44,6 +44,19 @@ Every other mutation (procedure upserts and removals, watermark moves)
 marks its procedure snapshot dirty, and the snapshot is rewritten whole and
 atomically, via a temp file plus rename, as compact sorted-key JSON.
 
+A snapshot spells each procedure's ``source_episodes`` as runs over lesson
+classes. An episode's *class* is its log, its ``lessons`` tuple and its
+``outcome.success``; a class's members are ordered by log position. The
+sources become a list, sorted by first id, of entries that are either an
+episode id (a lone source, or an id in no log) or a pair ``[first, last]``
+standing for every member of one class from ``first`` to ``last``
+inclusive. Each class's sources split into maximal runs of consecutive
+members, so the spelling is exact and canonical for any set; consolidation
+takes a prefix of each class, which is one pair, so the snapshot's size
+follows the number of classes, not the length of the history. Pairs are
+decoded once every log is read, and a pair that names an id in no log, ends
+in two classes or runs backwards fails the open.
+
 All writes go through an agent's :class:`MemoryView` (single writer). Outside
 a batch, each mutating call flushes before it returns (write-through). Inside
 :meth:`MemoryView.batch`, mutating calls only queue log lines and mark
@@ -58,6 +71,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import enum
+import itertools
 import json
 import os
 import sys
@@ -80,8 +94,11 @@ from .types import (
     read_jsonl,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 SHARED_OWNER = "shared"
+
+# An episode's lesson class within its log: its lessons and its success flag.
+LessonClass = tuple[tuple[str, ...], bool]
 
 
 class StoreError(Exception):
@@ -114,8 +131,12 @@ class StoreSet:
     ``transactive_folded`` counts the episodes of this log already folded.
     ``cluster_state`` is consolidation's single-link clustering of
     ``episodic`` by distinct lesson tuple, extended as the log grows.
-    ``episode_keys`` holds the ``(agent_id, task_index)`` of every episode
-    for the duplicate check, filled on load and on each append.
+    ``class_numbers``, ``class_members`` and ``episode_class`` index
+    ``episodic`` by lesson class, a ``(lessons, outcome.success)`` pair: each
+    class's number in order of first appearance, each class's episode ids in
+    log order, and every episode id's class number. They are filled on load
+    and on each append, and serve the duplicate check and the snapshot
+    spelling of procedure sources.
     ``episodic_index`` is retrieval's :class:`~teammem.retrieval.EpisodicIndex`
     over ``episodic``: the memory items in order, their vectors under a bucket
     index, their importances and its z-scores. It is bound to the embedder
@@ -133,8 +154,22 @@ class StoreSet:
     task_types: list[str] = field(default_factory=list, compare=False, repr=False)
     transactive_folded: int = field(default=0, compare=False, repr=False)
     cluster_state: Any = field(default=None, compare=False, repr=False)
-    episode_keys: set[tuple[str, int]] = field(default_factory=set, compare=False, repr=False)
+    episode_class: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    class_members: list[list[str]] = field(default_factory=list, compare=False, repr=False)
+    class_numbers: dict[LessonClass, int] = field(default_factory=dict, compare=False, repr=False)
     episodic_index: Any = field(default=None, compare=False, repr=False)
+
+    def index_classes(self, episodes: Iterable[Episode]) -> None:
+        """Add the next episodes of ``episodic``, in order, to the lesson-class index."""
+        for episode in episodes:
+            key = (episode.lessons, episode.outcome.success)
+            number = self.class_numbers.get(key)
+            if number is None:
+                number = self.class_numbers[key] = len(self.class_members)
+                self.class_members.append([])
+            episode_id = episode.episode_id
+            self.episode_class[episode_id] = number
+            self.class_members[number].append(episode_id)
 
 
 class _TaskRecord(NamedTuple):
@@ -192,6 +227,64 @@ def _load_json(path: Path, keys: dict[str, tuple[str, Callable[[Any], bool]]]) -
         if not check(document[key]):
             raise StoreError(f"{path}: {key} must be {expected}, got {document[key]!r}")
     return document
+
+
+def _encode_sources(sources: Iterable[str], logs: Sequence[StoreSet]) -> list[Any]:
+    """Spell a source set as snapshot entries: lone ids and ``[first, last]`` runs.
+
+    Each lesson class's sources split into maximal runs of consecutive
+    members; a run of one, and an id in none of ``logs``, is a bare id. The
+    entries are sorted by first id, so equal sets spell alike.
+    """
+    sources = frozenset(sources)
+    held = sources.__contains__
+
+    def runs_in(members: list[str]) -> list[list[str]]:
+        return [list(run) for is_held, run in itertools.groupby(members, held) if is_held]
+
+    # Consolidation takes a prefix of each class, most often all of it, so its
+    # sources lie in the classes whose first member is a source; any other
+    # source is looked up id by id.
+    runs: list[list[str]] = []
+    for log in logs:
+        for members in log.class_members:
+            if held(members[0]):
+                whole = held(members[-1]) and sources.issuperset(members)
+                runs += [members] if whole else runs_in(members)
+    left = sources.difference(*runs)
+    for log in logs:
+        if not left:
+            break
+        found = len(runs)
+        for number in set(map(log.episode_class.get, left)) - {None}:
+            runs += runs_in(log.class_members[number])
+        left = left.difference(*runs[found:])
+    entries = [run[0] if len(run) == 1 else [run[0], run[-1]] for run in runs]
+    return sorted([*entries, *left], key=lambda entry: entry if type(entry) is str else entry[0])
+
+
+def _decode_sources(entries: list[Any], logs: Sequence[StoreSet]) -> list[str]:
+    """The episode ids that a snapshot's ``source_episodes`` entries spell."""
+    ids: list[str] = []
+    for entry in entries:
+        if type(entry) is str:
+            ids.append(entry)
+            continue
+        if type(entry) is not list or len(entry) != 2 or not _all_of(str, entry):
+            raise ValueError(f"source entry {entry!r} is neither an id nor a pair of ids")
+        first, last = entry
+        log = next((log for log in logs if first in log.episode_class), None)
+        if log is None or not any(last in other.episode_class for other in logs):
+            raise ValueError(f"source pair {entry!r} names an id in no log")
+        number = log.episode_class[first]
+        if log.episode_class.get(last) != number:
+            raise ValueError(f"source pair {entry!r} ends in two lesson classes")
+        members = log.class_members[number]
+        start, stop = members.index(first), members.index(last)
+        if start > stop:
+            raise ValueError(f"source pair {entry!r} runs backwards")
+        ids += members[start : stop + 1]
+    return ids
 
 
 class MemoryStore:
@@ -270,7 +363,9 @@ class MemoryStore:
         checkpoints: dict[str, int] = {}
         self._sets: dict[str, StoreSet] = {owner: StoreSet() for owner in self._owners()}
         for owner in self._owners():
-            self._load_owner(owner, records, checkpoints)
+            self._load_log(owner, records)
+        for owner in self._owners():
+            self._load_snapshot(owner, checkpoints)
         self._replay(records, checkpoints)
 
     def _write_meta(self) -> None:
@@ -283,49 +378,55 @@ class MemoryStore:
             },
         )
 
-    def _load_owner(
-        self, owner: str, records: list[_TaskRecord], checkpoints: dict[str, int]
-    ) -> None:
-        """Read one owner's files into its store set and the watermarks it covers.
-
-        Its task records are added to ``records``, and the last seq its
-        procedure snapshot includes to ``checkpoints``.
-        """
+    def _load_log(self, owner: str, records: list[_TaskRecord]) -> None:
+        """Read one owner's episode log into its store set; add its task records."""
         store = self._sets[owner]
         log_path = self._log_path(owner)
-        if log_path.exists():
+        if not log_path.exists():
+            return
 
-            def decode(d: dict[str, Any]) -> Episode:
-                episode = episode_from_dict(d)
-                seq = d["seq"]
-                if not isinstance(seq, int) or isinstance(seq, bool):
-                    raise ValueError(f"seq must be an integer, got {seq!r}")
-                used = d.get("procedures_used", sorted(episode.related_procedures))
-                records.append(_TaskRecord(seq, episode, d["task_type"], tuple(used)))
-                store.task_types.append(sys.intern(d["task_type"]))
-                return episode
+        def decode(d: dict[str, Any]) -> Episode:
+            episode = episode_from_dict(d)
+            seq = d["seq"]
+            if not isinstance(seq, int) or isinstance(seq, bool):
+                raise ValueError(f"seq must be an integer, got {seq!r}")
+            used = d.get("procedures_used", sorted(episode.related_procedures))
+            records.append(_TaskRecord(seq, episode, d["task_type"], tuple(used)))
+            store.task_types.append(sys.intern(d["task_type"]))
+            return episode
 
-            try:
-                store.episodic = read_jsonl(log_path, decode)
-            except ValueError as exc:
-                raise StoreError(str(exc)) from exc
-            store.episode_keys = {(e.agent_id, e.task_index) for e in store.episodic}
+        try:
+            store.episodic = read_jsonl(log_path, decode)
+        except ValueError as exc:
+            raise StoreError(str(exc)) from exc
+        store.index_classes(store.episodic)
+
+    def _load_snapshot(self, owner: str, checkpoints: dict[str, int]) -> None:
+        """Read one owner's procedure snapshot, once every log is read.
+
+        Its procedures go into the owner's store set and its watermarks into
+        the sets they cover; the last seq it includes goes to ``checkpoints``.
+        """
         path = self._snapshot_path(owner)
-        if path.exists():
-            doc = _load_json(path, _SNAPSHOT_KEYS)
-            try:
-                store.procedural = {
-                    d["procedure_id"]: procedure_from_dict(d) for d in doc["procedures"]
-                }
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StoreError(f"{path}: procedures holds a malformed entry: {exc!r}") from exc
-            store.next_procedure_seq = doc["next_procedure_seq"]
-            checkpoints[owner] = doc["seq"]
-            bad = sorted(doc["watermarks"].keys() ^ set(self._covered(owner)))
-            if bad:
-                raise StoreError(f"{path} holds watermarks for the wrong owners: {bad}")
-            for covered, watermark in doc["watermarks"].items():
-                self._sets[covered].consolidation_watermark = watermark
+        if not path.exists():
+            return
+        store = self._sets[owner]
+        doc = _load_json(path, _SNAPSHOT_KEYS)
+        logs = [self._sets[o] for o in self._covered(owner)]
+        try:
+            for d in doc["procedures"]:
+                if type(d["source_episodes"]) is list:  # else procedure_from_dict rejects it
+                    d["source_episodes"] = _decode_sources(d["source_episodes"], logs)
+                store.procedural[d["procedure_id"]] = procedure_from_dict(d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"{path}: procedures holds a malformed entry: {exc!r}") from exc
+        store.next_procedure_seq = doc["next_procedure_seq"]
+        checkpoints[owner] = doc["seq"]
+        bad = sorted(doc["watermarks"].keys() ^ set(self._covered(owner)))
+        if bad:
+            raise StoreError(f"{path} holds watermarks for the wrong owners: {bad}")
+        for covered, watermark in doc["watermarks"].items():
+            self._sets[covered].consolidation_watermark = watermark
 
     def _replay(self, records: list[_TaskRecord], checkpoints: dict[str, int]) -> None:
         """Apply to every procedure snapshot the task records logged after it."""
@@ -342,13 +443,17 @@ class MemoryStore:
 
     def _document(self, owner: str) -> dict[str, Any]:
         store = self._sets[owner]
+        logs = [self._sets[o] for o in self._covered(owner)]
+
+        def spelled(procedure: Procedure) -> dict[str, Any]:
+            sources = _encode_sources(procedure.source_episodes, logs)
+            return {**procedure_to_dict(procedure), "source_episodes": sources}
+
         return {
             "schema_version": SCHEMA_VERSION,
             "seq": self._seq,
             "next_procedure_seq": store.next_procedure_seq,
-            "procedures": [
-                procedure_to_dict(store.procedural[pid]) for pid in sorted(store.procedural)
-            ],
+            "procedures": [spelled(store.procedural[pid]) for pid in sorted(store.procedural)],
             "watermarks": {o: self._sets[o].consolidation_watermark for o in self._covered(owner)},
         }
 
@@ -364,7 +469,7 @@ class MemoryStore:
         store = self._sets[owner]
         store.episodic.append(episode)
         store.task_types.append(task_type)
-        store.episode_keys.add((episode.agent_id, episode.task_index))
+        store.index_classes([episode])
         self._seq += 1
         record = {**episode_to_dict(episode), "seq": self._seq, "task_type": task_type}
         if sorted(procedures_used) != sorted(episode.related_procedures):
@@ -587,7 +692,7 @@ class MemoryView:
                 f"{episode.agent_id!r}"
             )
         owner = self._episodic_owner()
-        if (episode.agent_id, episode.task_index) in self._store.store_set(owner).episode_keys:
+        if episode.episode_id in self._store.store_set(owner).episode_class:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
         # The transactive fold keys team patterns by the team. Under hybrid an
         # agent's history is read only by its own view, which no outsider has.

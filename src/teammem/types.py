@@ -130,6 +130,9 @@ class Procedure:
     procedure that succeeded; ``failures`` counts the recorded uses that
     failed. Both accumulate for the procedure's whole life, and its
     reliability is derived from them (see :func:`derive_reliability`).
+    ``source_episodes`` is a set of episode ids in memory and in
+    :func:`procedure_to_dict`; a store snapshot writes it as runs over
+    lesson classes (see :mod:`teammem.store`).
     """
 
     procedure_id: str

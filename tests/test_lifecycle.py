@@ -1,5 +1,6 @@
 """Lifecycle tests: per-task updates, clustering, consolidation, pruning."""
 
+import json
 import logging
 import math
 import tempfile
@@ -412,8 +413,14 @@ def test_incremental_clusters_equal_from_scratch(ops):
                 assert got == cluster_by_lessons(episodes, embedder, CLUSTER_THRESHOLD)
                 assert got == oracle_clusters(episodes, embedder, CLUSTER_THRESHOLD)
             episodes = view.episodes()
-            keys = {(e.agent_id, e.task_index) for e in episodes}
-            assert view.episodic_store().episode_keys == keys
+            classes = {}
+            for e in episodes:
+                classes.setdefault((e.lessons, e.outcome.success), []).append(e.episode_id)
+            live = view.episodic_store()
+            assert live.class_numbers == {key: n for n, key in enumerate(classes)}
+            assert live.class_members == list(classes.values())
+            numbers = {eid: n for n, ids in enumerate(classes.values()) for eid in ids}
+            assert live.episode_class == numbers
             assert _episodic_index(view, EMBEDDER).items == episodic_items(episodes)
 
 
@@ -806,6 +813,33 @@ def test_a_pass_never_loses_evidence(topology, ops):
                 assert heir.successes + heir.failures >= p.successes + p.failures, pid
             for p in after.values():
                 assert p.successes >= len(p.source_episodes), p.procedure_id
+            assert_sources_are_class_prefixes(views, view, Path(tmp) / "store")
+
+
+def assert_sources_are_class_prefixes(views, view, root):
+    """Within each lesson class, ``view``'s procedures hold a prefix of its members.
+
+    A class is one episode log's episodes with one lesson tuple and success
+    flag, in log order. Sources are successes, and the snapshot spells a
+    procedure's sources in one entry per class they touch.
+    """
+    classes = {}
+    for log in {id(v.episodic_store()): v.episodic_store() for v in views.values()}.values():
+        for e in log.episodic:
+            classes.setdefault((id(log), e.lessons, e.outcome.success), []).append(e.episode_id)
+    snapshot = root / view.procedure_owner() / "procedural.json"
+    procedures = view.procedures()
+    on_disk = json.loads(snapshot.read_text())["procedures"] if procedures else []
+    assert sorted(d["procedure_id"] for d in on_disk) == sorted(procedures)
+    for d in on_disk:
+        sources = procedures[d["procedure_id"]].source_episodes
+        touched = 0
+        for (_, _, success), members in classes.items():
+            held = [m in sources for m in members]
+            if any(held):
+                assert success and held == sorted(held, reverse=True), d["procedure_id"]
+                touched += 1
+        assert len(d["source_episodes"]) == touched, d["procedure_id"]
 
 
 # -- the watermark trigger ---------------------------------------------------------

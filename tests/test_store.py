@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from teammem.store import (
     SHARED_OWNER,
@@ -11,9 +12,11 @@ from teammem.store import (
     StoreError,
     StoreSet,
     Topology,
+    _decode_sources,
+    _encode_sources,
     open_store,
 )
-from teammem.types import Episode, Outcome, Procedure
+from teammem.types import Episode, Outcome, Procedure, json_line
 
 from helpers import record
 
@@ -63,7 +66,7 @@ def test_store_meta_written_on_create(tmp_path):
     meta = json.loads((tmp_path / "store" / "store_meta.json").read_text())
     assert meta == {
         "agents": ["agent-1", "agent-2"],
-        "schema_version": 4,
+        "schema_version": 5,
         "topology": "hybrid",
     }
 
@@ -527,6 +530,117 @@ def test_a_wrong_typed_episode_field_names_the_log_and_line(tmp_path, kind, _, k
     assert f"{target}, line 2: malformed record" in str(exc.value)
     assert f"{key} must be a" in str(exc.value)
     assert files_of(tmp_path) == files
+
+
+# -- procedure sources on disk ---------------------------------------------------
+
+
+def two_class_store(tmp_path, sources):
+    """A shared store with a class of three episodes, one of one, and a procedure.
+
+    Returns the views and the procedure snapshot's path.
+    """
+    views = open_views(tmp_path, "shared")
+    for i in (1, 2, 3):
+        record(views["agent-1"], episode_for("agent-1", i))
+    record(views["agent-2"], episode_for("agent-2", 4, ("another lesson",)))
+    views["agent-1"].upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, sources))
+    return views, tmp_path / "store" / SHARED_OWNER / "procedural.json"
+
+
+def test_a_snapshot_spells_a_run_of_one_lesson_class_as_a_pair(tmp_path):
+    sources = ["agent-1:1", "agent-1:2", "agent-1:3", "agent-2:4", "ghost:9"]
+    views, target = two_class_store(tmp_path, sources)
+    doc = json.loads(target.read_text())
+    assert doc["procedures"][0]["source_episodes"] == [
+        ["agent-1:1", "agent-1:3"], "agent-2:4", "ghost:9"
+    ]
+    assert open_store(tmp_path / "store")["agent-2"].snapshot() == views["agent-2"].snapshot()
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["agent-1:1", "ghost:9"], "names an id in no log"),
+        (["ghost:9", "agent-1:2"], "names an id in no log"),
+        (["agent-1:1", "agent-2:4"], "ends in two lesson classes"),
+        (["agent-1:2", "agent-1:1"], "runs backwards"),
+        (["agent-1:1"], "neither an id nor a pair of ids"),
+        (["agent-1:1", "agent-1:2", "agent-1:3"], "neither an id nor a pair of ids"),
+        (["agent-1:1", 2], "neither an id nor a pair of ids"),
+        ({"first": "agent-1:1"}, "neither an id nor a pair of ids"),
+    ],
+    ids=[
+        "last-in-no-log", "first-in-no-log", "two-classes", "reversed", "one-end",
+        "three-ends", "int-end", "object",
+    ],
+)
+def test_a_malformed_source_entry_names_the_file(tmp_path, pair, message):
+    _, target = two_class_store(tmp_path, ["agent-1:1", "agent-1:2"])
+    doc = json.loads(target.read_text())
+    doc["procedures"][0]["source_episodes"] = [pair]
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    files = files_of(tmp_path)
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert str(target) in str(exc.value) and message in str(exc.value)
+    assert files_of(tmp_path) == files
+
+
+# A pool of episodes over three logs: (log, agent, lesson tuple, success).
+POOL = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.sampled_from(["agent-1", "agent-2"]),
+        st.sampled_from([(), ("alpha",), ("alpha", "beta"), ("beta",)]),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def indexed_logs(pool):
+    """Three store sets holding ``pool``'s episodes, and each lesson class in log order."""
+    logs = [StoreSet(), StoreSet(), StoreSet()]
+    classes = {}
+    for index, (log, agent, lessons, success) in enumerate(pool):
+        e = replace(
+            episode_for(agent, index, lessons), outcome=Outcome(ts=80.0, cs=70.0, success=success)
+        )
+        logs[log].episodic.append(e)
+        logs[log].index_classes([e])
+        classes.setdefault((log, lessons, success), []).append(e.episode_id)
+    return logs, classes
+
+
+@given(POOL, st.data())
+def test_the_source_spelling_decodes_to_its_set_and_is_canonical(pool, data):
+    logs, classes = indexed_logs(pool)
+    ids = [e.episode_id for log in logs for e in log.episodic]
+    ghosts = ["ghost:1", "ghost:2", "agent-1:99"]  # in no log
+    sources = {episode_id for episode_id in ids + ghosts if data.draw(st.booleans())}
+    entries = _encode_sources(sources, logs)
+    assert sorted(_decode_sources(entries, logs)) == sorted(sources)
+    # one entry per maximal run of sources within a class, one per ghost
+    starts = sum(
+        m in sources and (i == 0 or members[i - 1] not in sources)
+        for members in classes.values()
+        for i, m in enumerate(members)
+    )
+    assert len(entries) == starts + len(sources.intersection(ghosts))
+    firsts = [entry if type(entry) is str else entry[0] for entry in entries]
+    assert firsts == sorted(firsts)
+    shuffled = data.draw(st.permutations(sorted(sources)))
+    assert json_line(_encode_sources(shuffled, logs)) == json_line(entries)
+    # the successful prefixes of k classes take exactly k entries
+    prefixes, k = set(), 0
+    for key in sorted(key for key in classes if key[2]):
+        if data.draw(st.booleans()):
+            prefixes.update(classes[key][: data.draw(st.integers(1, len(classes[key])))])
+            k += 1
+    entries = _encode_sources(prefixes, logs)
+    assert len(entries) == k
+    assert set(_decode_sources(entries, logs)) == prefixes
 
 
 @pytest.mark.parametrize(

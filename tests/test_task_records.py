@@ -11,7 +11,7 @@ from teammem.embedding import HashEmbedder
 from teammem.harness import SimConfig, SimRunner
 from teammem.lifecycle import ConsolidationConfig, StubGenerator, consolidate
 from teammem.store import SHARED_OWNER, StoreError, open_store
-from teammem.types import Episode, Outcome, Procedure
+from teammem.types import Episode, Outcome, Procedure, procedure_to_dict
 
 from helpers import record
 
@@ -136,10 +136,13 @@ def test_duplicate_check_keys_are_derived_only(tmp_path):
     view = views["agent-1"]
     record(view, episode("agent-1", 1))
     live = view.episodic_store()
-    assert live.episode_keys == {("agent-1", 1)}
-    assert view.snapshot().episode_keys == set()
+    assert live.class_numbers == {(("keep the runbook open",), True): 0}
+    assert live.class_members == [["agent-1:1"]]
+    assert live.episode_class == {"agent-1:1": 0}
+    index = ("class_numbers", "class_members", "episode_class")
+    assert not any(getattr(view.snapshot(), name) for name in index)
     assert view.snapshot() == live
-    assert "episode_keys" not in repr(live)
+    assert not any(name in repr(live) for name in index)
     reopened = open_store(tmp_path / "store")["agent-1"]
     with pytest.raises(StoreError):
         record(reopened, episode("agent-1", 1))
@@ -339,11 +342,13 @@ OLD_EPISODE = {
 
 
 def write_old_store(root, version):
-    """A shared store laid out as schema version 1, 2 or 3 wrote it.
+    """A shared store laid out as schema version 1, 2, 3 or 4 wrote it.
 
     Version 1 kept the episodes inside ``episodic.json``; versions 2 and 3
     logged them in ``episodic.jsonl`` and kept the watermark in
     ``episodic.json``, and version 2 stored the derived profile fields.
+    Version 4 logged task records, kept the watermarks in
+    ``procedural.json`` and listed every source episode id there.
     """
 
     def dump(path, document):
@@ -353,6 +358,15 @@ def write_old_store(root, version):
     meta = {"agents": AGENTS, "schema_version": version, "topology": "shared"}
     dump(root / "store_meta.json", meta)
     shared = root / SHARED_OWNER
+    if version == 4:
+        line = json.dumps({**OLD_EPISODE, "seq": 1, "task_type": "incident"}, sort_keys=True)
+        shared.mkdir(parents=True)
+        (shared / "episodic.jsonl").write_text(line + "\n", encoding="utf-8")
+        dump(shared / "procedural.json", {
+            "next_procedure_seq": 2, "procedures": [procedure_to_dict(procedure("proc-00001"))],
+            "schema_version": version, "seq": 1, "watermarks": {SHARED_OWNER: 1},
+        })
+        return
     watermark = {"consolidation_watermark": 1, "schema_version": version}
     if version == 1:
         dump(shared / "episodic.json", {**watermark, "episodes": [OLD_EPISODE]})
@@ -371,7 +385,7 @@ def write_old_store(root, version):
     })
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_a_store_of_an_older_schema_version_is_rejected_untouched(tmp_path, version):
     root = tmp_path / "store"
     write_old_store(root, version)

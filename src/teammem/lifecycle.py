@@ -20,9 +20,10 @@ templates at the bottom of this module.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .embedding import EmbeddingProvider, EmbeddingVector, cosines, mean_vector
 from .retrieval import embedding_text_for_procedure
@@ -194,65 +195,62 @@ def post_task_update(
     return episode
 
 
-def lesson_vector(episode: Episode, embedder: EmbeddingProvider) -> EmbeddingVector:
-    """Mean embedding of an episode's lessons (zero vector when empty)."""
-    vectors = [embedder.embed(lesson) for lesson in episode.lessons]
+def lesson_vector(lessons: tuple[str, ...], embedder: EmbeddingProvider) -> EmbeddingVector:
+    """Mean embedding of a lesson tuple (zero vector when empty)."""
+    vectors = [embedder.embed(lesson) for lesson in lessons]
     return mean_vector(vectors, embedder.dim)
 
 
 @dataclass
 class _SingleLink:
-    """Single-link clustering of an episode sequence, extended as it grows.
+    """Single-link clustering of numbered lesson tuples, extended as numbers are added.
 
-    Equal lesson tuples embed to equal vectors and ``cosines`` is symmetric,
-    so episodes with equal tuples link to exactly the same episodes. The
-    union-find therefore runs over *slots*, one per distinct tuple: a new
-    tuple is embedded once and compared with every earlier slot and itself;
-    a repeated one costs a lookup. Single-link clusters only merge as points
-    are added (Sibson's SLINK), so earlier pairs are never revisited. Every
-    episode of a *linked* slot (one that clears the threshold with any slot,
-    itself included) joins its slot's root; every episode of an unlinked
-    slot (a zero or non-finite vector, or a threshold above its self-cosine)
-    is a cluster of its own. Clusters come out in first-member order, equal
-    to a from-scratch pass. Each call must pass the sequence it was last
-    given, extended: the episodes already seen are not read again.
+    Consolidation numbers a log's lesson classes, :func:`cluster_by_lessons`
+    its input's distinct tuples. Equal tuples embed to equal vectors and
+    ``cosines`` is symmetric, so the episodes of one number link to exactly
+    the same episodes, and a tuple seen under both outcomes is two classes
+    that link alike. A new number is embedded once and compared with every
+    earlier one and itself; single-link clusters only merge as points are
+    added (Sibson's SLINK), so earlier pairs are never revisited. Every
+    episode of a *linked* number (one that clears the threshold with any,
+    itself included) joins its root; every episode of an unlinked one (a
+    zero or non-finite vector, or a threshold above its self-cosine) is a
+    cluster of its own.
     """
 
     embedder: EmbeddingProvider
     threshold: float
-    slot_of: list[int] = field(default_factory=list)
-    slots: dict[tuple[str, ...], int] = field(default_factory=dict)
     vectors: list[EmbeddingVector] = field(default_factory=list)
     parent: list[int] = field(default_factory=list)
     linked: list[bool] = field(default_factory=list)
 
-    def _find(self, slot: int) -> int:
+    def _find(self, number: int) -> int:
         parent = self.parent
-        while parent[slot] != slot:
-            parent[slot] = parent[parent[slot]]
-            slot = parent[slot]
-        return slot
+        while parent[number] != number:
+            parent[number] = parent[parent[number]]
+            number = parent[number]
+        return number
 
-    def clusters(self, episodes: Sequence[Episode]) -> list[list[Episode]]:
-        """Extend over the episodes past the known prefix; return every cluster."""
-        for episode in episodes[len(self.slot_of):]:
-            slot = self.slots.get(episode.lessons)
-            if slot is None:
-                slot = self.slots[episode.lessons] = len(self.vectors)
-                self.vectors.append(lesson_vector(episode, self.embedder))
-                self.parent.append(slot)
-                self.linked.append(False)
-                for k, similarity in enumerate(cosines(self.vectors[slot], self.vectors)):
-                    if similarity >= self.threshold:
-                        self.linked[k] = self.linked[slot] = True
-                        self.parent[self._find(k)] = slot  # slot stays a root
-            self.slot_of.append(slot)
-        roots = [self._find(s) if linked else None for s, linked in enumerate(self.linked)]
-        # Keyed by slot root, or by ~index for an episode that is its own cluster.
-        groups: dict[int, list[Episode]] = {}
-        for i, (episode, slot) in enumerate(zip(episodes, self.slot_of)):
-            root = roots[slot]
-            groups.setdefault(~i if root is None else root, []).append(episode)
+    def groups(self, tuples: Iterable[tuple[str, ...]]) -> list[list[int]]:
+        """Extend over the tuples past the known ones; return the linked numbers by cluster.
+
+        ``tuples`` is every number's lesson tuple in number order: what the
+        last call was given, extended. Clusters come in order of their lowest
+        number, numbers ascending; an unlinked number is in none.
+        """
+        for lessons in itertools.islice(tuples, len(self.vectors), None):
+            number = len(self.vectors)
+            self.vectors.append(lesson_vector(lessons, self.embedder))
+            self.parent.append(number)
+            self.linked.append(False)
+            for k, similarity in enumerate(cosines(self.vectors[number], self.vectors)):
+                if similarity >= self.threshold:
+                    self.linked[k] = self.linked[number] = True
+                    self.parent[self._find(k)] = number  # number stays a root
+        groups: dict[int, list[int]] = {}
+        for number, linked in enumerate(self.linked):
+            if linked:
+                groups.setdefault(self._find(number), []).append(number)
         return list(groups.values())
 
 
@@ -265,20 +263,15 @@ def cluster_by_lessons(
     similarities at or above ``threshold`` connects them. Clusters are
     ordered by their first member's position; members keep input order.
     """
-    return _SingleLink(embedder, threshold).clusters(episodes)
-
-
-def _view_clusters(view: MemoryView, embedder: EmbeddingProvider) -> list[list[Episode]]:
-    """:func:`cluster_by_lessons` over the view's episodes at ``CLUSTER_THRESHOLD``.
-
-    The state lives on the store set that owns the episodes. That log only
-    grows, so the state is extended over the new episodes and rebuilt only
-    for another embedder.
-    """
-    store = view.episodic_store()
-    if store.cluster_state is None or store.cluster_state.embedder is not embedder:
-        store.cluster_state = _SingleLink(embedder, CLUSTER_THRESHOLD)
-    return store.cluster_state.clusters(store.episodic)
+    numbers: dict[tuple[str, ...], int] = {}
+    of = [numbers.setdefault(e.lessons, len(numbers)) for e in episodes]
+    groups = _SingleLink(embedder, threshold).groups(numbers)
+    cluster_of = {number: c for c, group in enumerate(groups) for number in group}
+    # Keyed by cluster, or by ~index for an episode of an unlinked tuple.
+    clusters: dict[int, list[Episode]] = {}
+    for i, (episode, number) in enumerate(zip(episodes, of)):
+        clusters.setdefault(cluster_of.get(number, ~i), []).append(episode)
+    return list(clusters.values())
 
 
 def _prune_dominated(view: MemoryView) -> set[str]:
@@ -356,22 +349,28 @@ def consolidate(
     into that survive pruning. ``cfg`` sets only the interval, which
     :func:`maybe_consolidate` reads.
     """
+    log = view.episodic_store()
+    if log.cluster_state is None or log.cluster_state.embedder is not embedder:
+        log.cluster_state = _SingleLink(embedder, CLUSTER_THRESHOLD)
+    classes = list(log.class_numbers)
     with view.batch():
         owner = view.procedure_owner()
         stamp = timestamp or _now_iso()
         live = view.procedures()
         changed: dict[str, Procedure] = {}
-        for cluster in _view_clusters(view, embedder):
-            successful = [e for e in cluster if e.outcome.success]
-            if len(successful) < MIN_SUCCESSES:
+        # An unlinked class's episodes are clusters of one, below MIN_SUCCESSES.
+        for cluster in log.cluster_state.groups(lessons for lessons, _ in classes):
+            # the members of its classes whose success flag is set
+            sources = frozenset().union(*(log.class_members[n] for n in cluster if classes[n][1]))
+            if len(sources) < MIN_SUCCESSES:
                 continue
-            sources = frozenset(e.episode_id for e in successful)
             matches = [p for p in live.values() if not p.source_episodes.isdisjoint(sources)]
             if len(matches) == 1:
                 procedure = matches[0]
                 if sources <= procedure.source_episodes:
                     continue
             else:
+                successful = [e for e in log.episodic if e.episode_id in sources]
                 try:
                     title, knowledge = generator.generalize(successful)
                     if not title or not knowledge:
@@ -379,7 +378,7 @@ def consolidate(
                 except Exception:
                     logger.warning(
                         "generalization failed for a cluster of %d episodes; skipping",
-                        len(cluster),
+                        sum(len(log.class_members[n]) for n in cluster),
                     )
                     continue
                 if matches:  # their clusters merged: the lowest id takes them all

@@ -90,7 +90,6 @@ from .types import (
     episode_to_dict,
     json_line,
     procedure_from_dict,
-    procedure_to_dict,
     read_jsonl,
 )
 
@@ -129,14 +128,14 @@ class StoreSet:
     ``task_types`` holds each episode's task type, in order, the one field
     of a task record the fold needs that an :class:`Episode` lacks;
     ``transactive_folded`` counts the episodes of this log already folded.
-    ``cluster_state`` is consolidation's single-link clustering of
-    ``episodic`` by distinct lesson tuple, extended as the log grows.
     ``class_numbers``, ``class_members`` and ``episode_class`` index
     ``episodic`` by lesson class, a ``(lessons, outcome.success)`` pair: each
     class's number in order of first appearance, each class's episode ids in
-    log order, and every episode id's class number. They are filled on load
-    and on each append, and serve the duplicate check and the snapshot
-    spelling of procedure sources.
+    log order, and every episode id's class number. Filled on load and on
+    each append, they are the one grouping of the log by lessons, serving the
+    duplicate check, the snapshot spelling of sources and ``cluster_state``,
+    consolidation's single-link clustering of the classes (extended over the
+    classes added since its last pass).
     ``episodic_index`` is retrieval's :class:`~teammem.retrieval.EpisodicIndex`
     over ``episodic``: the memory items in order, their vectors under a bucket
     index, their importances and its z-scores. It is bound to the embedder
@@ -446,8 +445,9 @@ class MemoryStore:
         logs = [self._sets[o] for o in self._covered(owner)]
 
         def spelled(procedure: Procedure) -> dict[str, Any]:
+            # The fields are procedure_to_dict's keys, without its sorted id list.
             sources = _encode_sources(procedure.source_episodes, logs)
-            return {**procedure_to_dict(procedure), "source_episodes": sources}
+            return {**vars(procedure), "source_episodes": sources}
 
         return {
             "schema_version": SCHEMA_VERSION,

@@ -18,7 +18,6 @@ from teammem.lifecycle import (
     ConsolidationConfig,
     StubGenerator,
     _SingleLink,
-    _view_clusters,
     cluster_by_lessons,
     consolidate,
     maybe_consolidate,
@@ -385,10 +384,36 @@ EMBEDDERS = (
 )
 LESSONS = st.lists(st.sampled_from(LESSON_POOL), max_size=3)
 OPS = st.one_of(
-    st.tuples(st.just("append"), st.lists(LESSONS, min_size=1, max_size=4)),
+    st.tuples(
+        st.just("append"), st.lists(st.tuples(LESSONS, st.booleans()), min_size=1, max_size=4)
+    ),
     st.tuples(st.just("cluster"), st.integers(0, len(EMBEDDERS) - 1)),
     st.tuples(st.just("reopen")),
 )
+
+
+def from_groups(episodes, groups):
+    """The episode clusters that ``groups`` of the episodes' lesson classes stand for.
+
+    Classes are numbered by first appearance, as a store numbers its log's.
+    An episode of a class in no group is a cluster of its own; clusters come
+    in first-member order with members in input order, as the oracle gives.
+    """
+    numbers = {}
+    for e in episodes:
+        numbers.setdefault((e.lessons, e.outcome.success), len(numbers))
+    cluster_of = {n: c for c, group in enumerate(groups) for n in group}
+    clusters = {}
+    for i, e in enumerate(episodes):
+        number = numbers[(e.lessons, e.outcome.success)]
+        clusters.setdefault(cluster_of.get(number, ~i), []).append(e)
+    return list(clusters.values())
+
+
+def kept_groups(view):
+    """The linked class numbers of ``view``'s log by cluster, as its last pass kept them."""
+    live = view.episodic_store()
+    return live.cluster_state.groups([lessons for lessons, _ in live.class_numbers])
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,17 +426,25 @@ def test_incremental_clusters_equal_from_scratch(ops):
         next_index = 1
         for op in [*ops, ("cluster", 0)]:
             if op[0] == "append":
-                for lessons in op[1]:
-                    record(view, episode("agent-1", next_index, lessons))
+                for lessons, success in op[1]:
+                    record(view, episode("agent-1", next_index, lessons, success))
                     next_index += 1
             elif op[0] == "reopen":
                 view = open_store(root)["agent-1"]
             else:
                 embedder = EMBEDDERS[op[1]]
-                got = _view_clusters(view, embedder)
+                consolidate(view, CFG, StubGenerator(), embedder)
+                live = view.episodic_store()
+                state, tuples = live.cluster_state, [lessons for lessons, _ in live.class_numbers]
+                # the pass left its clustering extended over every class
+                assert state.embedder is embedder and len(state.vectors) == len(tuples)
+                got = state.groups(tuples)
+                assert got == _SingleLink(embedder, CLUSTER_THRESHOLD).groups(tuples)
+                assert got == sorted(map(sorted, got))
                 episodes = view.episodes()
-                assert got == cluster_by_lessons(episodes, embedder, CLUSTER_THRESHOLD)
-                assert got == oracle_clusters(episodes, embedder, CLUSTER_THRESHOLD)
+                expected = oracle_clusters(episodes, embedder, CLUSTER_THRESHOLD)
+                assert from_groups(episodes, got) == expected
+                assert cluster_by_lessons(episodes, embedder, CLUSTER_THRESHOLD) == expected
             episodes = view.episodes()
             classes = {}
             for e in episodes:
@@ -425,7 +458,7 @@ def test_incremental_clusters_equal_from_scratch(ops):
 
 
 # A few lesson tuples, so that repeats dominate; the empty tuple embeds to the
-# zero vector.
+# zero vector. Drawn with either outcome, a tuple makes twin classes.
 TUPLE_POOL = [
     (),
     ("alpha beta gamma",),
@@ -433,6 +466,7 @@ TUPLE_POOL = [
     ("keep alpha keep omega delta",),
     ("start zulu route echo canyon",),
     ("start zulu route echo harbor", "alpha beta gamma"),
+    (EXTRACTION_FAILED_LESSON,),
 ]
 # Below, at and above every self-cosine, so that repeats of one tuple link to
 # each other under some thresholds and not under others.
@@ -441,23 +475,29 @@ THRESHOLDS = (-1.0, 0.0, CLUSTER_THRESHOLD, 1.0, 1.5)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.sampled_from(TUPLE_POOL), max_size=24),
+    st.lists(st.tuples(st.sampled_from(TUPLE_POOL), st.booleans()), max_size=24),
     st.integers(0, len(EMBEDDERS) - 1),
     st.integers(0, 24),
 )
-def test_clusters_of_repeated_tuples_equal_the_oracle(tuples, which, cut):
-    """Clustering one vector per distinct tuple stays exact at any threshold."""
-    episodes = [episode("a", i, lessons) for i, lessons in enumerate(tuples)]
+def test_clusters_of_repeated_tuples_equal_the_oracle(tasks, which, cut):
+    """Clustering one vector per lesson class stays exact at any threshold, twins included."""
+    episodes = [episode("a", i, lessons, success) for i, (lessons, success) in enumerate(tasks)]
+    classes = list(dict.fromkeys((e.lessons, e.outcome.success) for e in episodes))
+    tuples = [lessons for lessons, _ in classes]
+    known = len({(e.lessons, e.outcome.success) for e in episodes[:cut]})
     embedder = EMBEDDERS[which]
     for threshold in THRESHOLDS:
         expected = oracle_clusters(episodes, embedder, threshold)
         assert cluster_by_lessons(episodes, embedder, threshold) == expected
         state = _SingleLink(embedder, threshold)
-        state.clusters(episodes[:cut])
-        assert state.clusters(episodes) == expected
+        state.groups(tuples[:known])
+        got = state.groups(tuples)
+        assert got == _SingleLink(embedder, threshold).groups(tuples)
+        assert got == sorted(map(sorted, got))
+        assert from_groups(episodes, got) == expected
 
 
-def test_a_repeated_tuple_costs_no_cosine(monkeypatch):
+def test_a_repeated_tuple_costs_no_cosine(tmp_path, monkeypatch):
     import teammem.lifecycle as lifecycle
 
     calls, real = [], lifecycle.cosines
@@ -467,12 +507,43 @@ def test_a_repeated_tuple_costs_no_cosine(monkeypatch):
         return real(u, vectors)
 
     monkeypatch.setattr(lifecycle, "cosines", counting_cosines)
+    view = one_agent_view(tmp_path)
     tuples = [(), ("alpha beta",), (), ("alpha beta",), (), ()]
-    episodes = [episode("a", i, lessons) for i, lessons in enumerate(tuples)]
-    clusters = _SingleLink(EMBEDDER, CLUSTER_THRESHOLD).clusters(episodes)
-    # one call per distinct tuple; the zero vector links to nothing, itself included
+    for i, lessons in enumerate(tuples):
+        record(view, episode("agent-1", i, lessons))
+    consolidate(view, CFG, StubGenerator(), EMBEDDER)
+    # one call per class; the zero vector links to nothing, itself included
     assert len(calls) == 2
+    assert kept_groups(view) == [[1]]
+    # repeated classes cost nothing; a twin class costs one more
+    for i, lessons in enumerate(tuples, start=len(tuples)):
+        record(view, episode("agent-1", i, lessons))
+    consolidate(view, CFG, StubGenerator(), EMBEDDER)
+    assert len(calls) == 2
+    record(view, episode("agent-1", 12, ("alpha beta",), success=False))
+    consolidate(view, CFG, StubGenerator(), EMBEDDER)
+    assert len(calls) == 3
+    assert kept_groups(view) == [[1, 2]]
+    clusters = cluster_by_lessons(view.episodes()[:6], EMBEDDER, CLUSTER_THRESHOLD)
     assert [[e.task_index for e in c] for c in clusters] == [[0], [1, 3], [2], [4], [5]]
+
+
+def test_placeholder_twins_are_two_classes_that_link_alike(tmp_path):
+    view = one_agent_view(tmp_path)
+    for i, success in enumerate([True, False, True, False], start=1):
+        record(view, episode("agent-1", i, [EXTRACTION_FAILED_LESSON], success))
+    live, episodes = view.episodic_store(), list(view.episodes())
+    placeholder = (EXTRACTION_FAILED_LESSON,)
+    assert list(live.class_numbers) == [(placeholder, True), (placeholder, False)]
+    # "extraction" and "failed" cancel in one bucket at dim 256: a zero vector
+    assert consolidate(view, CFG, StubGenerator(), EMBEDDER) == []
+    assert kept_groups(view) == []
+    assert cluster_by_lessons(episodes, EMBEDDER, CLUSTER_THRESHOLD) == [[e] for e in episodes]
+    wide = HashEmbedder(dim=512)
+    (p,) = consolidate(view, CFG, StubGenerator(), wide)
+    assert p.source_episodes == {"agent-1:1", "agent-1:3"}
+    assert kept_groups(view) == [[0, 1]]
+    assert cluster_by_lessons(episodes, wide, CLUSTER_THRESHOLD) == [episodes]
 
 
 def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
@@ -512,9 +583,9 @@ def test_second_consolidation_embeds_only_the_new_lessons(tmp_path):
 def test_cluster_state_is_derived_only(tmp_path):
     view = one_agent_view(tmp_path)
     record(view, episode("agent-1", 1, ["alpha beta gamma"]))
-    record(view, episode("agent-1", 2, ["alpha beta gamma"]))
+    record(view, episode("agent-1", 2, ["alpha beta gamma"], success=False))
     files = {p: p.read_bytes() for p in (tmp_path / "store").rglob("*") if p.is_file()}
-    _view_clusters(view, EMBEDDER)
+    assert consolidate(view, CFG, StubGenerator(), EMBEDDER) == []
     live = view.episodic_store()
     assert live.cluster_state is not None
     assert view.snapshot().cluster_state is None
@@ -622,6 +693,32 @@ def test_generalization_failure_skips_cluster_with_warning(tmp_path, caplog):
     assert created == []
     assert view.procedures() == {}
     assert any("generalization failed" in r.message for r in caplog.records)
+
+
+class RecordingGenerator(StubGenerator):
+    def __init__(self):
+        self.inputs = []
+
+    def generalize(self, episodes):
+        self.inputs.append([e.episode_id for e in episodes])
+        return super().generalize(episodes)
+
+
+def test_generalize_takes_a_cluster_successes_in_log_order(tmp_path, caplog):
+    # two linked tuples (cosine 0.857) whose success classes interleave in the
+    # log, and a failure of each
+    near, far = "keep alpha keep beta gamma", "keep alpha keep beta delta"
+    tasks = [(near, True), (far, True), (near, False), (near, True), (far, True), (far, False)]
+    view = one_agent_view(tmp_path)
+    for i, (lesson, success) in enumerate(tasks, start=1):
+        record(view, episode("agent-1", i, [lesson], success))
+    with caplog.at_level(logging.WARNING):
+        assert consolidate(view, CFG, ExplodingGenerator(), EMBEDDER) == []
+    warnings = [r.getMessage() for r in caplog.records if "generalization" in r.getMessage()]
+    assert warnings == ["generalization failed for a cluster of 6 episodes; skipping"]
+    gen = RecordingGenerator()
+    consolidate(view, CFG, gen, EMBEDDER)
+    assert gen.inputs == [["agent-1:1", "agent-1:2", "agent-1:4", "agent-1:5"]]
 
 
 def test_empty_generalization_output_also_skips(tmp_path):

@@ -15,12 +15,12 @@ Hash recipe (the contract tests recompute this independently):
    (``h >> 63``) is 0, else ``-1``.
 4. L2-normalize the bucket counts. No tokens at all yields the zero vector.
 
-Vectors are built from the buckets their inputs touch: ``hash_embed`` and
-``mean_vector`` never walk the empty ones, and they hand each new vector its
-norm and nonzero indices, so building one costs time in proportion to the
-tokens (or nonzero entries) read, not to ``dim``. The recipe above does not
-change, and neither does a single bit of its output: every skipped term is an
-exact zero, and adding an exact zero changes no float sum that starts at +0.
+``hash_embed`` and ``mean_vector`` fill only the buckets their inputs touch,
+and every vector derives its norm and nonzero indices once, when it is made,
+from its entries alone: one C-level scan picks the nonzero entries, and the
+norm sums their squares in index order. Neither changes a single bit of the
+recipe's output: every skipped term is an exact zero, and adding an exact
+zero changes no float sum that starts at +0.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Protocol
 
 DEFAULT_DIM = 256
@@ -53,25 +52,23 @@ def tokenize(text: str) -> list[str]:
 class EmbeddingVector:
     """Fixed-dimension embedding; unit L2 norm or the all-zero vector.
 
-    The norm and the nonzero entries are derived once: set by the builders
-    below, else computed on first use. They are not dataclass fields, so
-    equality, hashing and ``values`` ignore them.
+    The norm and the indices of the nonzero entries (ascending; NaN is
+    nonzero, +-0.0 is not) are derived once, when the vector is made. They
+    are not dataclass fields, so equality, hashing and ``values`` ignore them.
     """
 
     values: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        values = self.values
+        kept = list(itertools.compress(values, values))
+        derived = self.__dict__
+        derived["_nonzero"] = tuple(itertools.compress(range(len(values)), values))
+        derived["_norm"] = math.sqrt(sum(map(operator.mul, kept, kept)))
+
     @property
     def dim(self) -> int:
         return len(self.values)
-
-    @cached_property
-    def _norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
-
-    @cached_property
-    def _nonzero(self) -> tuple[int, ...]:
-        """Indices of the nonzero entries, ascending."""
-        return tuple(i for i, v in enumerate(self.values) if v != 0.0)
 
     def norm(self) -> float:
         return self._norm
@@ -87,36 +84,27 @@ def _token_signature(token: str, dim: int) -> tuple[int, float]:
     return h % dim, sign
 
 
-def _built(values: list[float], touched: list[int]) -> EmbeddingVector:
-    """The vector of ``values``, its derived state set from ``touched``.
-
-    ``touched`` lists ascending every index whose entry may be nonzero; every
-    other entry is ``_ZERO``. The norm sums the kept squares in index order,
-    so it is bit-equal to the dense ``_norm``: each skipped square is +0.0.
-    """
-    nonzero = tuple(i for i in touched if values[i] != 0.0)
-    vector = EmbeddingVector(values=tuple(values))
-    derived = vector.__dict__
-    derived["_nonzero"] = nonzero
-    derived["_norm"] = math.sqrt(sum(values[i] * values[i] for i in nonzero))
-    return vector
+def _check_dim(dim: int) -> None:
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
 
 
 def hash_embed(text: str, dim: int = DEFAULT_DIM) -> EmbeddingVector:
     """Embed ``text`` with the signed feature-hashing recipe above."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_dim(dim)
     counts: dict[int, float] = {}
     for token in tokenize(text):
         index, sign = _token_signature(token, dim)
         counts[index] = counts.get(index, 0.0) + sign
     # Counts are small integers, so their squares sum exactly in any order.
-    touched = sorted(i for i, count in counts.items() if count)
-    norm = math.sqrt(sum(counts[i] * counts[i] for i in touched))
+    norm = math.sqrt(sum(count * count for count in counts.values()))
     values = [_ZERO] * dim
-    for i in touched:
-        values[i] = counts[i] / norm
-    return _built(values, touched)
+    for i, count in counts.items():
+        if count:
+            values[i] = count / norm
+    return EmbeddingVector(values=tuple(values))
 
 
 def cosines(u: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[float]:
@@ -257,13 +245,11 @@ def mean_vector(vectors: list[EmbeddingVector], dim: int) -> EmbeddingVector:
         for i in vec._nonzero:
             sums[i] = sums.get(i, 0.0) + entries[i]
     n = len(vectors)
-    touched = sorted(sums)
     values = [_ZERO] * dim
-    for i in touched:
-        total = sums[i]
+    for i, total in sums.items():
         if total:
             values[i] = total / n
-    return _built(values, touched)
+    return EmbeddingVector(values=tuple(values))
 
 
 class EmbeddingProvider(Protocol):
@@ -288,28 +274,23 @@ def _memo_embed(text: str, dim: int) -> EmbeddingVector:
 class HashEmbedder:
     """Default provider: deterministic signed feature hashing.
 
-    Vectors are memoized by text on the instance, and a new instance is
-    seeded from one bounded memo that every instance in the process shares,
-    so it does not hash again what an earlier embedder already did. A vector
-    depends only on the text and ``dim``, so a hit returns exactly what a
-    miss would build.
+    An embedder holds only its ``dim``. Vectors come from the one bounded
+    memo that every embedder in the process shares, so a new embedder (a new
+    run, a new query session over a reopened store) does not hash again what
+    an earlier one did. A vector depends only on the text and ``dim``, so a
+    hit returns exactly what a miss would build.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        _check_dim(dim)
         self._dim = dim
-        self._memo: dict[str, EmbeddingVector] = {}
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def embed(self, text: str) -> EmbeddingVector:
-        vector = self._memo.get(text)
-        if vector is None:
-            vector = self._memo[text] = _memo_embed(text, self._dim)
-        return vector
+        return _memo_embed(text, self._dim)
 
 
 _PROVIDER_FACTORIES: dict[str, Callable[[int], EmbeddingProvider]] = {

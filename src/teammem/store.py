@@ -518,22 +518,22 @@ class MemoryStore:
         self._lag.pop(owner, None)
 
     def flush(self) -> None:
-        """Write every pending change once; a checkpoint also catches up the snapshots.
+        """Write every pending change once.
 
-        Logs are appended first (the commit point). Then, if any procedure
-        snapshot is dirty, the flush is a checkpoint: it writes every dirty
-        or lagging snapshot, each with one rename. A no-op when nothing
-        changed, and deferred to the end of the outermost :meth:`batch` when
-        called inside one.
+        Logs are appended first (the commit point), then each dirty procedure
+        snapshot, with one rename. A snapshot that only lags the log is not
+        written, as opening replays what it lacks; its owner's next pass (in
+        a sim, every ``consolidation.n`` of its tasks) rewrites it. A no-op
+        when nothing changed, and deferred to the end of the outermost
+        :meth:`batch` when called inside one.
         """
         if self._batch_depth:
             return
         for owner in sorted(self._pending):
             self._append_log(owner)
-        if self._dirty:
-            for owner in sorted(self._dirty | self._lag.keys()):
-                self._write_snapshot(owner)
-            self._dirty.clear()
+        for owner in sorted(self._dirty):
+            self._write_snapshot(owner)
+        self._dirty.clear()
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -798,8 +798,9 @@ class MemoryView:
     def checkpoint_lag(self) -> dict[str, dict[str, int]]:
         """Task records logged past each procedure snapshot's checkpoint, store-wide.
 
-        Keyed by owner, then by snapshot kind (``procedural``); the next
-        checkpoint writes every non-zero one.
+        Keyed by owner, then by snapshot kind (``procedural``). A lag lasts
+        until its owner's snapshot is next written, and opening the store
+        replays it.
         """
         return self._store.checkpoint_lag()
 

@@ -8,6 +8,7 @@ independent reimplementation rather than against itself.
 import functools
 import hashlib
 import math
+import re
 import string
 import struct
 
@@ -133,6 +134,15 @@ def test_hash_embed_rejects_bad_dim():
         hash_embed("x", dim=0)
     with pytest.raises(ValueError):
         HashEmbedder(dim=-1)
+    # a bool is not a dim, and a float or a string fails at once, naming the dim
+    for dim in (True, False, 16.0, "16", None):
+        named = re.escape(f"dim must be an integer, got {dim!r}")
+        with pytest.raises(ValueError, match=named):
+            hash_embed("x", dim=dim)
+        with pytest.raises(ValueError, match=named):
+            HashEmbedder(dim)
+        with pytest.raises(ValueError, match=named):
+            provider_from_config({"dim": dim})
 
 
 def test_provider_from_config():
@@ -409,14 +419,27 @@ def test_derived_state_stays_out_of_equality_and_hash():
         hash_embed(" ".join(cancelling_pair(DEFAULT_DIM))),
         mean_vector([], 8),
         mean_vector([EmbeddingVector(values=(1.0, -0.0)), EmbeddingVector(values=(-1.0, 0.0))], 2),
+        # NaN, +-inf, -0.0 and subnormal entries
+        mean_vector(
+            [
+                EmbeddingVector(values=(math.nan, -0.0, math.inf, 5e-324, 1.0)),
+                EmbeddingVector(values=(0.0, -0.0, 1.0, 5e-324, -math.inf)),
+            ],
+            5,
+        ),
+        mean_vector([EmbeddingVector(values=(math.inf, -math.inf, 1e-310, -0.0))], 4),
+        mean_vector([EmbeddingVector(values=(5e-324, -0.0))], 2),  # its norm underflows to 0.0
     ]
     for vector in built:
         rebuilt = EmbeddingVector(values=vector.values)
-        assert "_norm" in vector.__dict__ and "_norm" not in rebuilt.__dict__
+        # rebuilt from its entries, a vector carries the builder's derived state, bit for bit
+        assert bits(rebuilt._norm) == bits(vector._norm)
+        assert bits(vector._norm) == bits(math.sqrt(sum(x * x for x in vector.values)))
+        assert rebuilt._nonzero == vector._nonzero
+        assert vector._nonzero == tuple(i for i, x in enumerate(vector.values) if x != 0.0)
         assert rebuilt == vector and hash(rebuilt) == hash(vector)
         assert repr(rebuilt) == repr(vector)
-        assert rebuilt.norm() == vector.norm() and rebuilt._nonzero == vector._nonzero
-    assert [v.is_zero() for v in built] == [False, False, True, True, True, True]
+    assert [v.is_zero() for v in built] == [False, False, True, True, True, True, False, False, False]
 
 
 def test_hash_embedder_memoizes_by_text():
@@ -424,18 +447,23 @@ def test_hash_embedder_memoizes_by_text():
     first = embedder.embed("payment gateway retry")
     assert embedder.embed("payment gateway retry") is first
     assert first == hash_embed("payment gateway retry", 32)
-    # a new embedder of the same dim is seeded from the shared memo
+    # a new embedder of the same dim gets its vector from the shared memo
     assert HashEmbedder(dim=32).embed("payment gateway retry") is first
     assert HashEmbedder(dim=16).embed("payment gateway retry").dim == 16
 
 
-def test_shared_memo_is_bounded_and_the_instance_memo_is_not():
+def test_an_embedder_keeps_no_vectors_and_the_shared_memo_is_bounded():
     embedder = HashEmbedder(dim=8)
     first = embedder.embed("memo bound probe 0")
-    for i in range(1, _MEMO_SIZE + 1):
+    for i in range(1, 2 * _MEMO_SIZE):
         embedder.embed(f"memo bound probe {i}")
+    assert vars(embedder) == {"_dim": 8}
     assert _memo_embed.cache_info().currsize == _MEMO_SIZE
-    # the shared memo dropped its least recently used vector; the instance kept it
-    assert embedder.embed("memo bound probe 0") is first
-    rebuilt = HashEmbedder(dim=8).embed("memo bound probe 0")
-    assert rebuilt is not first and rebuilt == first
+    # two embedders of one dim get the same vector object for a recent text
+    recent = f"memo bound probe {2 * _MEMO_SIZE - 1}"
+    assert HashEmbedder(dim=8).embed(recent) is embedder.embed(recent)
+    assert embedder.embed(recent) == hash_embed(recent, 8)
+    # the memo dropped its least recently used vectors: one comes back equal, not identical
+    rebuilt = embedder.embed("memo bound probe 0")
+    assert rebuilt == first and rebuilt is not first
+    assert HashEmbedder(dim=16).embed("memo bound probe 0").dim == 16

@@ -9,7 +9,7 @@ import teammem.harness as harness_module
 import teammem.store as store_module
 from teammem.embedding import HashEmbedder
 from teammem.harness import SimConfig, SimRunner
-from teammem.lifecycle import ConsolidationConfig, StubGenerator, consolidate
+from teammem.lifecycle import ConsolidationConfig, StubGenerator, consolidate, maybe_consolidate
 from teammem.store import SHARED_OWNER, StoreError, open_store
 from teammem.types import Episode, Outcome, Procedure, procedure_to_dict
 
@@ -285,7 +285,7 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
         # outcomes counted) or as after it: nothing in between, nothing twice
         got = evidence(reopened[executor].procedures())
         assert got in (evidence(before_pass), after_pass), k
-    # the flush writes every dirty or lagging snapshot: one file outside local
+    # the flush writes every dirty snapshot: one file
     assert k >= 1
 
 
@@ -328,6 +328,44 @@ def test_a_direct_consolidation_checkpoints_every_lagging_snapshot(tmp_path):
     assert consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
     lag = open_store(tmp_path / "store")["agent-1"].checkpoint_lag()
     assert lag == {SHARED_OWNER: {"procedural": 0}}
+
+
+def test_a_local_pass_writes_only_its_own_snapshot_and_others_keep_their_lag(
+    tmp_path, monkeypatch
+):
+    agents = ["agent-1", "agent-2", "agent-3"]
+    root = tmp_path / "store"
+    views = open_store(root, "local", agents)
+    for agent in agents:
+        views[agent].upsert_procedure(procedure("proc-00001", owner=agent))
+    # agent-2 and agent-3 use their procedure, so their snapshots lag their logs
+    for i, agent in enumerate(["agent-2", "agent-3", "agent-2"]):
+        views[agent].record_task(episode(agent, i, ["proc-00001"]), "incident", ["proc-00001"])
+    for i in range(5):
+        record(views["agent-1"], episode("agent-1", i))
+    lag = {"agent-1": {"procedural": 0}, "agent-2": {"procedural": 2}, "agent-3": {"procedural": 1}}
+    assert views["agent-1"].checkpoint_lag() == lag
+    lagging = {agent: (root / agent / "procedural.json").read_bytes() for agent in agents[1:]}
+
+    dumped = []
+    real_dump = store_module._dump_json
+    monkeypatch.setattr(
+        store_module, "_dump_json", lambda path, doc: (dumped.append(path), real_dump(path, doc))
+    )
+    watermark = views["agent-1"].consolidation_watermark()
+    with views["agent-1"].batch():  # as a sim task runs its pass
+        maybe_consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
+    assert views["agent-1"].consolidation_watermark() == watermark + 5
+    # the pass rewrote its own snapshot once and caught no other owner up
+    assert dumped == [root / "agent-1" / "procedural.json"]
+    assert views["agent-1"].checkpoint_lag() == lag
+    assert {agent: (root / agent / "procedural.json").read_bytes() for agent in agents[1:]} == (
+        lagging
+    )
+    reopened = open_store(root)
+    assert reopened["agent-1"].checkpoint_lag() == lag
+    for agent in agents:
+        assert reopened[agent].snapshot() == views[agent].snapshot()
 
 
 # -- other schema versions ---------------------------------------------------------

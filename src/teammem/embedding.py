@@ -316,12 +316,15 @@ def provider_from_config(config: dict | None) -> EmbeddingProvider:
     """Build a provider from an ``embedding`` config section.
 
     Recognized keys: ``provider`` (default ``"hash"``) and ``dim``
-    (default 256). Unknown provider names raise ``ValueError`` naming
-    the offending key.
+    (default 256). An unknown provider name or a bad dim raises
+    ``ValueError`` naming the offending key.
     """
     config = config or {}
     try:
         factory = provider_factory(config.get("provider", "hash"))
     except ValueError as exc:
         raise ValueError(f"embedding.provider: {exc}") from None
-    return factory(config.get("dim", DEFAULT_DIM))
+    try:
+        return factory(config.get("dim", DEFAULT_DIM))
+    except ValueError as exc:
+        raise ValueError(f"embedding.dim: {exc}") from None

@@ -20,6 +20,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from . import disk
 from .embedding import EmbeddingProvider, provider_factory
 from .lifecycle import (
     ConsolidationConfig,
@@ -355,11 +356,15 @@ class SimRunner:
     def __init__(self, cfg: SimConfig, out_dir: Path | str) -> None:
         self.cfg = cfg
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         config_path = self.out_dir / "config.json"
         current = config_to_dict(cfg)
         if config_path.exists():
-            stored = json.loads(config_path.read_text(encoding="utf-8"))
+            try:
+                stored = json.loads(config_path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{config_path}: corrupt JSON: {exc}") from exc
+            if not isinstance(stored, dict):
+                raise ConfigError(f"{config_path}: must be a JSON object")
             differing = sorted(
                 key for key in set(stored) | set(current) if stored.get(key) != current.get(key)
             )
@@ -385,9 +390,7 @@ class SimRunner:
         self.consolidations: list[tuple[int, int]] = []
         # frozen only once the run can start: a corrected rerun need not match a failed one
         if not config_path.exists():
-            config_path.write_text(
-                json.dumps(current, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            disk.replace(config_path, json.dumps(current, indent=2, sort_keys=True) + "\n")
 
     @property
     def done(self) -> bool:
@@ -540,7 +543,6 @@ def sweep(
     if not sizes or sizes[0] < 1:
         raise ConfigError(f"team_sizes: must be positive integers, got {team_sizes!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     from .metrics import cma, cost_summary, series_from_log  # local to avoid cycle noise
 
@@ -585,7 +587,5 @@ def sweep(
         "consolidation_n": consolidation_n,
         "cells": cells,
     }
-    (out / "sweep_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    disk.replace(out / "sweep_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from . import disk
 from .types import json_line, read_jsonl
 
 TOKEN_PROXY_NOTE = "whitespace token proxy, not a tokenizer count"
@@ -174,13 +175,11 @@ def entry_from_dict(d: dict[str, Any]) -> RunLogEntry:
 
 
 def write_runlog(path: Path | str, log: RunLog) -> None:
-    text = "".join(json_line(entry_to_dict(e)) for e in log.entries)
-    Path(path).write_text(text, encoding="utf-8")
+    disk.replace(Path(path), "".join(json_line(entry_to_dict(e)) for e in log.entries))
 
 
 def append_runlog_entry(path: Path | str, entry: RunLogEntry) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json_line(entry_to_dict(entry)))
+    disk.append(Path(path), json_line(entry_to_dict(entry)))
 
 
 def read_runlog(path: Path | str) -> RunLog:
@@ -203,7 +202,6 @@ def emit_report(
     if baseline is not None and baseline not in runs:
         raise ValueError(f"baseline {baseline!r} is not among the runs {sorted(runs)}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     summary: dict[str, Any] = {}
     cma_curves: dict[str, tuple[float, ...]] = {}
@@ -223,15 +221,8 @@ def emit_report(
         summary[name] = info
 
     report_path = out / "report.json"
-    report_path.write_text(
-        json.dumps(
-            {"token_note": TOKEN_PROXY_NOTE, "baseline": baseline, "runs": summary},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    report = {"token_note": TOKEN_PROXY_NOTE, "baseline": baseline, "runs": summary}
+    disk.replace(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -255,5 +246,5 @@ def emit_report(
                 row.insert(5, repr(cma_curves[name][i]))
             writer.writerow(row)
     csv_path = out / "series.csv"
-    csv_path.write_text(buffer.getvalue(), encoding="utf-8")
+    disk.replace(csv_path, buffer.getvalue())
     return {"report": report_path, "series": csv_path}

@@ -33,7 +33,7 @@ watermark land in one rename. Opening a store replays into it the task
 records logged after it, all logs merged in ``seq`` order; it never takes a
 record twice, and opening writes nothing. A flush appends the logs first
 (the commit point); if that leaves any procedure snapshot dirty, it is a
-checkpoint and rewrites every dirty or lagging snapshot.
+checkpoint and rewrites every dirty snapshot.
 
 Transactive state (agent profiles, collaboration histories, team patterns)
 is not stored at all. It is a fold of the task records, built on the first
@@ -41,8 +41,9 @@ read and extended on later reads over the records appended since; a
 ``transactive.json`` left by an older build is ignored.
 
 Every other mutation (procedure upserts and removals, watermark moves)
-marks its procedure snapshot dirty, and the snapshot is rewritten whole and
-atomically, via a temp file plus rename, as compact sorted-key JSON.
+marks its procedure snapshot dirty, and the snapshot is rewritten whole as
+compact sorted-key JSON. Every write goes through :mod:`teammem.disk`: log
+lines by ``append``, snapshots and meta by ``replace`` (temp file plus rename).
 
 A snapshot spells each procedure's ``source_episodes`` as runs over lesson
 classes. An episode's *class* is its log, its ``lessons`` tuple and its
@@ -80,6 +81,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import disk
 from .types import (
     AgentProfile,
     Episode,
@@ -181,9 +183,7 @@ class _TaskRecord(NamedTuple):
 
 
 def _dump_json(path: Path, document: dict[str, Any]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json_line(document), encoding="utf-8")
-    os.replace(tmp, path)
+    disk.replace(path, json_line(document))
 
 
 def _all_of(kind: type, values: Iterable[Any]) -> bool:
@@ -348,7 +348,6 @@ class MemoryStore:
                     f"{meta.get('agents')!r}, reopened with {sorted(self.agents)!r}"
                 )
         else:
-            self.root.mkdir(parents=True, exist_ok=True)
             self._write_meta()
 
         expected = set(self._owners())
@@ -507,13 +506,10 @@ class MemoryStore:
 
     def _append_log(self, owner: str) -> None:
         """Append the owner's pending episode-log lines."""
-        (self.root / owner).mkdir(parents=True, exist_ok=True)
-        with open(self._log_path(owner), "a", encoding="utf-8") as handle:
-            handle.write("".join(self._pending[owner]))
+        disk.append(self._log_path(owner), "".join(self._pending[owner]))
         del self._pending[owner]
 
     def _write_snapshot(self, owner: str) -> None:
-        (self.root / owner).mkdir(parents=True, exist_ok=True)
         _dump_json(self._snapshot_path(owner), self._document(owner))
         self._lag.pop(owner, None)
 

@@ -1,11 +1,13 @@
 """CLI behaviour through main(); output frozen against golden run logs."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from teammem.cli import main
+from teammem.harness import ConfigError, SimRunner, load_sim_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -172,6 +174,26 @@ def test_bad_config_reports_the_key(tmp_path, capsys):
     rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "topolgy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda written: written[:13], lambda written: b"[1]\n"],
+    ids=["truncated", "not-an-object"],
+)
+def test_a_damaged_run_config_fails_resume_naming_the_file(tmp_path, capsys, damage):
+    config = write_config(tmp_path, n_tasks=2)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    frozen = out_dir / "config.json"
+    frozen.write_bytes(damage(frozen.read_bytes()))
+    damaged = frozen.read_bytes()
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(frozen))}: "):
+        SimRunner(load_sim_config(config), out_dir)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {frozen}: ")
+    assert frozen.read_bytes() == damaged
 
 
 def test_bad_provider_leaves_nothing_to_resume_under(tmp_path, capsys):

@@ -134,6 +134,10 @@ def test_hash_embed_rejects_bad_dim():
         hash_embed("x", dim=0)
     with pytest.raises(ValueError):
         HashEmbedder(dim=-1)
+    # a config names its key, as it does for a bad provider
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=f"^embedding\\.dim: dim must be >= 1, got {dim}$"):
+            provider_from_config({"dim": dim})
     # a bool is not a dim, and a float or a string fails at once, naming the dim
     for dim in (True, False, 16.0, "16", None):
         named = re.escape(f"dim must be an integer, got {dim!r}")
@@ -141,7 +145,7 @@ def test_hash_embed_rejects_bad_dim():
             hash_embed("x", dim=dim)
         with pytest.raises(ValueError, match=named):
             HashEmbedder(dim)
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=f"^embedding\\.dim: {named}$"):
             provider_from_config({"dim": dim})
 
 

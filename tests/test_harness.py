@@ -28,7 +28,6 @@ from teammem.harness import (
     sim_timestamp,
     sweep,
 )
-import teammem.store as store_module
 from teammem.metrics import cma
 from teammem.store import Topology
 
@@ -544,15 +543,7 @@ def test_baseline_prompt_grows_with_team_size(tmp_path):
 
 
 @pytest.mark.parametrize("topology", ["shared", "hybrid"])
-def test_each_step_flushes_every_store_file_once(tmp_path, monkeypatch, topology):
-    real_dump = store_module._dump_json
-    dumped = []
-
-    def counting_dump(path, document):
-        dumped.append(path)
-        real_dump(path, document)
-
-    monkeypatch.setattr(store_module, "_dump_json", counting_dump)
+def test_each_step_flushes_every_store_file_once(tmp_path, writes, topology):
     cfg = SimConfig(topology=topology, n_tasks=100, seed=3)
     store = tmp_path / "run" / "store"
     runner = SimRunner(cfg, tmp_path / "run")
@@ -561,18 +552,47 @@ def test_each_step_flushes_every_store_file_once(tmp_path, monkeypatch, topology
         executor = cfg.agent_ids[(task - 1) % cfg.team_size]
         own_log = store / ("shared" if topology == "shared" else executor) / "episodic.jsonl"
         logs = {p: p.read_bytes() for p in store.rglob("*.jsonl")}
-        dumped.clear()
+        writes.clear()
         runner.step()
-        assert max(Counter(dumped).values(), default=1) == 1, f"task {task}: {Counter(dumped)}"
+        replaced = [path for op, path, _ in writes if op == "replace"]
+        assert max(Counter(replaced).values(), default=1) == 1, f"task {task}: {Counter(replaced)}"
         after = own_log.read_bytes()
         before = logs.get(own_log, b"")
         assert after.startswith(before)
         assert after[len(before):].count(b"\n") == 1
         assert all(p.read_bytes() == data for p, data in logs.items() if p != own_log)
-        written[task] = sum(p.stat().st_size for p in dumped) + len(after) - len(before)
+        written[task] = sum(p.stat().st_size for p in replaced) + len(after) - len(before)
     # procedures list their source episodes, so a little growth remains; whole
     # history rewrites would add tens of KiB over these 80 tasks
     assert written[100] <= written[20] + 4096
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_run_writes_every_file_through_the_seam_in_task_order(tmp_path, writes, topology):
+    cfg = SimConfig(topology=topology, team_size=2, n_tasks=12, seed=5, consolidation_n=3)
+    out = tmp_path / "run"
+    runner = SimRunner(cfg, out)
+    checkpoints = []
+    for index in range(cfg.n_tasks):
+        view = runner.views[cfg.agent_ids[index % cfg.team_size]]
+        watermark = view.consolidation_watermark()
+        start = len(writes)
+        runner.step()
+        step = writes[start:]
+        # one episode-log line, then the task's run-log line
+        appended = [(path.name, text.count("\n")) for op, path, text in step if op == "append"]
+        assert appended == [("episodic.jsonl", 1), ("runlog.jsonl", 1)], index
+        # a snapshot is replaced only when a consolidation pass moved a watermark
+        checkpoint = view.consolidation_watermark() != watermark
+        replaced = [path.name for op, path, _ in step if op == "replace"]
+        assert replaced == (["procedural.json"] if checkpoint else []), index
+        checkpoints.append(checkpoint)
+    assert any(checkpoints) and not all(checkpoints)
+    # the appends, and each file's last replace, are every byte the run left
+    rebuilt = {}
+    for op, path, text in writes:
+        rebuilt[path] = (rebuilt.get(path, b"") if op == "append" else b"") + text.encode()
+    assert rebuilt == {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
 
 
 def test_resume_over_a_torn_runlog_line_names_the_line(tmp_path):

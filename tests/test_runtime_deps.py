@@ -1,4 +1,8 @@
-"""The runtime imports only the standard library and teammem itself."""
+"""Static checks on the package source.
+
+The runtime imports only the standard library and teammem itself, and only
+``teammem.disk`` writes files.
+"""
 
 import ast
 import sys
@@ -27,3 +31,39 @@ def test_runtime_imports_only_the_standard_library():
         if name != "teammem" and name not in sys.stdlib_module_names
     }
     assert not foreign, sorted(foreign)
+
+
+def file_writes(path):
+    """Each call in ``path`` that writes, moves or makes a file or directory, by name.
+
+    That is ``open`` (builtin or a path's method) with a mode that is not
+    read-only, ``write_text``, ``write_bytes``, ``mkdir``, ``makedirs``,
+    ``os.replace`` and ``os.rename``. A mode that is not a string literal
+    counts as a write.
+    """
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode) or path.open(mode)
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+            if any(
+                not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                or set(mode.value) & set("wax+")
+                for mode in modes
+            ):
+                yield "open"
+        elif name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+            yield name
+        elif name in ("replace", "rename") and isinstance(func, ast.Attribute):
+            if isinstance(func.value, ast.Name) and func.value.id == "os":
+                yield f"os.{name}"
+
+
+def test_only_the_disk_module_writes_files():
+    writers = {path.name: sorted(file_writes(path)) for path in SOURCES}
+    # the guard sees the seam's own writes, so it is not blind to them elsewhere
+    assert writers.pop("disk.py") == ["mkdir", "mkdir", "open", "os.replace", "write_text"]
+    assert not {name: calls for name, calls in writers.items() if calls}

@@ -783,28 +783,24 @@ def test_damaged_episode_log_names_file_and_line(tmp_path, damage, line):
     assert f"{log}, line {line}" in str(exc.value)
 
 
-def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, monkeypatch):
-    import teammem.store as store_module
-
-    real_dump = store_module._dump_json
-    dumped = []
-    monkeypatch.setattr(
-        store_module, "_dump_json", lambda path, doc: (dumped.append(path), real_dump(path, doc))
-    )
+def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, writes):
     views = open_views(tmp_path, "shared")
     view = views["agent-1"]
-    dumped.clear()
+    writes.clear()
     with view.batch():
         view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
         with view.batch():
             record(view, finished_episode("agent-1"), "incident")
             view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"], s=2))
         view.persist()
-        assert dumped == []
+        assert writes == []
         assert not (tmp_path / "store" / SHARED_OWNER).exists()
     shared = tmp_path / "store" / SHARED_OWNER
-    kinds = ("procedural",)
-    assert sorted(dumped) == [shared / f"{kind}.json" for kind in kinds]
+    # the log first (the commit point), then the snapshot
+    assert [(op, path) for op, path, _ in writes] == [
+        ("append", shared / "episodic.jsonl"),
+        ("replace", shared / "procedural.json"),
+    ]
     assert len(log_lines(tmp_path, SHARED_OWNER)) == 1
     reopened = open_store(tmp_path / "store")["agent-2"].snapshot()
     assert reopened == view.snapshot()

@@ -5,8 +5,8 @@ import shutil
 
 import pytest
 
+import teammem.disk as disk
 import teammem.harness as harness_module
-import teammem.store as store_module
 from teammem.embedding import HashEmbedder
 from teammem.harness import SimConfig, SimRunner
 from teammem.lifecycle import ConsolidationConfig, StubGenerator, consolidate, maybe_consolidate
@@ -60,20 +60,17 @@ def read_doc(path):
 # -- one task, one log line ---------------------------------------------------------
 
 
-def test_record_task_writes_one_log_line_and_no_snapshot(tmp_path, monkeypatch):
+def test_record_task_writes_one_log_line_and_no_snapshot(tmp_path, writes):
     views = open_store(tmp_path / "store", "shared", AGENTS)
     view = views["agent-1"]
     view.upsert_procedure(procedure("proc-00001"))
     view.record_task(episode("agent-1", 1, ["proc-00001"]), "incident", ["proc-00001"])
-    dumped = []
-    real_dump = store_module._dump_json
-    monkeypatch.setattr(
-        store_module, "_dump_json", lambda path, doc: (dumped.append(path), real_dump(path, doc))
-    )
+    writes.clear()
     log = tmp_path / "store" / SHARED_OWNER / "episodic.jsonl"
     before = log.read_bytes()
     view.record_task(episode("agent-1", 2, ["proc-00001"], False), "incident", ["proc-00001"])
-    assert dumped == []
+    assert [(op, path) for op, path, _ in writes] == [("append", log)]
+    assert writes[0][2].encode() == log.read_bytes()[len(before):]
     added = log.read_bytes()[len(before):].decode().splitlines()
     assert len(added) == 1
     line = json.loads(added[0])
@@ -219,28 +216,28 @@ def find_checkpoint_step(cfg, out):
         harness_module.maybe_consolidate = real
 
 
-def cut_each_write(cfg, base, tmp_path, monkeypatch):
+def cut_each_write(cfg, base, tmp_path, monkeypatch, writes):
     """Rerun the step after ``base`` on a copy of it, once per whole-file write.
 
-    Run ``k`` fails at the step's ``k``-th ``_dump_json``; yields ``k`` and the
-    store root it left. Stops at the first run that finishes its step.
+    Run ``k`` fails at the step's ``k``-th ``disk.replace``, before it lands;
+    yields ``k`` and the store root it left. Stops at the first run that
+    finishes its step.
     """
-    real_dump = store_module._dump_json
+    record = disk.replace  # the writes fixture's
     k = 0
     while True:
         k += 1
         out = tmp_path / f"cut-{k}"
         shutil.copytree(base, out)
         runner = SimRunner(cfg, out)
-        calls = []
+        start = len(writes)
 
-        def failing_dump(path, document):
-            calls.append(path)
-            if len(calls) == k:
+        def failing_replace(path, text):
+            if sum(op == "replace" for op, _, _ in writes[start:]) == k - 1:
                 raise Boom(path)
-            real_dump(path, document)
+            record(path, text)
 
-        monkeypatch.setattr(store_module, "_dump_json", failing_dump)
+        monkeypatch.setattr(disk, "replace", failing_replace)
         try:
             runner.step()
         except Boom:
@@ -248,13 +245,13 @@ def cut_each_write(cfg, base, tmp_path, monkeypatch):
         else:
             return
         finally:
-            monkeypatch.setattr(store_module, "_dump_json", real_dump)
+            monkeypatch.setattr(disk, "replace", record)
         yield k, out / "store"
 
 
 @pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
 def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
-    tmp_path, monkeypatch, topology
+    tmp_path, monkeypatch, writes, topology
 ):
     cfg = SimConfig(topology=topology, n_tasks=60, seed=5)
     reference, step, before_pass = find_checkpoint_step(cfg, tmp_path / "reference")
@@ -274,7 +271,7 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
         runner.step()
 
     k = 0
-    for k, root in cut_each_write(cfg, base, tmp_path, monkeypatch):
+    for k, root in cut_each_write(cfg, base, tmp_path, monkeypatch, writes):
         reopened = open_store(root)
         for agent, expected in reference.views.items():
             view = reopened[agent]
@@ -291,7 +288,7 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
 
 @pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
 def test_a_cut_never_separates_a_consolidation_pass_from_its_watermark(
-    tmp_path, monkeypatch, topology
+    tmp_path, monkeypatch, writes, topology
 ):
     cfg = SimConfig(topology=topology, n_tasks=60, seed=5)
     reference, step, _ = find_checkpoint_step(cfg, tmp_path / "reference")
@@ -308,7 +305,7 @@ def test_a_cut_never_separates_a_consolidation_pass_from_its_watermark(
     before, after = state(runner.views[executor]), state(reference.views[executor])
     assert before != after
     k = 0
-    for k, root in cut_each_write(cfg, base, tmp_path, monkeypatch):
+    for k, root in cut_each_write(cfg, base, tmp_path, monkeypatch, writes):
         assert state(open_store(root)[executor]) in (before, after), k
     assert k >= 1
 
@@ -331,7 +328,7 @@ def test_a_direct_consolidation_checkpoints_every_lagging_snapshot(tmp_path):
 
 
 def test_a_local_pass_writes_only_its_own_snapshot_and_others_keep_their_lag(
-    tmp_path, monkeypatch
+    tmp_path, writes
 ):
     agents = ["agent-1", "agent-2", "agent-3"]
     root = tmp_path / "store"
@@ -347,17 +344,15 @@ def test_a_local_pass_writes_only_its_own_snapshot_and_others_keep_their_lag(
     assert views["agent-1"].checkpoint_lag() == lag
     lagging = {agent: (root / agent / "procedural.json").read_bytes() for agent in agents[1:]}
 
-    dumped = []
-    real_dump = store_module._dump_json
-    monkeypatch.setattr(
-        store_module, "_dump_json", lambda path, doc: (dumped.append(path), real_dump(path, doc))
-    )
+    writes.clear()
     watermark = views["agent-1"].consolidation_watermark()
     with views["agent-1"].batch():  # as a sim task runs its pass
         maybe_consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
     assert views["agent-1"].consolidation_watermark() == watermark + 5
     # the pass rewrote its own snapshot once and caught no other owner up
-    assert dumped == [root / "agent-1" / "procedural.json"]
+    assert [(op, path) for op, path, _ in writes] == [
+        ("replace", root / "agent-1" / "procedural.json")
+    ]
     assert views["agent-1"].checkpoint_lag() == lag
     assert {agent: (root / agent / "procedural.json").read_bytes() for agent in agents[1:]} == (
         lagging

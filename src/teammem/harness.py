@@ -235,19 +235,28 @@ class SimConfig:
         return tuple(f"agent-{i + 1}" for i in range(self.team_size))
 
 
+def _read_config_file(path: Path) -> dict[str, Any]:
+    """The JSON object in ``path``; anything else raises :class:`ConfigError` naming it."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: corrupt JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    return data
+
+
 def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
     """Build a :class:`SimConfig` from a dict or a JSON file path.
 
     Raises :class:`ConfigError` with a message naming the offending key,
     including an unknown key inside a section or a family and a number that
-    is not finite.
+    is not finite, or naming the file when it is not a JSON object.
     """
     if isinstance(source, (str, Path)):
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
+        data = _read_config_file(Path(source))
     else:
         data = dict(source)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config: must be an object, got {type(data).__name__}")
     values = _read(SimConfig, _SIM_ROWS, data)
     if "families" in values:
         entries = values["families"]
@@ -359,12 +368,7 @@ class SimRunner:
         config_path = self.out_dir / "config.json"
         current = config_to_dict(cfg)
         if config_path.exists():
-            try:
-                stored = json.loads(config_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_path}: corrupt JSON: {exc}") from exc
-            if not isinstance(stored, dict):
-                raise ConfigError(f"{config_path}: must be a JSON object")
+            stored = _read_config_file(config_path)
             differing = sorted(
                 key for key in set(stored) | set(current) if stored.get(key) != current.get(key)
             )

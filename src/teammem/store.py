@@ -310,6 +310,9 @@ class MemoryStore:
         # procedure snapshot on disk lacks.
         self._seq = 0
         self._lag: dict[str, int] = {}
+        # Each owner's episode log and procedure snapshot, joined once.
+        self._log_paths = {o: self.root / o / "episodic.jsonl" for o in self._owners()}
+        self._snapshot_paths = {o: self.root / o / "procedural.json" for o in self._owners()}
         self._load_or_init()
 
     # -- layout -------------------------------------------------------------
@@ -324,12 +327,6 @@ class MemoryStore:
     def _covered(self, owner: str) -> list[str]:
         """The episodic owners whose watermarks ``owner``'s procedure snapshot holds."""
         return sorted(self.agents) if self.topology is Topology.HYBRID else [owner]
-
-    def _snapshot_path(self, owner: str) -> Path:
-        return self.root / owner / "procedural.json"
-
-    def _log_path(self, owner: str) -> Path:
-        return self.root / owner / "episodic.jsonl"
 
     # -- load / save ---------------------------------------------------------
 
@@ -379,7 +376,7 @@ class MemoryStore:
     def _load_log(self, owner: str, records: list[_TaskRecord]) -> None:
         """Read one owner's episode log into its store set; add its task records."""
         store = self._sets[owner]
-        log_path = self._log_path(owner)
+        log_path = self._log_paths[owner]
         if not log_path.exists():
             return
 
@@ -405,7 +402,7 @@ class MemoryStore:
         Its procedures go into the owner's store set and its watermarks into
         the sets they cover; the last seq it includes goes to ``checkpoints``.
         """
-        path = self._snapshot_path(owner)
+        path = self._snapshot_paths[owner]
         if not path.exists():
             return
         store = self._sets[owner]
@@ -506,11 +503,11 @@ class MemoryStore:
 
     def _append_log(self, owner: str) -> None:
         """Append the owner's pending episode-log lines."""
-        disk.append(self._log_path(owner), "".join(self._pending[owner]))
+        disk.append(self._log_paths[owner], "".join(self._pending[owner]))
         del self._pending[owner]
 
     def _write_snapshot(self, owner: str) -> None:
-        _dump_json(self._snapshot_path(owner), self._document(owner))
+        _dump_json(self._snapshot_paths[owner], self._document(owner))
         self._lag.pop(owner, None)
 
     def flush(self) -> None:

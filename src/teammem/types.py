@@ -373,9 +373,16 @@ def procedure_from_dict(d: dict[str, Any]) -> Procedure:
     )
 
 
+# Exactly the encoder json.dumps builds on each call for these two arguments.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(document: Any) -> str:
-    """``document`` as one compact sorted-key JSON line, newline included."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    """``document`` as one compact sorted-key JSON line, newline included.
+
+    It encodes through one shared encoder, which is configuration, not a cache.
+    """
+    return _LINE_ENCODER.encode(document) + "\n"
 
 
 def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:

@@ -177,6 +177,19 @@ def test_bad_config_reports_the_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [('{"topology": "loc', "corrupt JSON: Unterminated string"), ("[1]\n", "must be a JSON object")],
+    ids=["torn", "not-an-object"],
+)
+def test_a_damaged_config_file_is_named(tmp_path, capsys, text, message):
+    path = tmp_path / "torn.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "damage",
     [lambda written: written[:13], lambda written: b"[1]\n"],
     ids=["truncated", "not-an-object"],

@@ -158,7 +158,17 @@ def test_load_sim_config_from_file(tmp_path):
     cfg = load_sim_config(path)
     assert cfg.n_tasks == 7 and cfg.seed == 3
     path.write_text("[1]", encoding="utf-8")
-    with pytest.raises(ConfigError, match="^config: must be an object"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: must be a JSON object$"):
+        load_sim_config(path)
+
+
+def test_load_sim_config_names_a_torn_file(tmp_path):
+    path = tmp_path / "torn.json"
+    path.write_text('{"topology": "loc', encoding="utf-8")
+    with pytest.raises(
+        ConfigError,
+        match=f"^{re.escape(str(path))}: corrupt JSON: Unterminated string starting at",
+    ):
         load_sim_config(path)
 
 

@@ -20,7 +20,7 @@ from .embedding import provider_from_config
 from .harness import ConfigError, load_sim_config, run_sim, sweep
 from .lifecycle import ConsolidationConfig, StubGenerator, consolidate
 from .metrics import cma, cost_summary, read_runlog, series_from_log
-from .store import StoreError, Topology, open_store
+from .store import StoreError, open_store
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -83,14 +83,16 @@ def _cmd_consolidate(args: argparse.Namespace) -> int:
     generator = StubGenerator()
     embedder = provider_from_config(None)
     total = 0
+    pools: set[int] = set()  # the episodic store sets consolidated so far, by id
     for agent_id, view in sorted(selected.items()):
+        if id(view.episodic_store()) in pools:
+            continue  # one pass covers a shared episodic pool
+        pools.add(id(view.episodic_store()))
         known = view.procedures()
         changed = consolidate(view, cfg, generator, embedder)
         new = sum(p.procedure_id not in known for p in changed)
         total += new
         print(f"{agent_id}: {new} new procedures, {len(changed) - new} extended")
-        if view.topology is Topology.SHARED:
-            break  # one pass covers the shared episodic pool
     print(f"total new procedures: {total}")
     return 0
 

@@ -32,7 +32,10 @@ from .metrics import (
     RunLog,
     RunLogEntry,
     append_runlog_entry,
+    cma,
+    cost_summary,
     read_runlog,
+    series_from_log,
     token_proxy,
 )
 from .retrieval import Query, RetrievalResult, render_memory_context, retrieve
@@ -547,8 +550,6 @@ def sweep(
     if not sizes or sizes[0] < 1:
         raise ConfigError(f"team_sizes: must be positive integers, got {team_sizes!r}")
     out = Path(out_dir)
-
-    from .metrics import cma, cost_summary, series_from_log  # local to avoid cycle noise
 
     cells = []
     for size in sizes:

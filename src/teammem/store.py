@@ -7,18 +7,22 @@ On disk a store root looks like::
       <owner>/episodic.jsonl       # episode log; owner is "shared" or an agent id
       <owner>/procedural.json      # procedure snapshot + consolidation watermarks
 
-Three topologies decide which owner each view resolves to:
-
-* ``local``: every agent keeps all three kinds private.
-* ``shared``: one "shared" owner holds everything for everyone.
-* ``hybrid``: episodic memory stays private and procedures live in
-  "shared"; every view sees all profile aggregates and team patterns, but
-  only its own agent's collaboration history.
+The topology is decided once, when the store opens, as two maps over the
+roster: each agent's *episodic owner* (whose log holds its episodes) and its
+*procedure owner* (whose store set holds its procedures and transactive fold).
+Under ``local`` both are the agent, under ``shared`` both are "shared", and
+under ``hybrid`` they are the agent and "shared". The owner directories, the
+episodic owners whose watermarks a procedure snapshot holds and the owners
+:meth:`MemoryStore.checkpoint_lag` lists derive from the two maps, and a view
+resolves its two owners when it is built. Under ``hybrid`` every view sees
+all profile aggregates and team patterns, but only its own agent's
+collaboration history.
 
 Episodes are never modified once stored, so they live in an append-only log,
 ``episodic.jsonl``, in append order. A flush appends only the lines added
-since the previous flush, and reading rejects a malformed or truncated (torn)
-line.
+since the previous flush. Reading a log rejects a malformed or truncated
+(torn) line, a record whose agent's episodic owner is not the log's, and an
+episode id that an earlier line holds, naming the file and the line.
 
 The log is also a write-ahead log, and every line of it is a *task record*.
 :meth:`MemoryView.record_task` stores one finished task (its episode and
@@ -178,7 +182,6 @@ class _TaskRecord(NamedTuple):
 
     seq: int
     episode: Episode
-    task_type: str
     procedures_used: tuple[str, ...]
 
 
@@ -302,6 +305,19 @@ class MemoryStore:
         self.root = Path(root)
         self.topology = topology
         self.agents = list(agents)
+        # Each agent's two owners. The owners (agents first) and each procedure
+        # owner's covered episodic owners (sorted) derive from them, in roster order.
+        self._episodic_owner = {
+            agent: SHARED_OWNER if topology is Topology.SHARED else agent for agent in agents
+        }
+        self._procedure_owner = {
+            agent: agent if topology is Topology.LOCAL else SHARED_OWNER for agent in agents
+        }
+        covered: dict[str, set[str]] = {}
+        for agent, owner in self._procedure_owner.items():
+            covered.setdefault(owner, set()).add(self._episodic_owner[agent])
+        self._covered = {owner: sorted(logs) for owner, logs in covered.items()}
+        self._owners = list(dict.fromkeys([*self._episodic_owner.values(), *covered]))
         # Dirty procedure snapshots, and each owner's log lines not yet appended.
         self._dirty: set[str] = set()
         self._batch_depth = 0
@@ -310,23 +326,10 @@ class MemoryStore:
         # procedure snapshot on disk lacks.
         self._seq = 0
         self._lag: dict[str, int] = {}
-        # Each owner's episode log and procedure snapshot, joined once.
-        self._log_paths = {o: self.root / o / "episodic.jsonl" for o in self._owners()}
-        self._snapshot_paths = {o: self.root / o / "procedural.json" for o in self._owners()}
+        # Each owner's episode log, and each procedure owner's snapshot, joined once.
+        self._log_paths = {o: self.root / o / "episodic.jsonl" for o in self._owners}
+        self._snapshot_paths = {o: self.root / o / "procedural.json" for o in self._covered}
         self._load_or_init()
-
-    # -- layout -------------------------------------------------------------
-
-    def _owners(self) -> list[str]:
-        if self.topology is Topology.LOCAL:
-            return list(self.agents)
-        if self.topology is Topology.SHARED:
-            return [SHARED_OWNER]
-        return list(self.agents) + [SHARED_OWNER]
-
-    def _covered(self, owner: str) -> list[str]:
-        """The episodic owners whose watermarks ``owner``'s procedure snapshot holds."""
-        return sorted(self.agents) if self.topology is Topology.HYBRID else [owner]
 
     # -- load / save ---------------------------------------------------------
 
@@ -347,7 +350,7 @@ class MemoryStore:
         else:
             self._write_meta()
 
-        expected = set(self._owners())
+        expected = set(self._owners)
         for entry in sorted(self.root.iterdir()):
             if entry.is_dir() and entry.name not in expected:
                 raise StoreError(
@@ -356,10 +359,10 @@ class MemoryStore:
 
         records: list[_TaskRecord] = []
         checkpoints: dict[str, int] = {}
-        self._sets: dict[str, StoreSet] = {owner: StoreSet() for owner in self._owners()}
-        for owner in self._owners():
+        self._sets: dict[str, StoreSet] = {owner: StoreSet() for owner in self._owners}
+        for owner in self._owners:
             self._load_log(owner, records)
-        for owner in self._owners():
+        for owner in self._covered:
             self._load_snapshot(owner, checkpoints)
         self._replay(records, checkpoints)
 
@@ -382,19 +385,23 @@ class MemoryStore:
 
         def decode(d: dict[str, Any]) -> Episode:
             episode = episode_from_dict(d)
+            if self._episodic_owner.get(episode.agent_id) != owner:
+                raise ValueError(f"agent {episode.agent_id!r} does not log to {owner!r}")
+            if episode.episode_id in store.episode_class:
+                raise ValueError(f"episode id {episode.episode_id!r} repeats an earlier line")
             seq = d["seq"]
             if not isinstance(seq, int) or isinstance(seq, bool):
                 raise ValueError(f"seq must be an integer, got {seq!r}")
             used = d.get("procedures_used", sorted(episode.related_procedures))
-            records.append(_TaskRecord(seq, episode, d["task_type"], tuple(used)))
+            records.append(_TaskRecord(seq, episode, tuple(used)))
             store.task_types.append(sys.intern(d["task_type"]))
+            store.index_classes([episode])
             return episode
 
         try:
             store.episodic = read_jsonl(log_path, decode)
         except ValueError as exc:
             raise StoreError(str(exc)) from exc
-        store.index_classes(store.episodic)
 
     def _load_snapshot(self, owner: str, checkpoints: dict[str, int]) -> None:
         """Read one owner's procedure snapshot, once every log is read.
@@ -407,7 +414,7 @@ class MemoryStore:
             return
         store = self._sets[owner]
         doc = _load_json(path, _SNAPSHOT_KEYS)
-        logs = [self._sets[o] for o in self._covered(owner)]
+        logs = [self._sets[o] for o in self._covered[owner]]
         try:
             for d in doc["procedures"]:
                 if type(d["source_episodes"]) is list:  # else procedure_from_dict rejects it
@@ -417,7 +424,7 @@ class MemoryStore:
             raise StoreError(f"{path}: procedures holds a malformed entry: {exc!r}") from exc
         store.next_procedure_seq = doc["next_procedure_seq"]
         checkpoints[owner] = doc["seq"]
-        bad = sorted(doc["watermarks"].keys() ^ set(self._covered(owner)))
+        bad = sorted(doc["watermarks"].keys() ^ set(self._covered[owner]))
         if bad:
             raise StoreError(f"{path} holds watermarks for the wrong owners: {bad}")
         for covered, watermark in doc["watermarks"].items():
@@ -428,17 +435,16 @@ class MemoryStore:
         records.sort(key=lambda record: record.seq)
         self._seq = max([*checkpoints.values(), *(r.seq for r in records)], default=0)
         for record in records:
-            view = MemoryView(self, record.episode.agent_id)
-            if checkpoints.get(view.procedure_owner(), 0) >= record.seq:
+            if checkpoints.get(self._procedure_owner[record.episode.agent_id], 0) >= record.seq:
                 continue
             try:
-                view._apply_procedures(record.episode, record.procedures_used)
+                self._apply_task(record.episode, record.procedures_used)
             except StoreError as exc:
                 raise StoreError(f"replaying task record seq {record.seq}: {exc}") from exc
 
     def _document(self, owner: str) -> dict[str, Any]:
         store = self._sets[owner]
-        logs = [self._sets[o] for o in self._covered(owner)]
+        logs = [self._sets[o] for o in self._covered[owner]]
 
         def spelled(procedure: Procedure) -> dict[str, Any]:
             # The fields are procedure_to_dict's keys, without its sorted id list.
@@ -450,7 +456,7 @@ class MemoryStore:
             "seq": self._seq,
             "next_procedure_seq": store.next_procedure_seq,
             "procedures": [spelled(store.procedural[pid]) for pid in sorted(store.procedural)],
-            "watermarks": {o: self._sets[o].consolidation_watermark for o in self._covered(owner)},
+            "watermarks": {o: self._sets[o].consolidation_watermark for o in self._covered[owner]},
         }
 
     def mark_dirty(self, owner: str) -> None:
@@ -461,7 +467,7 @@ class MemoryStore:
     def add_episode(
         self, owner: str, episode: Episode, task_type: str, procedures_used: list[str]
     ) -> None:
-        """Append a validated episode to the owner's log as the next task record."""
+        """Append a validated episode to the owner's log as the next task record, and apply it."""
         store = self._sets[owner]
         store.episodic.append(episode)
         store.task_types.append(task_type)
@@ -471,6 +477,26 @@ class MemoryStore:
         if sorted(procedures_used) != sorted(episode.related_procedures):
             record["procedures_used"] = procedures_used
         self._pending.setdefault(owner, []).append(json_line(record))
+        self._apply_task(episode, procedures_used)
+
+    def _apply_task(self, episode: Episode, procedures_used: Sequence[str]) -> None:
+        """Count a task record's outcome on each procedure it used, at its timestamp."""
+        if not procedures_used:
+            return
+        owner = self._procedure_owner[episode.agent_id]
+        procedural = self._sets[owner].procedural
+        success = episode.outcome.success
+        for procedure_id in procedures_used:
+            procedure = procedural.get(procedure_id)
+            if procedure is None:
+                raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
+            procedural[procedure_id] = replace(
+                procedure,
+                successes=procedure.successes + int(success),
+                failures=procedure.failures + int(not success),
+                updated_at=episode.timestamp,
+            )
+        self.add_lag(owner)
 
     def add_lag(self, owner: str) -> None:
         """Count one more task record that the owner's procedure snapshot lacks."""
@@ -479,24 +505,40 @@ class MemoryStore:
     def checkpoint_lag(self) -> dict[str, dict[str, int]]:
         """Task records logged past each procedure snapshot's checkpoint, by owner.
 
-        Only the owners that can hold a procedure snapshot are listed: every
-        agent under ``local``, the shared owner otherwise.
+        Only the procedure owners are listed, in roster order.
         """
-        owners = self.agents if self.topology is Topology.LOCAL else [SHARED_OWNER]
-        return {owner: {"procedural": self._lag.get(owner, 0)} for owner in owners}
+        return {owner: {"procedural": self._lag.get(owner, 0)} for owner in self._covered}
 
     def fold_transactive(self) -> None:
         """Extend the transactive fold over the task records not folded yet.
 
-        Each log is folded from where the previous call stopped. Every
-        counter the fold keeps is a sum, so folding log by log gives what
-        folding in ``seq`` order would.
+        A record goes into its executor's procedure owner's store set. It
+        takes the executor's aggregates, the team pattern of the canonical
+        composition, and the collaboration counters of the executor and,
+        outside ``local``, of every partner. Each log is folded from where the
+        previous call stopped. Every counter the fold keeps is a sum, so
+        folding log by log gives what folding in ``seq`` order would.
         """
-        for owner in self._owners():
+        for owner in self._owners:
             log = self._sets[owner]
             for index in range(log.transactive_folded, len(log.episodic)):
-                episode = log.episodic[index]
-                MemoryView(self, episode.agent_id)._fold_task(episode, log.task_types[index])
+                episode, task_type = log.episodic[index], log.task_types[index]
+                success = episode.outcome.success
+                executor = episode.agent_id
+                store = self._sets[self._procedure_owner[executor]]
+                profiles = store.profiles
+                profile = profiles.get(executor, AgentProfile(agent_id=executor))
+                profiles[executor] = profile.with_task_result(task_type, success)
+                key = canonical_team_key(episode.team_composition)
+                pattern = store.team_patterns.get(key, TeamPattern(composition=key))
+                store.team_patterns[key] = pattern.with_result(task_type, success)
+                partners = [agent for agent in key if agent != executor]
+                sides = [(executor, partner) for partner in partners]
+                if self.topology is not Topology.LOCAL:
+                    sides += [(partner, executor) for partner in partners]
+                for subject, other in sides:
+                    profile = profiles.get(subject, AgentProfile(agent_id=subject))
+                    profiles[subject] = profile.with_collaboration(other, success)
             log.transactive_folded = len(log.episodic)
 
     # -- flush -----------------------------------------------------------------
@@ -583,6 +625,8 @@ class MemoryView:
             raise StoreError(f"unknown agent {agent_id!r}; roster is {store.agents}")
         self._store = store
         self.agent_id = agent_id
+        self._episodic_owner = store._episodic_owner[agent_id]
+        self._procedure_owner = store._procedure_owner[agent_id]
 
     @property
     def topology(self) -> Topology:
@@ -592,19 +636,14 @@ class MemoryView:
         """One store flush at the end of the block; see :meth:`MemoryStore.batch`."""
         return self._store.batch()
 
-    # -- owner resolution ----------------------------------------------------
-
-    def _episodic_owner(self) -> str:
-        return SHARED_OWNER if self.topology is Topology.SHARED else self.agent_id
-
     def procedure_owner(self) -> str:
         """Owner of procedures and the transactive fold: the agent under local, else shared."""
-        return self.agent_id if self.topology is Topology.LOCAL else SHARED_OWNER
+        return self._procedure_owner
 
     # -- reads ---------------------------------------------------------------
 
     def episodes(self) -> tuple[Episode, ...]:
-        return tuple(self._store.store_set(self._episodic_owner()).episodic)
+        return tuple(self._store.store_set(self._episodic_owner).episodic)
 
     def episodic_store(self) -> StoreSet:
         """The live store set holding this view's episodes; not a copy.
@@ -613,13 +652,13 @@ class MemoryView:
         :class:`MemoryStore`; the derived indices on it rely on that, so a
         caller must not modify it.
         """
-        return self._store.store_set(self._episodic_owner())
+        return self._store.store_set(self._episodic_owner)
 
     def procedures(self) -> dict[str, Procedure]:
-        return dict(self._store.store_set(self.procedure_owner()).procedural)
+        return dict(self._store.store_set(self._procedure_owner).procedural)
 
     def get_procedure(self, procedure_id: str) -> Procedure | None:
-        return self._store.store_set(self.procedure_owner()).procedural.get(procedure_id)
+        return self._store.store_set(self._procedure_owner).procedural.get(procedure_id)
 
     def profiles(self) -> dict[str, AgentProfile]:
         """Visible agent profiles by agent id.
@@ -629,7 +668,7 @@ class MemoryView:
         empty history, and one seen only as a partner is left out.
         """
         self._store.fold_transactive()
-        folded = sorted(self._store.store_set(self.procedure_owner()).profiles.items())
+        folded = sorted(self._store.store_set(self._procedure_owner).profiles.items())
         if self.topology is not Topology.HYBRID:
             return dict(folded)
         return {
@@ -644,7 +683,7 @@ class MemoryView:
     def team_patterns(self) -> dict[tuple[str, ...], TeamPattern]:
         """Visible team patterns by canonical composition."""
         self._store.fold_transactive()
-        return dict(sorted(self._store.store_set(self.procedure_owner()).team_patterns.items()))
+        return dict(sorted(self._store.store_set(self._procedure_owner).team_patterns.items()))
 
     def snapshot(self) -> StoreSet:
         """Deep copy of everything this view can currently see."""
@@ -659,16 +698,16 @@ class MemoryView:
     # -- consolidation bookkeeping --------------------------------------------
 
     def consolidation_watermark(self) -> int:
-        return self._store.store_set(self._episodic_owner()).consolidation_watermark
+        return self._store.store_set(self._episodic_owner).consolidation_watermark
 
     def set_consolidation_watermark(self, value: int) -> None:
-        owner = self._episodic_owner()
+        owner = self._episodic_owner
         self._store.store_set(owner).consolidation_watermark = value
-        self._store.mark_dirty(self.procedure_owner())
+        self._store.mark_dirty(self._procedure_owner)
         self._store.flush()
 
     def allocate_procedure_id(self) -> str:
-        owner = self.procedure_owner()
+        owner = self._procedure_owner
         store = self._store.store_set(owner)
         pid = f"proc-{store.next_procedure_seq:05d}"
         store.next_procedure_seq += 1
@@ -684,7 +723,7 @@ class MemoryView:
                 f"view of {self.agent_id!r} cannot append an episode owned by "
                 f"{episode.agent_id!r}"
             )
-        owner = self._episodic_owner()
+        owner = self._episodic_owner
         if episode.episode_id in self._store.store_set(owner).episode_class:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
         # The transactive fold keys team patterns by the team. Under hybrid an
@@ -695,7 +734,7 @@ class MemoryView:
         if self.topology is Topology.HYBRID and not team <= set(self._store.agents):
             outside = sorted(team - set(self._store.agents))
             raise StoreError(f"team composition names agents outside the roster: {outside}")
-        known = self._store.store_set(self.procedure_owner()).procedural
+        known = self._store.store_set(self._procedure_owner).procedural
         missing = sorted({*episode.related_procedures, *procedures_used} - known.keys())
         if missing:
             raise StoreError(f"episode references unknown procedures: {missing}")
@@ -712,50 +751,18 @@ class MemoryView:
         written: the procedure snapshot catches up at the next checkpoint,
         and :func:`open_store` replays what it lacks. Profiles and team
         patterns are derived from the record when they are next read (see
-        :meth:`_fold_task`). Durable before return outside a batch.
+        :meth:`MemoryStore.fold_transactive`). Durable before return outside
+        a batch.
         """
         used = list(procedures_used)
         owner = self._check_append(episode, used)
         self._store.add_episode(owner, episode, task_type, used)
-        self._apply_procedures(episode, used)
         self._store.flush()
         return episode.episode_id
 
-    def _apply_procedures(self, episode: Episode, procedures_used: Sequence[str]) -> None:
-        """Apply a task record's outcome to the procedures it used."""
-        if not procedures_used:
-            return
-        for procedure_id in procedures_used:
-            self._bump_procedure(procedure_id, episode.outcome.success, episode.timestamp)
-        self._store.add_lag(self.procedure_owner())
-
-    def _fold_task(self, episode: Episode, task_type: str) -> None:
-        """Fold one task record of this view's agent into its procedure owner's set.
-
-        That takes the executor's aggregates, the team pattern of the
-        canonical composition, and the collaboration counters of the executor
-        and, outside ``local``, of every partner.
-        """
-        success = episode.outcome.success
-        executor = episode.agent_id
-        store = self._store.store_set(self.procedure_owner())
-        profiles = store.profiles
-        profile = profiles.get(executor, AgentProfile(agent_id=executor))
-        profiles[executor] = profile.with_task_result(task_type, success)
-        key = canonical_team_key(episode.team_composition)
-        pattern = store.team_patterns.get(key, TeamPattern(composition=key))
-        store.team_patterns[key] = pattern.with_result(task_type, success)
-        partners = [agent for agent in key if agent != executor]
-        sides = [(executor, partner) for partner in partners]
-        if self.topology is not Topology.LOCAL:
-            sides += [(partner, executor) for partner in partners]
-        for subject, other in sides:
-            profile = profiles.get(subject, AgentProfile(agent_id=subject))
-            profiles[subject] = profile.with_collaboration(other, success)
-
     def upsert_procedure(self, procedure: Procedure, timestamp: str | None = None) -> str:
         """Insert or replace a procedure, refreshing its ``updated_at``."""
-        owner = self.procedure_owner()
+        owner = self._procedure_owner
         store = self._store.store_set(owner)
         stamped = replace(procedure, updated_at=timestamp or _now_iso())
         store.procedural[stamped.procedure_id] = stamped
@@ -763,21 +770,8 @@ class MemoryView:
         self._store.flush()
         return stamped.procedure_id
 
-    def _bump_procedure(self, procedure_id: str, success: bool, timestamp: str) -> None:
-        owner = self.procedure_owner()
-        store = self._store.store_set(owner)
-        procedure = store.procedural.get(procedure_id)
-        if procedure is None:
-            raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
-        store.procedural[procedure_id] = replace(
-            procedure,
-            successes=procedure.successes + int(success),
-            failures=procedure.failures + int(not success),
-            updated_at=timestamp,
-        )
-
     def remove_procedures(self, procedure_ids: Iterable[str]) -> None:
-        owner = self.procedure_owner()
+        owner = self._procedure_owner
         store = self._store.store_set(owner)
         removed = False
         for pid in procedure_ids:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from teammem.harness import SimConfig, run_sim
 from teammem.store import (
     SHARED_OWNER,
     MemoryStore,
@@ -16,7 +17,7 @@ from teammem.store import (
     _encode_sources,
     open_store,
 )
-from teammem.types import Episode, Outcome, Procedure, json_line
+from teammem.types import Episode, Outcome, Procedure, episode_from_dict, json_line
 
 from helpers import record
 
@@ -704,6 +705,32 @@ def test_shared_store_has_single_owner_directory(tmp_path):
     assert dirs == ["shared"]
 
 
+@pytest.mark.parametrize(
+    "topology, procedure_owners, directories, covered",
+    [
+        ("local", ["b", "a", "c"], ["a", "b", "c"], {"b": ["b"], "a": ["a"], "c": ["c"]}),
+        ("shared", [SHARED_OWNER] * 3, [SHARED_OWNER], {SHARED_OWNER: [SHARED_OWNER]}),
+        ("hybrid", [SHARED_OWNER] * 3, [*"abc", SHARED_OWNER], {SHARED_OWNER: [*"abc"]}),
+    ],
+)
+def test_owners_follow_the_roster_order_for_every_topology(
+    tmp_path, topology, procedure_owners, directories, covered
+):
+    roster = ["b", "a", "c"]
+    views = open_store(tmp_path / "store", topology, roster)
+    for index, agent in enumerate(roster, start=1):
+        episode = replace(episode_for(agent, index), team_composition=("a", "b", "c"))
+        record(views[agent], episode)
+        views[agent].set_consolidation_watermark(1)
+    assert [views[agent].procedure_owner() for agent in roster] == procedure_owners
+    store = tmp_path / "store"
+    assert sorted(p.name for p in store.iterdir() if p.is_dir()) == directories
+    assert list(views["c"].checkpoint_lag()) == list(covered)
+    for owner, logs in covered.items():
+        snapshot = json.loads((store / owner / "procedural.json").read_text())
+        assert list(snapshot["watermarks"]) == logs
+
+
 # -- episode log and batches -----------------------------------------------------
 
 
@@ -781,6 +808,46 @@ def test_damaged_episode_log_names_file_and_line(tmp_path, damage, line):
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert f"{log}, line {line}" in str(exc.value)
+
+
+def test_a_log_rejects_a_record_of_an_agent_who_logs_elsewhere(tmp_path):
+    views = open_views(tmp_path, "local")
+    record(views["agent-1"], episode_for("agent-1", 1))
+    record(views["agent-2"], episode_for("agent-2", 2))
+    log = tmp_path / "store" / "agent-2" / "episodic.jsonl"
+    log.write_text(log.read_text() + log_lines(tmp_path)[0] + "\n", encoding="utf-8")
+    files = files_of(tmp_path)
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert f"{log}, line 2" in str(exc.value) and "'agent-1'" in str(exc.value)
+    assert files_of(tmp_path) == files
+
+
+def test_a_log_rejects_a_record_of_an_agent_off_the_roster(tmp_path):
+    views = open_views(tmp_path, "shared")
+    record(views["agent-1"], episode_for("agent-1", 1))
+    record(views["agent-2"], episode_for("agent-2", 2))
+    log = tmp_path / "store" / SHARED_OWNER / "episodic.jsonl"
+    first, second = log.read_text().splitlines()
+    log.write_text(f"{first}\n{with_value(second, 'agent_id', 'agent-9')}\n", encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert f"{log}, line 2" in str(exc.value) and "'agent-9'" in str(exc.value)
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_log_rejects_a_repeated_episode_id(tmp_path, topology):
+    run_sim(SimConfig(topology=topology, team_size=3, n_tasks=12, seed=1), tmp_path / "run")
+    store = tmp_path / "run" / "store"
+    log = store / ("agent-1" if topology != "shared" else SHARED_OWNER) / "episodic.jsonl"
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+    files = files_of(store)
+    with pytest.raises(StoreError) as exc:
+        open_store(store)
+    assert f"{log}, line {len(lines) + 1}" in str(exc.value)
+    assert repr(episode_from_dict(json.loads(lines[0])).episode_id) in str(exc.value)
+    assert files_of(store) == files
 
 
 def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, writes):

@@ -9,7 +9,7 @@ On disk a store root looks like::
 
 The topology is decided once, when the store opens, as two maps over the
 roster: each agent's *episodic owner* (whose log holds its episodes) and its
-*procedure owner* (whose store set holds its procedures and transactive fold).
+*procedure owner* (whose store set holds its procedures and transactive tally).
 Under ``local`` both are the agent, under ``shared`` both are "shared", and
 under ``hybrid`` they are the agent and "shared". The owner directories, the
 episodic owners whose watermarks a procedure snapshot holds and the owners
@@ -40,9 +40,11 @@ record twice, and opening writes nothing. A flush appends the logs first
 checkpoint and rewrites every dirty snapshot.
 
 Transactive state (agent profiles, collaboration histories, team patterns)
-is not stored at all. It is a fold of the task records, built on the first
-read and extended on later reads over the records appended since; a
-``transactive.json`` left by an older build is ignored.
+is not stored at all. Each procedure owner keeps a tally of its task records,
+tasks and successes by (executor, team, task type), counted once per record
+as it is logged or loaded; profiles and team patterns are read off the tally
+and kept until the next record. A ``transactive.json`` left by an older
+build is ignored.
 
 Every other mutation (procedure upserts and removals, watermark moves)
 marks its procedure snapshot dirty, and the snapshot is rewritten whole as
@@ -79,7 +81,6 @@ import enum
 import itertools
 import json
 import os
-import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -88,9 +89,11 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import disk
 from .types import (
     AgentProfile,
+    CollabStats,
     Episode,
     Procedure,
     TeamPattern,
+    TypeStats,
     canonical_team_key,
     episode_from_dict,
     episode_to_dict,
@@ -122,18 +125,19 @@ def _now_iso() -> str:
 
 @dataclass
 class StoreSet:
-    """All memory of one owner: episodic log, procedures, transactive fold.
+    """All memory of one owner: episodic log, procedures, transactive tally.
 
     ``episodic`` is append-only: only :class:`MemoryStore` writes it, by
     loading the log and by :meth:`MemoryStore.add_episode`. The derived
     state below relies on this and is never checked against it.
     ``consolidation_watermark`` records the episodic length at the last
     consolidation; ``next_procedure_seq`` feeds deterministic procedure ids.
-    ``profiles`` and ``team_patterns`` are the transactive fold (see
-    :meth:`MemoryStore.fold_transactive`), kept by procedure owners only.
-    ``task_types`` holds each episode's task type, in order, the one field
-    of a task record the fold needs that an :class:`Episode` lacks;
-    ``transactive_folded`` counts the episodes of this log already folded.
+    ``tally`` counts ``[tasks, successes]`` by (executor, team as the record
+    spells it, task type), keys in ``seq`` order of their first record, over
+    every task record whose executor's procedures this set holds.
+    ``profiles`` and ``team_patterns`` are read off it by
+    :meth:`MemoryStore.transactive` and kept until the next record; both
+    stay empty on a set that is no procedure owner.
     ``class_numbers``, ``class_members`` and ``episode_class`` index
     ``episodic`` by lesson class, a ``(lessons, outcome.success)`` pair: each
     class's number in order of first appearance, each class's episode ids in
@@ -156,8 +160,9 @@ class StoreSet:
     team_patterns: dict[tuple[str, ...], TeamPattern] = field(default_factory=dict)
     consolidation_watermark: int = 0
     next_procedure_seq: int = 1
-    task_types: list[str] = field(default_factory=list, compare=False, repr=False)
-    transactive_folded: int = field(default=0, compare=False, repr=False)
+    tally: dict[tuple[str, tuple[str, ...], str], list[int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
     cluster_state: Any = field(default=None, compare=False, repr=False)
     episode_class: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     class_members: list[list[str]] = field(default_factory=list, compare=False, repr=False)
@@ -182,6 +187,7 @@ class _TaskRecord(NamedTuple):
 
     seq: int
     episode: Episode
+    task_type: str
     procedures_used: tuple[str, ...]
 
 
@@ -393,8 +399,7 @@ class MemoryStore:
             if not isinstance(seq, int) or isinstance(seq, bool):
                 raise ValueError(f"seq must be an integer, got {seq!r}")
             used = d.get("procedures_used", sorted(episode.related_procedures))
-            records.append(_TaskRecord(seq, episode, tuple(used)))
-            store.task_types.append(sys.intern(d["task_type"]))
+            records.append(_TaskRecord(seq, episode, d["task_type"], tuple(used)))
             store.index_classes([episode])
             return episode
 
@@ -431,16 +436,16 @@ class MemoryStore:
             self._sets[covered].consolidation_watermark = watermark
 
     def _replay(self, records: list[_TaskRecord], checkpoints: dict[str, int]) -> None:
-        """Apply to every procedure snapshot the task records logged after it."""
+        """Tally every task record in ``seq`` order; bump procedures only past each snapshot."""
         records.sort(key=lambda record: record.seq)
         self._seq = max([*checkpoints.values(), *(r.seq for r in records)], default=0)
-        for record in records:
-            if checkpoints.get(self._procedure_owner[record.episode.agent_id], 0) >= record.seq:
-                continue
+        for seq, episode, task_type, used in records:
+            if checkpoints.get(self._procedure_owner[episode.agent_id], 0) >= seq:
+                used = ()
             try:
-                self._apply_task(record.episode, record.procedures_used)
+                self._apply_task(episode, task_type, used)
             except StoreError as exc:
-                raise StoreError(f"replaying task record seq {record.seq}: {exc}") from exc
+                raise StoreError(f"replaying task record seq {seq}: {exc}") from exc
 
     def _document(self, owner: str) -> dict[str, Any]:
         store = self._sets[owner]
@@ -470,22 +475,28 @@ class MemoryStore:
         """Append a validated episode to the owner's log as the next task record, and apply it."""
         store = self._sets[owner]
         store.episodic.append(episode)
-        store.task_types.append(task_type)
         store.index_classes([episode])
         self._seq += 1
         record = {**episode_to_dict(episode), "seq": self._seq, "task_type": task_type}
         if sorted(procedures_used) != sorted(episode.related_procedures):
             record["procedures_used"] = procedures_used
         self._pending.setdefault(owner, []).append(json_line(record))
-        self._apply_task(episode, procedures_used)
+        self._apply_task(episode, task_type, procedures_used)
 
-    def _apply_task(self, episode: Episode, procedures_used: Sequence[str]) -> None:
-        """Count a task record's outcome on each procedure it used, at its timestamp."""
+    def _apply_task(self, episode: Episode, task_type: str, procedures_used: Sequence[str]) -> None:
+        """Tally a task record, and count its outcome on each procedure it used."""
+        owner = self._procedure_owner[episode.agent_id]
+        store = self._sets[owner]
+        success = episode.outcome.success
+        key = (episode.agent_id, episode.team_composition, task_type)
+        counts = store.tally.setdefault(key, [0, 0])
+        counts[0] += 1
+        counts[1] += success
+        if store.team_patterns:  # read off the tally before this record
+            store.profiles, store.team_patterns = {}, {}
         if not procedures_used:
             return
-        owner = self._procedure_owner[episode.agent_id]
-        procedural = self._sets[owner].procedural
-        success = episode.outcome.success
+        procedural = store.procedural
         for procedure_id in procedures_used:
             procedure = procedural.get(procedure_id)
             if procedure is None:
@@ -509,37 +520,46 @@ class MemoryStore:
         """
         return {owner: {"procedural": self._lag.get(owner, 0)} for owner in self._covered}
 
-    def fold_transactive(self) -> None:
-        """Extend the transactive fold over the task records not folded yet.
+    def transactive(self, owner: str) -> StoreSet:
+        """The owner's store set, with profiles and team patterns read off its tally.
 
-        A record goes into its executor's procedure owner's store set. It
-        takes the executor's aggregates, the team pattern of the canonical
-        composition, and the collaboration counters of the executor and,
-        outside ``local``, of every partner. Each log is folded from where the
-        previous call stopped. Every counter the fold keeps is a sum, so
-        folding log by log gives what folding in ``seq`` order would.
+        A record counts for its executor's task type, its canonical team's
+        pattern, and the collaboration history of its executor with each
+        partner and, outside ``local``, of each partner with its executor.
+        Keys are sorted; task types and partners keep the ``seq`` order of
+        their first record. The values are kept until the next record.
         """
-        for owner in self._owners:
-            log = self._sets[owner]
-            for index in range(log.transactive_folded, len(log.episodic)):
-                episode, task_type = log.episodic[index], log.task_types[index]
-                success = episode.outcome.success
-                executor = episode.agent_id
-                store = self._sets[self._procedure_owner[executor]]
-                profiles = store.profiles
-                profile = profiles.get(executor, AgentProfile(agent_id=executor))
-                profiles[executor] = profile.with_task_result(task_type, success)
-                key = canonical_team_key(episode.team_composition)
-                pattern = store.team_patterns.get(key, TeamPattern(composition=key))
-                store.team_patterns[key] = pattern.with_result(task_type, success)
-                partners = [agent for agent in key if agent != executor]
-                sides = [(executor, partner) for partner in partners]
-                if self.topology is not Topology.LOCAL:
-                    sides += [(partner, executor) for partner in partners]
-                for subject, other in sides:
-                    profile = profiles.get(subject, AgentProfile(agent_id=subject))
-                    profiles[subject] = profile.with_collaboration(other, success)
-            log.transactive_folded = len(log.episodic)
+        store = self._sets[owner]
+        if store.team_patterns or not store.tally:  # each record makes a team pattern
+            return store
+        aggregates: dict[str, dict[str, list[int]]] = {}
+        history: dict[str, dict[str, list[int]]] = {}
+        patterns: dict[tuple[str, ...], dict[str, list[int]]] = {}
+        for (executor, team, task_type), (tasks, successes) in store.tally.items():
+            key = canonical_team_key(team)
+            sides = [(executor, partner) for partner in key if partner != executor]
+            if self.topology is not Topology.LOCAL:
+                sides += [(partner, executor) for _, partner in sides]
+            for table, item in [
+                (aggregates.setdefault(executor, {}), task_type),
+                (patterns.setdefault(key, {}), task_type),
+                *((history.setdefault(subject, {}), other) for subject, other in sides),
+            ]:
+                counts = table.setdefault(item, [0, 0])
+                counts[0] += tasks
+                counts[1] += successes
+        for agent in sorted(aggregates.keys() | history.keys()):
+            types = {t: TypeStats(*counts) for t, counts in aggregates.get(agent, {}).items()}
+            partners = {p: CollabStats(*counts) for p, counts in history.get(agent, {}).items()}
+            store.profiles[agent] = AgentProfile(
+                agent, types, partners,
+                successes=sum(stats.successes for stats in types.values()),
+                total_tasks=sum(stats.attempts for stats in types.values()),
+            )
+        for key in sorted(patterns):
+            types = {t: TypeStats(*counts) for t, counts in patterns[key].items()}
+            store.team_patterns[key] = TeamPattern(key, types)
+        return store
 
     # -- flush -----------------------------------------------------------------
 
@@ -637,7 +657,7 @@ class MemoryView:
         return self._store.batch()
 
     def procedure_owner(self) -> str:
-        """Owner of procedures and the transactive fold: the agent under local, else shared."""
+        """Owner of procedures and the transactive tally: the agent under local, else shared."""
         return self._procedure_owner
 
     # -- reads ---------------------------------------------------------------
@@ -667,13 +687,12 @@ class MemoryView:
         agent keeps its profile whole, every other agent with a task shows an
         empty history, and one seen only as a partner is left out.
         """
-        self._store.fold_transactive()
-        folded = sorted(self._store.store_set(self._procedure_owner).profiles.items())
+        profiles = self._store.transactive(self._procedure_owner).profiles
         if self.topology is not Topology.HYBRID:
-            return dict(folded)
+            return dict(profiles)
         return {
             aid: profile if aid == self.agent_id else replace(profile, collaboration_history={})
-            for aid, profile in folded
+            for aid, profile in profiles.items()
             if aid == self.agent_id or profile.total_tasks > 0
         }
 
@@ -682,8 +701,7 @@ class MemoryView:
 
     def team_patterns(self) -> dict[tuple[str, ...], TeamPattern]:
         """Visible team patterns by canonical composition."""
-        self._store.fold_transactive()
-        return dict(sorted(self._store.store_set(self._procedure_owner).team_patterns.items()))
+        return dict(self._store.transactive(self._procedure_owner).team_patterns)
 
     def snapshot(self) -> StoreSet:
         """Deep copy of everything this view can currently see."""
@@ -726,7 +744,7 @@ class MemoryView:
         owner = self._episodic_owner
         if episode.episode_id in self._store.store_set(owner).episode_class:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
-        # The transactive fold keys team patterns by the team. Under hybrid an
+        # The transactive tally keys team patterns by the team. Under hybrid an
         # agent's history is read only by its own view, which no outsider has.
         team = set(episode.team_composition)
         if not team:
@@ -749,10 +767,10 @@ class MemoryView:
         ``procedures_used`` gets one bump of its success or failure counter,
         stamped with the episode's timestamp. Only the episode log line is
         written: the procedure snapshot catches up at the next checkpoint,
-        and :func:`open_store` replays what it lacks. Profiles and team
-        patterns are derived from the record when they are next read (see
-        :meth:`MemoryStore.fold_transactive`). Durable before return outside
-        a batch.
+        and :func:`open_store` replays what it lacks. The record is tallied
+        at once; profiles and team patterns are read off the tally when they
+        are next read (see :meth:`MemoryStore.transactive`). Durable before
+        return outside a batch.
         """
         used = list(procedures_used)
         owner = self._check_append(episode, used)

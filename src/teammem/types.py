@@ -13,7 +13,7 @@ an explicit JSON shape (snake_case keys, matching the ``*_to_dict`` /
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Literal, NamedTuple, TypeVar
 
@@ -196,23 +196,6 @@ class AgentProfile:
         """The task types the agent attempted."""
         return frozenset(self.task_type_counts)
 
-    def with_task_result(self, task_type: str, success: bool) -> "AgentProfile":
-        """New profile with one more attempted task of ``task_type``."""
-        old = self.task_type_counts.get(task_type, TypeStats(0, 0))
-        stats = TypeStats(old.attempts + 1, old.successes + int(success))
-        return replace(
-            self,
-            task_type_counts={**self.task_type_counts, task_type: stats},
-            successes=self.successes + int(success),
-            total_tasks=self.total_tasks + 1,
-        )
-
-    def with_collaboration(self, partner: str, success: bool) -> "AgentProfile":
-        """New profile with one more joint task alongside ``partner``."""
-        old = self.collaboration_history.get(partner, CollabStats(0, 0))
-        stats = CollabStats(old.joint_tasks + 1, old.joint_successes + int(success))
-        return replace(self, collaboration_history={**self.collaboration_history, partner: stats})
-
 
 def derive_agent_reliability(profile: AgentProfile) -> float:
     """Overall success ratio of an agent; neutral 0.5 before any evidence."""
@@ -240,12 +223,6 @@ class TeamPattern:
             raise ValueError(
                 f"composition must be canonical (sorted, deduplicated): {canonical}"
             )
-
-    def with_result(self, task_type: str, success: bool) -> "TeamPattern":
-        old = self.suited_task_types.get(task_type, TypeStats(0, 0))
-        counts = dict(self.suited_task_types)
-        counts[task_type] = TypeStats(old.attempts + 1, old.successes + int(success))
-        return TeamPattern(composition=self.composition, suited_task_types=counts)
 
     def is_suited(self, task_type: str) -> bool:
         stats = self.suited_task_types.get(task_type)

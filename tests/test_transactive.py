@@ -1,4 +1,4 @@
-"""Transactive state: a fold of the task records, derived on read, never stored."""
+"""Transactive state: a tally of the task records, read off on demand, never stored."""
 
 import builtins
 import json
@@ -183,19 +183,14 @@ def test_the_lazily_extended_fold_equals_a_from_scratch_fold(topology, team_size
 
 
 @pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
-def test_a_run_that_never_reads_profiles_never_folds_them(tmp_path, monkeypatch, topology):
-    calls = []
-    real = AgentProfile.with_task_result
-
-    def counting(self, task_type, success):
-        calls.append(task_type)
-        return real(self, task_type, success)
-
-    monkeypatch.setattr(AgentProfile, "with_task_result", counting)
+def test_a_run_that_never_reads_profiles_never_folds_them(tmp_path, topology):
     cfg = SimConfig(topology=topology, team_size=3, n_tasks=12, seed=3)
     runner = SimRunner(cfg, tmp_path / "run")
     runner.run()
-    assert calls == []
+    store = runner.views["agent-1"]._store
+    sets = [store.store_set(owner) for owner in store._owners]
+    assert all(s.profiles == {} and s.team_patterns == {} for s in sets)
+    assert sum(tasks for s in sets for tasks, _ in s.tally.values()) == cfg.n_tasks
 
     root = tmp_path / "run" / "store"
     files = files_of(root)
@@ -203,7 +198,6 @@ def test_a_run_that_never_reads_profiles_never_folds_them(tmp_path, monkeypatch,
         assert sum(p.total_tasks for p in view.profiles().values()) > 0
         view.team_patterns()
         view.snapshot()
-    assert len(calls) == cfg.n_tasks  # one fold, extended by nothing
     assert files_of(root) == files
     assert not list(root.rglob("transactive.json"))
 
@@ -239,6 +233,19 @@ def test_a_team_the_fold_cannot_take_is_rejected_before_changing_anything(tmp_pa
     }
     reopened = open_store(tmp_path / "store")
     assert reopened["agent-1"].profiles() == views["agent-1"].profiles()
+
+
+@pytest.mark.parametrize("read_between", [False, True])
+def test_hybrid_histories_list_partners_in_seq_order(tmp_path, read_between):
+    root = tmp_path / "store"
+    views = open_store(root, "hybrid", AGENTS)
+    views["agent-3"].record_task(episode("agent-3", 1, ("agent-1", "agent-3")), "incident", [])
+    if read_between:
+        views["agent-1"].profiles()
+    views["agent-2"].record_task(episode("agent-2", 2, ("agent-1", "agent-2")), "qa", [])
+    for view in (views["agent-1"], open_store(root)["agent-1"]):
+        history = view.get_profile("agent-1").collaboration_history
+        assert list(history) == ["agent-3", "agent-2"]
 
 
 HASH_SEED_SCRIPT = """

@@ -4,7 +4,6 @@ import pytest
 
 from teammem.types import (
     AgentProfile,
-    CollabStats,
     Episode,
     Outcome,
     Procedure,
@@ -159,32 +158,16 @@ def test_procedure_json_round_trip():
 
 
 def test_profile_with_task_result_tracks_running_rate():
-    p = AgentProfile(agent_id="agent-1")
-    p = p.with_task_result("incident", True)
-    p = p.with_task_result("incident", False)
-    p = p.with_task_result("qa", True)
-    assert p.task_type_counts["incident"] == TypeStats(2, 1)
+    p = AgentProfile(
+        agent_id="agent-1",
+        task_type_counts={"incident": TypeStats(2, 1), "qa": TypeStats(1, 1)},
+        successes=2,
+        total_tasks=3,
+    )
     assert p.proficiency["incident"] == 0.5
     assert p.proficiency["qa"] == 1.0
     assert p.specializations == frozenset({"incident", "qa"})
-    assert p.successes == 2 and p.total_tasks == 3
-
-
-def test_profile_updates_do_not_mutate_the_original():
-    p0 = AgentProfile(agent_id="agent-1")
-    p0.with_task_result("incident", True)
-    p0.with_collaboration("agent-2", True)
-    assert p0.total_tasks == 0
-    assert p0.collaboration_history == {}
-
-
-def test_profile_with_collaboration_counts_joint_work():
-    p = AgentProfile(agent_id="agent-1")
-    p = p.with_collaboration("agent-2", True)
-    p = p.with_collaboration("agent-2", False)
-    assert p.collaboration_history["agent-2"] == CollabStats(2, 1)
-    # collaboration does not touch the task aggregates
-    assert p.total_tasks == 0
+    assert AgentProfile(agent_id="agent-1").specializations == frozenset()
 
 
 def test_derive_agent_reliability_neutral_before_evidence():
@@ -210,18 +193,16 @@ def test_team_pattern_requires_canonical_composition():
 
 
 def test_team_pattern_suitedness_needs_rate_and_evidence():
-    t = TeamPattern(composition=("a", "b"))
-    t = t.with_result("incident", True)
-    assert not t.is_suited("incident")  # only one attempt
-    t = t.with_result("incident", False)
-    assert t.is_suited("incident")  # 1/2 meets the 0.5 bar
-    t = t.with_result("incident", False)
-    assert not t.is_suited("incident")  # 1/3 drops below
-    assert not t.is_suited("unknown-type")
+    def suited(attempts, successes):
+        t = TeamPattern(("a", "b"), {"incident": TypeStats(attempts, successes)})
+        return t.is_suited("incident")
+
+    assert not suited(1, 1)  # only one attempt
+    assert suited(2, 1)  # 1/2 meets the 0.5 bar
+    assert not suited(3, 1)  # 1/3 drops below
+    assert not TeamPattern(("a", "b")).is_suited("unknown-type")
 
 
 def test_team_pattern_suited_types_property():
-    t = TeamPattern(composition=("a",))
-    t = t.with_result("qa", True).with_result("qa", True)
-    t = t.with_result("incident", False).with_result("incident", False)
+    t = TeamPattern(("a",), {"qa": TypeStats(2, 2), "incident": TypeStats(2, 0)})
     assert t.suited_types == frozenset({"qa"})

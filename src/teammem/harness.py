@@ -242,7 +242,7 @@ def _read_config_file(path: Path) -> dict[str, Any]:
     """The JSON object in ``path``; anything else raises :class:`ConfigError` naming it."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"{path}: corrupt JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: must be a JSON object")

@@ -21,8 +21,10 @@ collaboration history.
 Episodes are never modified once stored, so they live in an append-only log,
 ``episodic.jsonl``, in append order. A flush appends only the lines added
 since the previous flush. Reading a log rejects a malformed or truncated
-(torn) line, a record whose agent's episodic owner is not the log's, and an
-episode id that an earlier line holds, naming the file and the line.
+(torn) line, a byte that is not UTF-8, a record whose agent's episodic owner
+is not the log's, an episode id that an earlier line holds, a ``seq`` that
+an earlier record of any log holds, and a team or task type that
+:meth:`MemoryView.record_task` would reject, naming the file and the line.
 
 The log is also a write-ahead log, and every line of it is a *task record*.
 :meth:`MemoryView.record_task` stores one finished task (its episode and
@@ -84,7 +86,7 @@ import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import disk
 from .types import (
@@ -182,13 +184,10 @@ class StoreSet:
             self.class_members[number].append(episode_id)
 
 
-class _TaskRecord(NamedTuple):
-    """One task record read back from an episode log."""
-
-    seq: int
-    episode: Episode
-    task_type: str
-    procedures_used: tuple[str, ...]
+# A task record read back from an episode log, less its seq: the episode, its
+# task type and the procedures it used. A plain tuple: loading builds one per
+# log line, and a NamedTuple costs more to build.
+_TaskRecord = tuple[Episode, str, tuple[str, ...]]
 
 
 def _dump_json(path: Path, document: dict[str, Any]) -> None:
@@ -220,7 +219,7 @@ def _load_json(path: Path, keys: dict[str, tuple[str, Callable[[Any], bool]]]) -
     """
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise StoreError(f"corrupt JSON in {path}: {exc}") from exc
     if not isinstance(document, dict):
         raise StoreError(f"{path} is not a JSON object")
@@ -299,18 +298,24 @@ class MemoryStore:
     """Owns every :class:`StoreSet` under one root directory."""
 
     def __init__(self, root: Path, topology: Topology, agents: list[str]) -> None:
+        self.root = Path(root)
+        self._meta_path = self.root / "store_meta.json"
+        # A store's roster is the one its meta holds, or must equal it.
+        where = f"{self._meta_path}: " if self._meta_path.exists() else ""
         if not agents:
-            raise StoreError("agents roster must not be empty")
+            raise StoreError(f"{where}agents roster must not be empty")
         if len(set(agents)) != len(agents):
-            raise StoreError(f"duplicate agent ids in roster: {agents}")
+            raise StoreError(f"{where}duplicate agent ids in roster: {agents}")
         # agent ids name owner directories: one path component each, not "shared" under hybrid
         reserved = {"", ".", ".."} | ({SHARED_OWNER} if topology is Topology.HYBRID else set())
         for agent in agents:
             if agent in reserved or {os.sep, os.altsep} & set(agent):
-                raise StoreError(f"agent id {agent!r} cannot name its own owner directory")
-        self.root = Path(root)
+                raise StoreError(f"{where}agent id {agent!r} cannot name its own owner directory")
         self.topology = topology
         self.agents = list(agents)
+        # The agents a task record's team may name under hybrid, where only an
+        # agent's own view reads its collaboration history; any agent elsewhere.
+        self._teammates = frozenset(agents) if topology is Topology.HYBRID else None
         # Each agent's two owners. The owners (agents first) and each procedure
         # owner's covered episodic owners (sorted) derive from them, in roster order.
         self._episodic_owner = {
@@ -340,17 +345,16 @@ class MemoryStore:
     # -- load / save ---------------------------------------------------------
 
     def _load_or_init(self) -> None:
-        meta_path = self.root / "store_meta.json"
-        if meta_path.exists():
-            meta = _load_json(meta_path, _META_KEYS)
+        if self._meta_path.exists():
+            meta = _load_json(self._meta_path, _META_KEYS)
             if meta.get("topology") != self.topology.value:
                 raise StoreError(
-                    f"{meta_path}: store was created with topology "
+                    f"{self._meta_path}: store was created with topology "
                     f"{meta.get('topology')!r}, reopened as {self.topology.value!r}"
                 )
             if sorted(meta.get("agents", [])) != sorted(self.agents):
                 raise StoreError(
-                    f"{meta_path}: store was created for agents "
+                    f"{self._meta_path}: store was created for agents "
                     f"{meta.get('agents')!r}, reopened with {sorted(self.agents)!r}"
                 )
         else:
@@ -360,10 +364,11 @@ class MemoryStore:
         for entry in sorted(self.root.iterdir()):
             if entry.is_dir() and entry.name not in expected:
                 raise StoreError(
-                    f"unexpected owner directory {entry} for topology {self.topology.value}"
+                    f"unexpected owner directory {entry} for topology "
+                    f"{self.topology.value} and the roster in {self._meta_path}"
                 )
 
-        records: list[_TaskRecord] = []
+        records: dict[int, _TaskRecord] = {}
         checkpoints: dict[str, int] = {}
         self._sets: dict[str, StoreSet] = {owner: StoreSet() for owner in self._owners}
         for owner in self._owners:
@@ -374,7 +379,7 @@ class MemoryStore:
 
     def _write_meta(self) -> None:
         _dump_json(
-            self.root / "store_meta.json",
+            self._meta_path,
             {
                 "schema_version": SCHEMA_VERSION,
                 "topology": self.topology.value,
@@ -382,8 +387,8 @@ class MemoryStore:
             },
         )
 
-    def _load_log(self, owner: str, records: list[_TaskRecord]) -> None:
-        """Read one owner's episode log into its store set; add its task records."""
+    def _load_log(self, owner: str, records: dict[int, _TaskRecord]) -> None:
+        """Read one owner's episode log into its store set; add its task records by seq."""
         store = self._sets[owner]
         log_path = self._log_paths[owner]
         if not log_path.exists():
@@ -391,15 +396,24 @@ class MemoryStore:
 
         def decode(d: dict[str, Any]) -> Episode:
             episode = episode_from_dict(d)
-            if self._episodic_owner.get(episode.agent_id) != owner:
+            logs_to = self._episodic_owner.get(episode.agent_id)
+            if logs_to is None:
+                raise ValueError(
+                    f"agent {episode.agent_id!r} is not on the roster in {self._meta_path}"
+                )
+            if logs_to != owner:
                 raise ValueError(f"agent {episode.agent_id!r} does not log to {owner!r}")
             if episode.episode_id in store.episode_class:
                 raise ValueError(f"episode id {episode.episode_id!r} repeats an earlier line")
             seq = d["seq"]
             if not isinstance(seq, int) or isinstance(seq, bool):
                 raise ValueError(f"seq must be an integer, got {seq!r}")
+            if seq in records:
+                earlier = records[seq][0].episode_id
+                raise ValueError(f"seq {seq} repeats the record of episode {earlier!r}")
+            self.check_task(episode.team_composition, d["task_type"])
             used = d.get("procedures_used", sorted(episode.related_procedures))
-            records.append(_TaskRecord(seq, episode, d["task_type"], tuple(used)))
+            records[seq] = (episode, d["task_type"], tuple(used))
             store.index_classes([episode])
             return episode
 
@@ -426,7 +440,11 @@ class MemoryStore:
                     d["source_episodes"] = _decode_sources(d["source_episodes"], logs)
                 store.procedural[d["procedure_id"]] = procedure_from_dict(d)
         except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"{path}: procedures holds a malformed entry: {exc!r}") from exc
+            # A source pair is read against the logs, so a damaged log can fail it.
+            against = ", ".join(str(self._log_paths[o]) for o in self._covered[owner])
+            raise StoreError(
+                f"{path}: procedures holds a malformed entry: {exc!r} (read against {against})"
+            ) from exc
         store.next_procedure_seq = doc["next_procedure_seq"]
         checkpoints[owner] = doc["seq"]
         bad = sorted(doc["watermarks"].keys() ^ set(self._covered[owner]))
@@ -435,17 +453,22 @@ class MemoryStore:
         for covered, watermark in doc["watermarks"].items():
             self._sets[covered].consolidation_watermark = watermark
 
-    def _replay(self, records: list[_TaskRecord], checkpoints: dict[str, int]) -> None:
+    def _replay(self, records: dict[int, _TaskRecord], checkpoints: dict[str, int]) -> None:
         """Tally every task record in ``seq`` order; bump procedures only past each snapshot."""
-        records.sort(key=lambda record: record.seq)
-        self._seq = max([*checkpoints.values(), *(r.seq for r in records)], default=0)
-        for seq, episode, task_type, used in records:
-            if checkpoints.get(self._procedure_owner[episode.agent_id], 0) >= seq:
+        self._seq = max([*checkpoints.values(), *records], default=0)
+        for seq in sorted(records):
+            episode, task_type, used = records[seq]
+            owner = self._procedure_owner[episode.agent_id]
+            if checkpoints.get(owner, 0) >= seq:
                 used = ()
             try:
                 self._apply_task(episode, task_type, used)
             except StoreError as exc:
-                raise StoreError(f"replaying task record seq {seq}: {exc}") from exc
+                log = self._log_paths[self._episodic_owner[episode.agent_id]]
+                raise StoreError(
+                    f"{log}: replaying task record seq {seq} into "
+                    f"{self._snapshot_paths[owner]}: {exc}"
+                ) from exc
 
     def _document(self, owner: str) -> dict[str, Any]:
         store = self._sets[owner]
@@ -482,6 +505,26 @@ class MemoryStore:
             record["procedures_used"] = procedures_used
         self._pending.setdefault(owner, []).append(json_line(record))
         self._apply_task(episode, task_type, procedures_used)
+
+    def check_task(self, team: Sequence[Any], task_type: Any) -> None:
+        """Raise :class:`ValueError` unless a task record's team and type can be tallied.
+
+        The team must be a non-empty sequence of agent ids and, under
+        ``hybrid``, where only an agent's own view reads its collaboration
+        history, name no agent off the roster. The task type is a string.
+        """
+        if not team:
+            raise ValueError("empty team composition")
+        try:
+            "".join(team)  # joins strings only; the cheapest such test, run per record
+        except TypeError:
+            bad = list(team)
+            raise ValueError(f"team composition holds a non-string agent id: {bad!r}") from None
+        if self._teammates is not None and not self._teammates.issuperset(team):
+            outside = sorted(set(team) - self._teammates)
+            raise ValueError(f"team composition names agents outside the roster: {outside}")
+        if type(task_type) is not str:
+            raise ValueError(f"task_type must be a string, got {task_type!r}")
 
     def _apply_task(self, episode: Episode, task_type: str, procedures_used: Sequence[str]) -> None:
         """Tally a task record, and count its outcome on each procedure it used."""
@@ -734,7 +777,9 @@ class MemoryView:
 
     # -- writes ---------------------------------------------------------------
 
-    def _check_append(self, episode: Episode, procedures_used: Iterable[str]) -> str:
+    def _check_append(
+        self, episode: Episode, task_type: str, procedures_used: Iterable[str]
+    ) -> str:
         """Validate an episode for this view's log; returns the log's owner."""
         if episode.agent_id != self.agent_id:
             raise StoreError(
@@ -744,14 +789,10 @@ class MemoryView:
         owner = self._episodic_owner
         if episode.episode_id in self._store.store_set(owner).episode_class:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
-        # The transactive tally keys team patterns by the team. Under hybrid an
-        # agent's history is read only by its own view, which no outsider has.
-        team = set(episode.team_composition)
-        if not team:
-            raise StoreError(f"episode {episode.episode_id!r} has an empty team composition")
-        if self.topology is Topology.HYBRID and not team <= set(self._store.agents):
-            outside = sorted(team - set(self._store.agents))
-            raise StoreError(f"team composition names agents outside the roster: {outside}")
+        try:
+            self._store.check_task(episode.team_composition, task_type)
+        except ValueError as exc:
+            raise StoreError(f"episode {episode.episode_id!r}: {exc}") from exc
         known = self._store.store_set(self._procedure_owner).procedural
         missing = sorted({*episode.related_procedures, *procedures_used} - known.keys())
         if missing:
@@ -773,7 +814,7 @@ class MemoryView:
         return outside a batch.
         """
         used = list(procedures_used)
-        owner = self._check_append(episode, used)
+        owner = self._check_append(episode, task_type, used)
         self._store.add_episode(owner, episode, task_type, used)
         self._store.flush()
         return episode.episode_id

@@ -260,6 +260,9 @@ def outcome_to_dict(o: Outcome) -> dict[str, Any]:
 
 
 def outcome_from_dict(d: dict[str, Any]) -> Outcome:
+    """Decode an outcome; a ``success`` that is not a bool raises :class:`TypeError`."""
+    if type(d["success"]) is not bool:
+        raise TypeError(f"success must be a bool, got {d['success']!r}")
     return Outcome(ts=d["ts"], cs=d["cs"], success=d["success"])
 
 
@@ -365,19 +368,29 @@ def json_line(document: Any) -> str:
 def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
     """Decode every line of a JSONL file, reading it one line at a time.
 
-    Blank lines are skipped. A line that is not JSON or that ``decode``
-    rejects, and a last line without its newline (a torn append), raise
-    :class:`ValueError` naming the file and the 1-based line.
+    Blank lines are skipped. A line that is not UTF-8, is not JSON or that
+    ``decode`` rejects, and a last line without its newline (a torn append),
+    raise :class:`ValueError` naming the file and the 1-based line.
     """
     items = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            if not line.endswith("\n"):
-                raise ValueError(f"{path}, line {number}: truncated record (no final newline)")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                if not line.endswith("\n"):
+                    raise ValueError(f"{path}, line {number}: truncated record (no final newline)")
+                try:
+                    items.append(decode(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}, line {number}: malformed record: {exc!r}") from exc
+    except UnicodeDecodeError:
+        # The text reader decodes a chunk at a time, so the error cannot say
+        # which line holds the bad byte. Lines split as text mode splits them.
+        for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
             try:
-                items.append(decode(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}, line {number}: malformed record: {exc!r}") from exc
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not UTF-8: {exc}") from exc
+        raise
     return items

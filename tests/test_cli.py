@@ -177,13 +177,17 @@ def test_bad_config_reports_the_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [('{"topology": "loc', "corrupt JSON: Unterminated string"), ("[1]\n", "must be a JSON object")],
-    ids=["torn", "not-an-object"],
+    "data, message",
+    [
+        (b'{"topology": "loc', "corrupt JSON: Unterminated string"),
+        (b"[1]\n", "must be a JSON object"),
+        (b'{"topology": "loc\xffl"}', "corrupt JSON: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["torn", "not-an-object", "not-utf8"],
 )
-def test_a_damaged_config_file_is_named(tmp_path, capsys, text, message):
+def test_a_damaged_config_file_is_named(tmp_path, capsys, data, message):
     path = tmp_path / "torn.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
     assert not (tmp_path / "out").exists()

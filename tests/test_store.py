@@ -1,10 +1,13 @@
 """Store topologies, visibility, durability, and failure modes."""
 
 import json
+import shutil
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from teammem.harness import SimConfig, run_sim
 from teammem.store import (
@@ -775,6 +778,9 @@ def with_value(line, key, value):
     return json.dumps({**json.loads(line), key: value})
 
 
+SUCCESS_STRING = {"ts": 80.0, "cs": 70.0, "success": "yes"}
+
+
 @pytest.mark.parametrize(
     "damage, line",
     [
@@ -784,7 +790,9 @@ def with_value(line, key, value):
         (lambda lines: [without(lines[0], "seq"), *lines[1:]], 1),
         (lambda lines: [lines[0], without(lines[1], "task_type"), lines[2]], 2),
         (lambda lines: [with_value(lines[0], "seq", "1"), *lines[1:]], 1),
-        (lambda lines: [lines[0], lines[1], with_value(lines[2], "seq", True)], 3),
+        (lambda lines: [lines[0], with_value(lines[1], "seq", True), lines[2]], 2),
+        (lambda lines: [lines[0], with_value(lines[1], "seq", 1), lines[2]], 2),
+        (lambda lines: [lines[0], with_value(lines[1], "outcome", SUCCESS_STRING), lines[2]], 2),
     ],
     ids=[
         "truncated-last-line",
@@ -794,6 +802,8 @@ def with_value(line, key, value):
         "no-task-type",
         "seq-string",
         "seq-bool",
+        "seq-repeated",
+        "success-string",
     ],
 )
 def test_damaged_episode_log_names_file_and_line(tmp_path, damage, line):
@@ -808,6 +818,69 @@ def test_damaged_episode_log_names_file_and_line(tmp_path, damage, line):
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert f"{log}, line {line}" in str(exc.value)
+
+
+def test_a_seq_repeated_in_another_log_names_the_second_record(tmp_path):
+    views = open_views(tmp_path, "local")
+    record(views["agent-1"], episode_for("agent-1", 1))
+    record(views["agent-2"], episode_for("agent-2", 2))
+    log = tmp_path / "store" / "agent-2" / "episodic.jsonl"
+    log.write_text(with_value(log.read_text(), "seq", 1) + "\n", encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    assert f"{log}, line 1" in str(exc.value) and "'agent-1:1'" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name, where",
+    [
+        ("store_meta.json", ""),
+        ("shared/procedural.json", ""),
+        ("shared/episodic.jsonl", ", line 2"),
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_the_file(tmp_path, name, where):
+    run_sim(SimConfig(topology="shared", team_size=2, n_tasks=12, seed=1), tmp_path / "run")
+    target = tmp_path / "run" / "store" / name
+    raw = target.read_bytes()
+    at = raw.index(b"\n") + 5 if where else 5
+    target.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "run" / "store")
+    assert f"{target}{where}" in str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def sim_stores(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sim-stores")
+    for topology in ("local", "shared", "hybrid"):
+        run_sim(SimConfig(topology=topology, team_size=3, n_tasks=24, seed=7), root / topology)
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["local", "shared", "hybrid"]), st.data())
+def test_flipped_bytes_open_or_fail_naming_the_file(sim_stores, topology, data):
+    source = sim_stores / topology / "store"
+    files = sorted(path.relative_to(source) for path in source.rglob("*.json*"))
+    name = data.draw(st.sampled_from(files))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "store"
+        shutil.copytree(source, store)
+        target = store / name
+        raw = bytearray(target.read_bytes())
+        flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+        for at, mask in data.draw(st.lists(flips, min_size=1, max_size=3)):
+            raw[at] ^= mask
+        target.write_bytes(bytes(raw))
+        try:
+            views = open_store(store)
+        except StoreError as exc:
+            assert str(target) in str(exc)
+            return
+        for view in views.values():  # whatever opens can be read
+            view.profiles()
+            view.team_patterns()
 
 
 def test_a_log_rejects_a_record_of_an_agent_who_logs_elsewhere(tmp_path):

@@ -221,6 +221,8 @@ def test_a_team_the_fold_cannot_take_is_rejected_before_changing_anything(tmp_pa
     files = files_of(tmp_path / "store")
     with pytest.raises(StoreError, match="empty team composition"):
         views["agent-1"].record_task(episode("agent-1", 2, ()), "qa", [])
+    with pytest.raises(StoreError, match="task_type must be a string"):
+        views["agent-1"].record_task(episode("agent-1", 2, ("agent-1",)), 5, [])
     if topology == "hybrid":
         # no view could read the history of an agent outside the roster
         with pytest.raises(StoreError, match="outside the roster: \\['agent-9'\\]"):
@@ -233,6 +235,22 @@ def test_a_team_the_fold_cannot_take_is_rejected_before_changing_anything(tmp_pa
     }
     reopened = open_store(tmp_path / "store")
     assert reopened["agent-1"].profiles() == views["agent-1"].profiles()
+
+    # the loader holds a record to the same rules, naming the file and the line
+    log = tmp_path / "store" / ("shared" if topology == "shared" else "agent-1") / "episodic.jsonl"
+    record = json.loads(log.read_text())
+    edits = [
+        ({"team_composition": []}, "empty team composition"),
+        ({"team_composition": ["agent-1", 2]}, "non-string agent id"),
+        ({"task_type": ["qa"]}, "task_type must be a string"),
+    ]
+    if topology == "hybrid":
+        edits.append(({"team_composition": ["agent-1", "agent-9"]}, "outside the roster"))
+    for edit, message in edits:
+        log.write_text(json.dumps({**record, **edit}) + "\n", encoding="utf-8")
+        with pytest.raises(StoreError, match=message) as exc:
+            open_store(tmp_path / "store")
+        assert f"{log}, line 1" in str(exc.value)
 
 
 @pytest.mark.parametrize("read_between", [False, True])

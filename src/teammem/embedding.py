@@ -32,7 +32,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
 DEFAULT_DIM = 256
 
@@ -293,38 +293,18 @@ class HashEmbedder:
         return _memo_embed(text, self._dim)
 
 
-_PROVIDER_FACTORIES: dict[str, Callable[[int], EmbeddingProvider]] = {
-    "hash": lambda dim: HashEmbedder(dim),
-}
-
-
-def register_provider(name: str, factory: Callable[[int], EmbeddingProvider]) -> None:
-    """Register an external provider factory under a config name."""
-    _PROVIDER_FACTORIES[name] = factory
-
-
-def provider_factory(name: str) -> Callable[[int], EmbeddingProvider]:
-    """The factory registered under ``name``; ``ValueError`` lists the known names."""
-    factory = _PROVIDER_FACTORIES.get(name)
-    if factory is None:
-        known = ", ".join(sorted(_PROVIDER_FACTORIES))
-        raise ValueError(f"unknown provider {name!r} (known: {known})")
-    return factory
-
-
 def provider_from_config(config: dict | None) -> EmbeddingProvider:
     """Build a provider from an ``embedding`` config section.
 
-    Recognized keys: ``provider`` (default ``"hash"``) and ``dim``
-    (default 256). An unknown provider name or a bad dim raises
+    Recognized keys: ``provider`` (``"hash"``, the only one, and the default)
+    and ``dim`` (default 256). Another provider name or a bad dim raises
     ``ValueError`` naming the offending key.
     """
     config = config or {}
+    name = config.get("provider", "hash")
+    if name != "hash":
+        raise ValueError(f"embedding.provider: unknown provider {name!r} (known: hash)")
     try:
-        factory = provider_factory(config.get("provider", "hash"))
-    except ValueError as exc:
-        raise ValueError(f"embedding.provider: {exc}") from None
-    try:
-        return factory(config.get("dim", DEFAULT_DIM))
+        return HashEmbedder(config.get("dim", DEFAULT_DIM))
     except ValueError as exc:
         raise ValueError(f"embedding.dim: {exc}") from None

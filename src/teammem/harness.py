@@ -14,14 +14,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from . import disk
-from .embedding import EmbeddingProvider, provider_factory
+from .embedding import EmbeddingProvider, HashEmbedder
 from .lifecycle import (
     ConsolidationConfig,
     StubGenerator,
@@ -39,104 +38,72 @@ from .metrics import (
     token_proxy,
 )
 from .retrieval import Query, RetrievalResult, render_memory_context, retrieve
-from .store import MemoryView, Topology, open_store
-from .types import DEFAULT_SUCCESS_THRESHOLD, outcome_from_scores
+from .store import MemoryView, Topology, _topology, open_store
+from .types import (
+    DEFAULT_SUCCESS_THRESHOLD,
+    Row,
+    _at_least_one,
+    _kind,
+    _non_empty,
+    _number,
+    _percent,
+    check_rows,
+    outcome_from_scores,
+    spell,
+)
 
 
 class ConfigError(Exception):
     """Raised when a simulation config is structurally invalid."""
 
 
-# Each config dataclass is described by one row per field: (JSON path, field,
-# kind, check). A kind takes a value as given and returns it as stored; a
-# check then inspects the stored value. Both raise ValueError with a message
-# that gets the path as its prefix. Loading, dumping, unknown-key detection and
+# Each config dataclass is described by rows (see types.Row); a dotted path
+# names a key in a section. Loading, dumping, unknown-key detection and
 # validation all walk these rows; defaults are the dataclass defaults.
-_Row = tuple[str, str, Callable[[Any], Any], Callable[[Any], Any] | None]
-
-
-def _kind(
-    *rules: tuple[Callable[[Any], bool], str], convert: Callable[[Any], Any] | None = None
-) -> Callable[[Any], Any]:
-    """Reject a value failing a ``(test, message)`` rule; return it, through ``convert`` if set."""
-
-    def accept(value: Any) -> Any:
-        for test, message in rules:
-            if not test(value):
-                raise ValueError(message.format(value))
-        return value if convert is None else convert(value)
-
-    return accept
-
-
-_integer = _kind(
-    (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer, got {!r}")
-)
-_NUMBER_RULES = (
-    (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "must be a number, got {!r}",
-    ),
-    # exact for ints too large for a float, which math.isfinite cannot take
-    (lambda v: abs(v) <= sys.float_info.max, "must be finite, got {!r}"),
-)
-_number = _kind(*_NUMBER_RULES)
-_float = _kind(*_NUMBER_RULES, convert=float)
-_boolean = _kind((lambda v: isinstance(v, bool), "must be true or false, got {!r}"))
-_string = _kind((lambda v: isinstance(v, str), "must be a string, got {!r}"))
 _name = _kind(
     (lambda v: isinstance(v, str) and bool(v.strip()), "must be a non-empty string, got {!r}")
 )
-_topology = _kind(
-    (lambda v: any(v == t for t in Topology), "must be one of local, shared, hybrid; got {!r}"),
-    convert=Topology,
-)
-_non_empty = _kind((bool, "must list at least one task family"))
 _phrase = _kind((lambda v: bool(v.strip()), "must be a non-empty phrase"))
-_at_least_one = _kind((lambda v: v >= 1, "must be >= 1, got {!r}"))
-_percent = _kind((lambda v: 0.0 <= v <= 100.0, "must be in [0, 100], got {!r}"))
+_hash = _kind((lambda v: v == "hash", "unknown provider {!r} (known: hash)"))
 
-_FAMILY_ROWS: tuple[_Row, ...] = (
-    ("key", "key", _string, _phrase),
+
+def _float(value: Any) -> float:
+    return float(_number(value))
+
+
+_FAMILY_ROWS: tuple[Row, ...] = (
+    ("key", "key", str, _phrase),
     ("task_type", "task_type", _name, None),
     ("base_ts", "base_ts", _number, _percent),
     ("base_cs", "base_cs", _number, _percent),
     ("memory_bonus", "memory_bonus", _number, None),
 )
 
-_SIM_ROWS: tuple[_Row, ...] = (
+_SIM_ROWS: tuple[Row, ...] = (
     ("topology", "topology", _topology, None),
-    ("team_size", "team_size", _integer, _at_least_one),
-    ("n_tasks", "n_tasks", _integer, _at_least_one),
-    ("consolidation.n", "consolidation_n", _integer, _at_least_one),
-    ("retrieval.k", "retrieval_k", _integer, _at_least_one),
+    ("team_size", "team_size", int, _at_least_one),
+    ("n_tasks", "n_tasks", int, _at_least_one),
+    ("consolidation.n", "consolidation_n", int, _at_least_one),
+    ("retrieval.k", "retrieval_k", int, _at_least_one),
     ("retrieval.proc_threshold", "proc_threshold", _float, None),
-    ("seed", "seed", _integer, None),
-    ("memory_enabled", "memory_enabled", _boolean, None),
-    ("families", "families", tuple, _non_empty),
+    ("seed", "seed", int, None),
+    ("memory_enabled", "memory_enabled", bool, None),
+    ("families", "families", _kind(convert=tuple), _non_empty),
     ("success_threshold", "success_threshold", _float, None),
-    ("embedding.provider", "embedding_provider", _string, provider_factory),
-    ("embedding.dim", "embedding_dim", _integer, _at_least_one),
+    ("embedding.provider", "embedding_provider", str, _hash),
+    ("embedding.dim", "embedding_dim", int, _at_least_one),
 )
 
 
-def _validate(rows: Sequence[_Row], values: dict[str, Any], name: str = "") -> None:
-    """Check each field ``values`` holds and store its kind's form in place.
-
-    Errors name ``name.path``. A frozen dataclass passes its instance dict.
-    """
-    prefix = f"{name}." if name else ""
-    for path, field, kind, check in rows:
-        if field in values:
-            try:
-                values[field] = kind(values[field])
-                if check is not None:
-                    check(values[field])
-            except ValueError as exc:
-                raise ConfigError(f"{prefix}{path}: {exc}") from None
+def _validate(rows: Sequence[Row], config: Any) -> None:
+    """Check each field of a config dataclass and store its kind's form in place."""
+    try:
+        check_rows(rows, config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _read(cls: type, rows: Sequence[_Row], data: Any, name: str = "") -> dict[str, Any]:
+def _read(cls: type, rows: Sequence[Row], data: Any, name: str = "") -> dict[str, Any]:
     """Field -> raw value for each row ``data`` sets; rejects unknown keys at every level."""
     prefix = f"{name}." if name else ""
     if not isinstance(data, dict):
@@ -146,7 +113,7 @@ def _read(cls: type, rows: Sequence[_Row], data: Any, name: str = "") -> dict[st
         raise ConfigError(f"unknown config keys: {', '.join(prefix + key for key in unknown)}")
     required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
     values: dict[str, Any] = {}
-    sections: dict[str, list[_Row]] = {}
+    sections: dict[str, list[Row]] = {}
     for path, field, kind, check in rows:
         head, dot, rest = path.partition(".")
         if dot:
@@ -160,21 +127,6 @@ def _read(cls: type, rows: Sequence[_Row], data: Any, name: str = "") -> dict[st
     return values
 
 
-def _dump(obj: Any, rows: Sequence[_Row]) -> dict[str, Any]:
-    """``obj`` as a JSON object holding each field at its row's path."""
-    out: dict[str, Any] = {}
-    for path, field, _, _ in rows:
-        section, _, key = path.rpartition(".")
-        node = out.setdefault(section, {}) if section else out
-        value = getattr(obj, field)
-        if isinstance(value, Topology):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = [_dump(family, _FAMILY_ROWS) for family in value]
-        node[key] = value
-    return out
-
-
 @dataclass(frozen=True)
 class TaskFamily:
     key: str
@@ -184,7 +136,7 @@ class TaskFamily:
     memory_bonus: float = 10.0
 
     def __post_init__(self) -> None:
-        _validate(_FAMILY_ROWS, vars(self), "families[]")
+        _validate(_FAMILY_ROWS, self)
 
 
 @dataclass(frozen=True)
@@ -231,7 +183,7 @@ class SimConfig:
     embedding_dim: int = 256
 
     def __post_init__(self) -> None:
-        _validate(_SIM_ROWS, vars(self))
+        _validate(_SIM_ROWS, self)
 
     @property
     def agent_ids(self) -> tuple[str, ...]:
@@ -269,14 +221,17 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
         for i, entry in enumerate(entries):
             name = f"families[{i}]"
             fields = _read(TaskFamily, _FAMILY_ROWS, entry, name)
-            _validate(_FAMILY_ROWS, fields, name)
-            families.append(TaskFamily(**fields))
+            try:
+                families.append(TaskFamily(**fields))
+            except ConfigError as exc:
+                raise ConfigError(f"{name}.{exc}") from None
         values["families"] = families
     return SimConfig(**values)
 
 
 def config_to_dict(cfg: SimConfig) -> dict[str, Any]:
-    return _dump(cfg, _SIM_ROWS)
+    families = [spell(_FAMILY_ROWS, vars(family)) for family in cfg.families]
+    return spell(_SIM_ROWS, {**vars(cfg), "families": families})
 
 
 def sim_timestamp(index: int) -> str:
@@ -384,8 +339,7 @@ class SimRunner:
         self.completed = (
             len(read_runlog(self.runlog_path)) if self.runlog_path.exists() else 0
         )
-        factory = provider_factory(cfg.embedding_provider)
-        self.embedder: EmbeddingProvider = factory(cfg.embedding_dim)
+        self.embedder: EmbeddingProvider = HashEmbedder(cfg.embedding_dim)
         self.generator = StubGenerator()
         self.consolidation_cfg = ConsolidationConfig(interval_n=cfg.consolidation_n)
         self.views: dict[str, MemoryView] | None = None

@@ -19,10 +19,21 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, ClassVar
 
 from . import disk
-from .types import json_line, read_jsonl
+from .types import (
+    Record,
+    Row,
+    _non_negative,
+    _number,
+    _percent,
+    _strings,
+    from_dict,
+    json_line,
+    read_jsonl,
+    to_dict,
+)
 
 TOKEN_PROXY_NOTE = "whitespace token proxy, not a tokenizer count"
 
@@ -33,7 +44,7 @@ def token_proxy(text: str) -> int:
 
 
 @dataclass(frozen=True)
-class RunLogEntry:
+class RunLogEntry(Record):
     task_index: int
     task_id: str
     ts: float
@@ -45,13 +56,18 @@ class RunLogEntry:
     retrieved_ids: tuple[str, ...] = ()
     procedures_used: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "retrieved_ids", tuple(self.retrieved_ids))
-        object.__setattr__(self, "procedures_used", tuple(self.procedures_used))
-        if not 0.0 <= self.ts <= 100.0 or not 0.0 <= self.cs <= 100.0:
-            raise ValueError(f"scores out of range in entry {self.task_id!r}")
-        if self.tokens_in < 0 or self.tokens_out < 0:
-            raise ValueError(f"negative token counts in entry {self.task_id!r}")
+    ROWS: ClassVar[tuple[Row, ...]] = (
+        ("task_index", "task_index", int, None),
+        ("task_id", "task_id", str, None),
+        ("ts", "ts", _number, _percent),
+        ("cs", "cs", _number, _percent),
+        ("tokens_in", "tokens_in", int, _non_negative),
+        ("tokens_out", "tokens_out", int, _non_negative),
+        ("team_size", "team_size", int, None),
+        ("kind_used", "kind_used", str, None),
+        ("retrieved_ids", "retrieved_ids", _strings, None),
+        ("procedures_used", "procedures_used", _strings, None),
+    )
 
     @property
     def combined(self) -> float:
@@ -144,47 +160,21 @@ def cost_reduction(method: RunLog, baseline: RunLog) -> float:
 # ---------------------------------------------------------------------------
 
 
-def entry_to_dict(entry: RunLogEntry) -> dict[str, Any]:
-    return {
-        "task_index": entry.task_index,
-        "task_id": entry.task_id,
-        "ts": entry.ts,
-        "cs": entry.cs,
-        "tokens_in": entry.tokens_in,
-        "tokens_out": entry.tokens_out,
-        "team_size": entry.team_size,
-        "kind_used": entry.kind_used,
-        "retrieved_ids": list(entry.retrieved_ids),
-        "procedures_used": list(entry.procedures_used),
-    }
-
-
-def entry_from_dict(d: dict[str, Any]) -> RunLogEntry:
-    return RunLogEntry(
-        task_index=d["task_index"],
-        task_id=d["task_id"],
-        ts=d["ts"],
-        cs=d["cs"],
-        tokens_in=d["tokens_in"],
-        tokens_out=d["tokens_out"],
-        team_size=d["team_size"],
-        kind_used=d["kind_used"],
-        retrieved_ids=tuple(d["retrieved_ids"]),
-        procedures_used=tuple(d["procedures_used"]),
-    )
-
-
 def write_runlog(path: Path | str, log: RunLog) -> None:
-    disk.replace(Path(path), "".join(json_line(entry_to_dict(e)) for e in log.entries))
+    disk.replace(Path(path), "".join(json_line(to_dict(e)) for e in log.entries))
 
 
 def append_runlog_entry(path: Path | str, entry: RunLogEntry) -> None:
-    disk.append(Path(path), json_line(entry_to_dict(entry)))
+    disk.append(Path(path), json_line(to_dict(entry)))
 
 
 def read_runlog(path: Path | str) -> RunLog:
-    """Read a run log; a torn or malformed line raises ValueError naming it."""
-    return RunLog(entries=tuple(read_jsonl(path, entry_from_dict)))
+    """Read a run log, each line decoded by :attr:`RunLogEntry.ROWS`.
+
+    A torn line, and a line that does not decode (a wrong type, a missing or
+    unknown key), raise :class:`ValueError` naming the file and the line.
+    """
+    return RunLog(entries=tuple(read_jsonl(path, lambda d: from_dict(RunLogEntry, d))))
 
 
 def emit_report(

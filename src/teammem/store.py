@@ -83,10 +83,11 @@ import enum
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import disk
 from .types import (
@@ -94,14 +95,21 @@ from .types import (
     CollabStats,
     Episode,
     Procedure,
+    Row,
     TeamPattern,
     TypeStats,
+    _at_least_one,
+    _kind,
+    _non_empty,
+    _non_negative,
+    _strings,
     canonical_team_key,
-    episode_from_dict,
-    episode_to_dict,
+    check_rows,
+    from_dict,
     json_line,
-    procedure_from_dict,
     read_jsonl,
+    spell,
+    to_dict,
 )
 
 SCHEMA_VERSION = 5
@@ -194,27 +202,65 @@ def _dump_json(path: Path, document: dict[str, Any]) -> None:
     disk.replace(path, json_line(document))
 
 
-def _all_of(kind: type, values: Iterable[Any]) -> bool:
-    return all(type(value) is kind for value in values)
+_topology = _kind(
+    (lambda v: any(v == t for t in Topology), "must be one of local, shared, hybrid; got {!r}"),
+    convert=Topology,
+)
+
+# The rows of each store document, besides its schema_version. A task record
+# is an episode's rows plus these; its procedures_used is left out when the
+# episode's related_procedures say it.
+_TASK_ROWS: tuple[Row, ...] = (
+    ("seq", "seq", int, _at_least_one),
+    ("task_type", "task_type", str, None),
+    ("procedures_used", "procedures_used", _strings, None),
+)
+_META_ROWS: tuple[Row, ...] = (
+    ("topology", "topology", _topology, None),
+    ("agents", "agents", _strings, _non_empty),
+)
+# Each entry of procedures is a procedure's object, its source_episodes
+# spelled as lesson-class runs (see _encode_sources).
+_SNAPSHOT_ROWS: tuple[Row, ...] = (
+    ("seq", "seq", int, _non_negative),
+    ("next_procedure_seq", "next_procedure_seq", int, _at_least_one),
+    ("procedures", "procedures", _kind((lambda v: type(v) is list, "must be a list, got {!r}")),
+     None),
+    ("watermarks", "watermarks", _kind(
+        (lambda v: type(v) is dict and all(type(n) is int for n in v.values()),
+         "must be an object of integers, got {!r}"),
+    ), None),
+)
+_PROCEDURE_NUMBER = re.compile(r"proc-([0-9]+)")
 
 
-# Each key a store document must hold: what its value must be, and the check.
-# ``type(v) is int`` also rejects a bool, which JSON tells apart from a number.
-_META_KEYS = {
-    "topology": ("a topology name", lambda v: v in [t.value for t in Topology]),
-    "agents": ("a list of strings", lambda v: type(v) is list and _all_of(str, v)),
-}
-_SNAPSHOT_KEYS = {
-    "seq": ("an integer", lambda v: type(v) is int),
-    "next_procedure_seq": ("an integer", lambda v: type(v) is int),
-    "procedures": ("a list", lambda v: type(v) is list),
-    "watermarks": ("an object of integers", lambda v: type(v) is dict and _all_of(int, v.values())),
-}
+def _check_snapshot(
+    document: dict[str, Any], ids: list[str], lengths: dict[str, int], last_seq: int
+) -> None:
+    """Raise :class:`ValueError` unless a snapshot agrees with itself and with the logs.
+
+    Its ``seq`` is at most the last ``seq`` logged (a gap is not checked), no
+    procedure id repeats, ``next_procedure_seq`` is past the number of every
+    ``proc-NNNNN`` id, and each watermark lies within its log (``lengths``).
+    """
+    seq, after = document["seq"], document["next_procedure_seq"]
+    top = max((int(found[1]) for i in ids if (found := _PROCEDURE_NUMBER.fullmatch(i))), default=0)
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    for holds, message in [
+        (seq <= last_seq, f"seq {seq} is past the last logged seq {last_seq}"),
+        (not repeated, f"procedures lists {repeated} more than once"),
+        (after > top, f"next_procedure_seq {after} is not past proc-{top:05d}"),
+        *((0 <= mark <= lengths[owner], f"watermark {mark} of {owner!r} is outside its log of "
+           f"{lengths[owner]} records") for owner, mark in document["watermarks"].items()),
+    ]:
+        if not holds:
+            raise ValueError(message)
 
 
-def _load_json(path: Path, keys: dict[str, tuple[str, Callable[[Any], bool]]]) -> dict[str, Any]:
-    """Read a store document: a JSON object of the current schema with ``keys``.
+def _load_json(path: Path, rows: Sequence[Row]) -> dict[str, Any]:
+    """Read a store document: a JSON object of the current schema holding exactly ``rows``.
 
+    Each value is checked, and stored in its kind's form, by its row.
     Anything else raises :class:`StoreError` naming the file (and the key).
     """
     try:
@@ -227,12 +273,15 @@ def _load_json(path: Path, keys: dict[str, tuple[str, Callable[[Any], bool]]]) -
         raise StoreError(
             f"unsupported schema_version in {path}: {document.get('schema_version')!r}"
         )
-    missing = [key for key in keys if key not in document]
-    if missing:
-        raise StoreError(f"{path} lacks {', '.join(missing)}")
-    for key, (expected, check) in keys.items():
-        if not check(document[key]):
-            raise StoreError(f"{path}: {key} must be {expected}, got {document[key]!r}")
+    try:
+        check_rows(rows, document)
+    except KeyError as exc:
+        raise StoreError(f"{path} lacks {exc.args[0]}") from None
+    except ValueError as exc:
+        raise StoreError(f"{path}: {exc}") from None
+    if len(document) != len(rows) + 1:  # each row's key and schema_version are there
+        unknown = sorted(document.keys() - {key for key, _, _, _ in rows} - {"schema_version"})
+        raise StoreError(f"{path} holds unknown keys: {', '.join(unknown)}")
     return document
 
 
@@ -277,7 +326,7 @@ def _decode_sources(entries: list[Any], logs: Sequence[StoreSet]) -> list[str]:
         if type(entry) is str:
             ids.append(entry)
             continue
-        if type(entry) is not list or len(entry) != 2 or not _all_of(str, entry):
+        if type(entry) is not list or len(entry) != 2 or not all(type(end) is str for end in entry):
             raise ValueError(f"source entry {entry!r} is neither an id nor a pair of ids")
         first, last = entry
         log = next((log for log in logs if first in log.episode_class), None)
@@ -302,8 +351,10 @@ class MemoryStore:
         self._meta_path = self.root / "store_meta.json"
         # A store's roster is the one its meta holds, or must equal it.
         where = f"{self._meta_path}: " if self._meta_path.exists() else ""
-        if not agents:
-            raise StoreError(f"{where}agents roster must not be empty")
+        try:
+            check_rows(_META_ROWS, {"topology": topology, "agents": agents})
+        except ValueError as exc:
+            raise StoreError(f"{where}{exc}") from None
         if len(set(agents)) != len(agents):
             raise StoreError(f"{where}duplicate agent ids in roster: {agents}")
         # agent ids name owner directories: one path component each, not "shared" under hybrid
@@ -346,16 +397,16 @@ class MemoryStore:
 
     def _load_or_init(self) -> None:
         if self._meta_path.exists():
-            meta = _load_json(self._meta_path, _META_KEYS)
-            if meta.get("topology") != self.topology.value:
+            meta = _load_json(self._meta_path, _META_ROWS)
+            if meta["topology"] is not self.topology:
                 raise StoreError(
                     f"{self._meta_path}: store was created with topology "
-                    f"{meta.get('topology')!r}, reopened as {self.topology.value!r}"
+                    f"{meta['topology'].value!r}, reopened as {self.topology.value!r}"
                 )
-            if sorted(meta.get("agents", [])) != sorted(self.agents):
+            if sorted(meta["agents"]) != sorted(self.agents):
                 raise StoreError(
                     f"{self._meta_path}: store was created for agents "
-                    f"{meta.get('agents')!r}, reopened with {sorted(self.agents)!r}"
+                    f"{list(meta['agents'])!r}, reopened with {sorted(self.agents)!r}"
                 )
         else:
             self._write_meta()
@@ -374,18 +425,12 @@ class MemoryStore:
         for owner in self._owners:
             self._load_log(owner, records)
         for owner in self._covered:
-            self._load_snapshot(owner, checkpoints)
+            self._load_snapshot(owner, checkpoints, max(records, default=0))
         self._replay(records, checkpoints)
 
     def _write_meta(self) -> None:
-        _dump_json(
-            self._meta_path,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "topology": self.topology.value,
-                "agents": sorted(self.agents),
-            },
-        )
+        meta = {"topology": self.topology, "agents": sorted(self.agents)}
+        _dump_json(self._meta_path, {"schema_version": SCHEMA_VERSION, **spell(_META_ROWS, meta)})
 
     def _load_log(self, owner: str, records: dict[int, _TaskRecord]) -> None:
         """Read one owner's episode log into its store set; add its task records by seq."""
@@ -394,8 +439,17 @@ class MemoryStore:
         if not log_path.exists():
             return
 
-        def decode(d: dict[str, Any]) -> Episode:
-            episode = episode_from_dict(d)
+        def decode(d: Any) -> Episode:
+            if type(d) is not dict:
+                raise ValueError(f"must be an object, got {d!r}")
+            task = {}
+            for key, attribute, _, _ in _TASK_ROWS:
+                if key in d:
+                    task[attribute] = d.pop(key)
+            episode = from_dict(Episode, d)
+            if "procedures_used" not in task:
+                task["procedures_used"] = sorted(episode.related_procedures)
+            check_rows(_TASK_ROWS, task)
             logs_to = self._episodic_owner.get(episode.agent_id)
             if logs_to is None:
                 raise ValueError(
@@ -405,15 +459,12 @@ class MemoryStore:
                 raise ValueError(f"agent {episode.agent_id!r} does not log to {owner!r}")
             if episode.episode_id in store.episode_class:
                 raise ValueError(f"episode id {episode.episode_id!r} repeats an earlier line")
-            seq = d["seq"]
-            if not isinstance(seq, int) or isinstance(seq, bool):
-                raise ValueError(f"seq must be an integer, got {seq!r}")
+            seq = task["seq"]
             if seq in records:
                 earlier = records[seq][0].episode_id
                 raise ValueError(f"seq {seq} repeats the record of episode {earlier!r}")
-            self.check_task(episode.team_composition, d["task_type"])
-            used = d.get("procedures_used", sorted(episode.related_procedures))
-            records[seq] = (episode, d["task_type"], tuple(used))
+            self.check_roster(episode.team_composition)
+            records[seq] = (episode, task["task_type"], task["procedures_used"])
             store.index_classes([episode])
             return episode
 
@@ -422,40 +473,48 @@ class MemoryStore:
         except ValueError as exc:
             raise StoreError(str(exc)) from exc
 
-    def _load_snapshot(self, owner: str, checkpoints: dict[str, int]) -> None:
+    def _load_snapshot(self, owner: str, checkpoints: dict[str, int], last_seq: int) -> None:
         """Read one owner's procedure snapshot, once every log is read.
 
         Its procedures go into the owner's store set and its watermarks into
         the sets they cover; the last seq it includes goes to ``checkpoints``.
+        ``last_seq`` is the last seq any log holds.
         """
         path = self._snapshot_paths[owner]
         if not path.exists():
             return
         store = self._sets[owner]
-        doc = _load_json(path, _SNAPSHOT_KEYS)
+        doc = _load_json(path, _SNAPSHOT_ROWS)
+        bad = sorted(doc["watermarks"].keys() ^ set(self._covered[owner]))
+        if bad:
+            raise StoreError(f"{path} holds watermarks for the wrong owners: {bad}")
         logs = [self._sets[o] for o in self._covered[owner]]
+        procedures = []
         try:
             for d in doc["procedures"]:
-                if type(d["source_episodes"]) is list:  # else procedure_from_dict rejects it
+                if type(d) is dict and type(d.get("source_episodes")) is list:
                     d["source_episodes"] = _decode_sources(d["source_episodes"], logs)
-                store.procedural[d["procedure_id"]] = procedure_from_dict(d)
+                procedures.append(from_dict(Procedure, d))
         except (KeyError, TypeError, ValueError) as exc:
             # A source pair is read against the logs, so a damaged log can fail it.
             against = ", ".join(str(self._log_paths[o]) for o in self._covered[owner])
             raise StoreError(
                 f"{path}: procedures holds a malformed entry: {exc!r} (read against {against})"
             ) from exc
+        lengths = {o: len(self._sets[o].episodic) for o in self._covered[owner]}
+        try:
+            _check_snapshot(doc, [p.procedure_id for p in procedures], lengths, last_seq)
+        except ValueError as exc:
+            raise StoreError(f"{path}: {exc}") from None
+        store.procedural = {procedure.procedure_id: procedure for procedure in procedures}
         store.next_procedure_seq = doc["next_procedure_seq"]
         checkpoints[owner] = doc["seq"]
-        bad = sorted(doc["watermarks"].keys() ^ set(self._covered[owner]))
-        if bad:
-            raise StoreError(f"{path} holds watermarks for the wrong owners: {bad}")
         for covered, watermark in doc["watermarks"].items():
             self._sets[covered].consolidation_watermark = watermark
 
     def _replay(self, records: dict[int, _TaskRecord], checkpoints: dict[str, int]) -> None:
         """Tally every task record in ``seq`` order; bump procedures only past each snapshot."""
-        self._seq = max([*checkpoints.values(), *records], default=0)
+        self._seq = max(records, default=0)  # no snapshot's seq is past it
         for seq in sorted(records):
             episode, task_type, used = records[seq]
             owner = self._procedure_owner[episode.agent_id]
@@ -475,56 +534,53 @@ class MemoryStore:
         logs = [self._sets[o] for o in self._covered[owner]]
 
         def spelled(procedure: Procedure) -> dict[str, Any]:
-            # The fields are procedure_to_dict's keys, without its sorted id list.
-            sources = _encode_sources(procedure.source_episodes, logs)
-            return {**vars(procedure), "source_episodes": sources}
+            rows = Procedure.ROWS
+            values = {attribute: getattr(procedure, attribute) for _, attribute, _, _ in rows}
+            values["source_episodes"] = _encode_sources(procedure.source_episodes, logs)
+            return spell(rows, values)
 
-        return {
-            "schema_version": SCHEMA_VERSION,
+        snapshot = {
             "seq": self._seq,
             "next_procedure_seq": store.next_procedure_seq,
             "procedures": [spelled(store.procedural[pid]) for pid in sorted(store.procedural)],
             "watermarks": {o: self._sets[o].consolidation_watermark for o in self._covered[owner]},
         }
+        return {"schema_version": SCHEMA_VERSION, **spell(_SNAPSHOT_ROWS, snapshot)}
 
     def mark_dirty(self, owner: str) -> None:
         self._dirty.add(owner)
 
     # -- task records ----------------------------------------------------------
 
-    def add_episode(
-        self, owner: str, episode: Episode, task_type: str, procedures_used: list[str]
-    ) -> None:
-        """Append a validated episode to the owner's log as the next task record, and apply it."""
+    def task_fields(self, task_type: Any, procedures_used: Any) -> dict[str, Any]:
+        """The next task record's own fields, checked by their rows (:class:`ValueError`)."""
+        task = {"seq": self._seq + 1, "task_type": task_type, "procedures_used": procedures_used}
+        check_rows(_TASK_ROWS, task)
+        return task
+
+    def add_episode(self, owner: str, episode: Episode, task: dict[str, Any]) -> None:
+        """Append a validated episode to the owner's log as the next task record, and apply it.
+
+        ``task`` holds the record's own fields, from :meth:`task_fields`.
+        """
         store = self._sets[owner]
         store.episodic.append(episode)
         store.index_classes([episode])
-        self._seq += 1
-        record = {**episode_to_dict(episode), "seq": self._seq, "task_type": task_type}
-        if sorted(procedures_used) != sorted(episode.related_procedures):
-            record["procedures_used"] = procedures_used
+        self._seq = task["seq"]
+        record = {**to_dict(episode), **spell(_TASK_ROWS, task)}
+        if sorted(task["procedures_used"]) == record["related_procedures"]:
+            del record["procedures_used"]
         self._pending.setdefault(owner, []).append(json_line(record))
-        self._apply_task(episode, task_type, procedures_used)
+        self._apply_task(episode, task["task_type"], task["procedures_used"])
 
-    def check_task(self, team: Sequence[Any], task_type: Any) -> None:
-        """Raise :class:`ValueError` unless a task record's team and type can be tallied.
+    def check_roster(self, team: tuple[str, ...]) -> None:
+        """Raise :class:`ValueError` if a team names an agent off the roster under ``hybrid``.
 
-        The team must be a non-empty sequence of agent ids and, under
-        ``hybrid``, where only an agent's own view reads its collaboration
-        history, name no agent off the roster. The task type is a string.
+        There only an agent's own view reads its collaboration history.
         """
-        if not team:
-            raise ValueError("empty team composition")
-        try:
-            "".join(team)  # joins strings only; the cheapest such test, run per record
-        except TypeError:
-            bad = list(team)
-            raise ValueError(f"team composition holds a non-string agent id: {bad!r}") from None
         if self._teammates is not None and not self._teammates.issuperset(team):
             outside = sorted(set(team) - self._teammates)
             raise ValueError(f"team composition names agents outside the roster: {outside}")
-        if type(task_type) is not str:
-            raise ValueError(f"task_type must be a string, got {task_type!r}")
 
     def _apply_task(self, episode: Episode, task_type: str, procedures_used: Sequence[str]) -> None:
         """Tally a task record, and count its outcome on each procedure it used."""
@@ -673,7 +729,7 @@ def open_store(
             raise StoreError(
                 f"{meta_path} not found; pass topology and agents to create a store"
             )
-        meta = _load_json(meta_path, _META_KEYS)
+        meta = _load_json(meta_path, _META_ROWS)
         topology = topology or meta["topology"]
         agents = agents or meta["agents"]
     store = MemoryStore(root, Topology(topology), list(agents))
@@ -763,7 +819,13 @@ class MemoryView:
 
     def set_consolidation_watermark(self, value: int) -> None:
         owner = self._episodic_owner
-        self._store.store_set(owner).consolidation_watermark = value
+        store = self._store.store_set(owner)
+        if type(value) is not int or not 0 <= value <= len(store.episodic):
+            raise StoreError(
+                f"watermark {value!r} of {owner!r} is outside its log of "
+                f"{len(store.episodic)} records"
+            )
+        store.consolidation_watermark = value
         self._store.mark_dirty(self._procedure_owner)
         self._store.flush()
 
@@ -778,9 +840,9 @@ class MemoryView:
     # -- writes ---------------------------------------------------------------
 
     def _check_append(
-        self, episode: Episode, task_type: str, procedures_used: Iterable[str]
-    ) -> str:
-        """Validate an episode for this view's log; returns the log's owner."""
+        self, episode: Episode, task_type: str, procedures_used: Sequence[str]
+    ) -> dict[str, Any]:
+        """Validate a task record for this view's log; returns its own fields."""
         if episode.agent_id != self.agent_id:
             raise StoreError(
                 f"view of {self.agent_id!r} cannot append an episode owned by "
@@ -790,14 +852,15 @@ class MemoryView:
         if episode.episode_id in self._store.store_set(owner).episode_class:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
         try:
-            self._store.check_task(episode.team_composition, task_type)
+            task = self._store.task_fields(task_type, procedures_used)
+            self._store.check_roster(episode.team_composition)
         except ValueError as exc:
             raise StoreError(f"episode {episode.episode_id!r}: {exc}") from exc
         known = self._store.store_set(self._procedure_owner).procedural
-        missing = sorted({*episode.related_procedures, *procedures_used} - known.keys())
+        missing = sorted({*episode.related_procedures, *task["procedures_used"]} - known.keys())
         if missing:
             raise StoreError(f"episode references unknown procedures: {missing}")
-        return owner
+        return task
 
     def record_task(
         self, episode: Episode, task_type: str, procedures_used: Sequence[str]
@@ -813,9 +876,8 @@ class MemoryView:
         are next read (see :meth:`MemoryStore.transactive`). Durable before
         return outside a batch.
         """
-        used = list(procedures_used)
-        owner = self._check_append(episode, task_type, used)
-        self._store.add_episode(owner, episode, task_type, used)
+        task = self._check_append(episode, task_type, procedures_used)
+        self._store.add_episode(self._episodic_owner, episode, task)
         self._store.flush()
         return episode.episode_id
 
@@ -825,6 +887,10 @@ class MemoryView:
         store = self._store.store_set(owner)
         stamped = replace(procedure, updated_at=timestamp or _now_iso())
         store.procedural[stamped.procedure_id] = stamped
+        # an id that allocate_procedure_id would hand out later moves it past
+        found = _PROCEDURE_NUMBER.fullmatch(stamped.procedure_id)
+        if found and int(found[1]) >= store.next_procedure_seq:
+            store.next_procedure_seq = int(found[1]) + 1
         self._store.mark_dirty(owner)
         self._store.flush()
         return stamped.procedure_id

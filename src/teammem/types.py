@@ -1,21 +1,30 @@
-"""Core value types for the memory engine.
+"""Core value types for the memory engine, and the tables that persist them.
 
-Everything in here is a plain immutable value object. The stored ones have
-an explicit JSON shape (snake_case keys, matching the ``*_to_dict`` /
-``*_from_dict`` pairs). The three memory kinds are:
+Everything in here is a plain immutable value object. The three memory kinds
+are:
 
 * episodic: one :class:`Episode` per finished task,
 * procedural: generalized :class:`Procedure` strategies with evidence counters,
 * transactive: who-knows-what bookkeeping (:class:`AgentProfile`,
   :class:`TeamPattern`), derived from the stored tasks and never stored.
+
+A stored value object is described by one table, its ``ROWS``: one row per
+field, giving the JSON key, the attribute, the field's kind and an optional
+check (see :data:`Row`). Construction checks every field against the table,
+so an invalid record cannot be built; :func:`from_dict` decodes a record
+through the same check, and :func:`to_dict` spells one from the same rows.
+The store's task records, snapshots and meta, the run log and the simulation
+config are described by tables of the same rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Literal, NamedTuple, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Literal, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -27,6 +36,246 @@ DEFAULT_SUCCESS_THRESHOLD = 0.60
 NEUTRAL_RELIABILITY = 0.5
 
 MemoryKind = Literal["episodic", "procedural"]
+
+
+# ---------------------------------------------------------------------------
+# Tables. Keys are the wire contract; keep them stable.
+# ---------------------------------------------------------------------------
+
+# One field of a stored document: (JSON path, attribute, kind, check). A kind
+# is a type, which takes only values of exactly that type (an int kind takes
+# no bool), or a function that takes a value as given (in its JSON form, or as
+# a caller passes it) and returns it as stored. A check then inspects the
+# stored value. Both raise ValueError with a message that gets the path as its
+# prefix. A dotted path names a key inside a section (the config's only); a
+# flat path is the attribute's own name.
+Row = tuple[str, str, Any, Callable[[Any], Any] | None]
+
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _kind(
+    *rules: tuple[Callable[[Any], bool], str], convert: Callable[[Any], Any] | None = None
+) -> Callable[[Any], Any]:
+    """Reject a value failing a ``(test, message)`` rule; return it, through ``convert`` if set."""
+
+    def accept(value: Any) -> Any:
+        for test, message in rules:
+            if not test(value):
+                raise ValueError(message.format(value))
+        return value if convert is None else convert(value)
+
+    return accept
+
+
+def _number(value: Any) -> Any:
+    """An ``int`` or ``float`` that is finite; no ``bool``, no ``str``."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"must be a number, got {value!r}")
+    # exact for ints too large for a float, which math.isfinite cannot take
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+def _strings(value: Any) -> tuple[str, ...]:
+    """A list or tuple of strings, stored as a tuple; a string is never split into characters."""
+    if type(value) is list or type(value) is tuple:
+        try:
+            "".join(value)  # joins strings only: one C-level test of every element
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"must be a list of strings, got {value!r}")
+
+
+def _string_set(value: Any) -> frozenset[str]:
+    """A list or tuple of strings, stored as a frozenset; a frozenset is taken as stored.
+
+    A frozenset was built in this process, and checking it again would scan
+    a procedure's whole source set on every ``dataclasses.replace``.
+    """
+    return value if type(value) is frozenset else frozenset(_strings(value))
+
+
+def _within(low: float, high: float = math.inf) -> Callable[[Any], None]:
+    """A check that a number lies in ``[low, high]``."""
+
+    def check(value: Any) -> None:
+        if not low <= value <= high:
+            bounds = f">= {low}" if high == math.inf else f"in [{low:g}, {high:g}]"
+            raise ValueError(f"must be {bounds}, got {value!r}")
+
+    return check
+
+
+_non_negative = _within(0)
+_at_least_one = _within(1)
+_percent = _within(0.0, 100.0)
+
+
+_non_empty = _kind((bool, "must not be empty"))
+
+
+def check_rows(rows: Sequence[Row], values: Any, record: Any = None) -> None:
+    """Check each row's value of ``values``, and store it in its kind's form.
+
+    ``values`` is a record, whose attributes are read, or a dict by
+    attribute, where a missing key raises :class:`KeyError`. The stored forms
+    go onto ``record`` if one is given (its attributes, a frozen record's
+    too), else back where they were read. A failed kind or check raises
+    :class:`ValueError` as ``"<path>: <message>"``.
+    """
+    target = values if record is None else record
+    read_dict = type(values) is dict
+    write_dict = type(target) is dict
+    for path, attribute, kind, check in rows:
+        given = values[attribute] if read_dict else getattr(values, attribute)
+        try:
+            if type(kind) is not type:
+                value = kind(given)
+            elif type(given) is kind:
+                value = given
+            else:
+                raise ValueError(f"must be {_TYPE_NAMES[kind]}, got {given!r}")
+            if check is not None:
+                check(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if value is not given or target is not values:
+            if write_dict:
+                target[attribute] = value
+            else:
+                object.__setattr__(target, attribute, value)
+
+
+# The types whose values are their own JSON form; JSON writes a tuple as an array.
+_PLAIN = frozenset({str, int, float, bool, tuple, list, dict, type(None)})
+
+
+class Record:
+    """A value object stored as the JSON object that its ``ROWS`` describe.
+
+    Construction checks every row, then :meth:`_check`, so an invalid record
+    cannot be built; :func:`from_dict` decodes through the same checks
+    without calling ``__post_init__``, so a record adds its rules in
+    :meth:`_check`.
+    """
+
+    ROWS: ClassVar[tuple[Row, ...]] = ()
+
+    def __post_init__(self) -> None:
+        check_rows(self.ROWS, self)
+        self._check()
+
+    def _check(self) -> None:
+        """Rules that tie fields together; none unless a record adds them."""
+
+
+R = TypeVar("R", bound=Record)
+
+
+def from_dict(cls: type[R], document: Any) -> R:
+    """Decode a record of ``cls`` from its JSON object, checked as construction checks it.
+
+    The object's keys are the record's attributes. A missing key raises
+    :class:`KeyError`; anything else wrong, :class:`ValueError`.
+    """
+    if type(document) is not dict:
+        raise ValueError(f"must be an object, got {document!r}")
+    record = object.__new__(cls)
+    check_rows(cls.ROWS, document, record)
+    if len(document) != len(cls.ROWS):  # each row's key is there, so any other is unknown
+        unknown = sorted(document.keys() - {attribute for _, attribute, _, _ in cls.ROWS})
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    record._check()
+    return record
+
+
+def _spell(value: Any) -> Any:
+    """A stored value in its JSON form; JSON writes a ``str`` enum member as its value."""
+    if type(value) is frozenset:
+        return sorted(value)
+    return to_dict(value) if isinstance(value, Record) else value
+
+
+def to_dict(record: Record) -> dict[str, Any]:
+    """A record as its JSON object; a tuple field stays a tuple."""
+    out = {}
+    for key, attribute, _, _ in record.ROWS:
+        value = getattr(record, attribute)
+        out[key] = value if type(value) in _PLAIN else _spell(value)
+    return out
+
+
+def spell(rows: Sequence[Row], values: dict[str, Any]) -> dict[str, Any]:
+    """The JSON object holding each attribute ``values`` has, at its row's path."""
+    out: dict[str, Any] = {}
+    for path, attribute, _, _ in rows:
+        if attribute in values:
+            value = values[attribute]
+            section, _, key = path.rpartition(".")
+            (out.setdefault(section, {}) if section else out)[key] = (
+                value if type(value) in _PLAIN else _spell(value)
+            )
+    return out
+
+
+# Exactly the encoder json.dumps builds on each call for these two arguments.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def json_line(document: Any) -> str:
+    """``document`` as one compact sorted-key JSON line, newline included.
+
+    It encodes through one shared encoder, which is configuration, not a cache.
+    """
+    return _LINE_ENCODER.encode(document) + "\n"
+
+
+# The C scanner under json.loads: a line it reads whole skips json.loads's
+# Python wrapper, which costs about as much as checking the line's rows.
+_SCAN_VALUE = json.JSONDecoder().scan_once
+
+
+def _parse(line: str) -> Any:
+    """``json.loads(line)`` of a line ending in its newline."""
+    try:
+        document, end = _SCAN_VALUE(line, 0)
+    except StopIteration:  # no value at the first character: json.loads decides
+        return json.loads(line)
+    return document if end == len(line) - 1 else json.loads(line)
+
+
+def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
+    """Decode every line of a JSONL file, reading it one line at a time.
+
+    Blank lines are skipped. A line that is not UTF-8, is not JSON or that
+    ``decode`` rejects, and a last line without its newline (a torn append),
+    raise :class:`ValueError` naming the file and the 1-based line.
+    """
+    items = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                if not line.endswith("\n"):
+                    raise ValueError(f"{path}, line {number}: truncated record (no final newline)")
+                try:
+                    items.append(decode(_parse(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}, line {number}: malformed record: {exc!r}") from exc
+    except UnicodeDecodeError:
+        # The text reader decodes a chunk at a time, so the error cannot say
+        # which line holds the bad byte. Lines split as text mode splits them.
+        for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: not UTF-8: {exc}") from exc
+        raise
+    return items
 
 
 class CollabStats(NamedTuple):
@@ -47,7 +296,7 @@ class TypeStats(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """Result of one task: teamwork score, completion score, success flag.
 
     ``ts`` and ``cs`` live on a 0-100 scale. The success flag is stored
@@ -59,10 +308,11 @@ class Outcome:
     cs: float
     success: bool
 
-    def __post_init__(self) -> None:
-        for name, value in (("ts", self.ts), ("cs", self.cs)):
-            if not 0.0 <= float(value) <= 100.0:
-                raise ValueError(f"Outcome.{name} must be in [0, 100], got {value!r}")
+    ROWS: ClassVar[tuple[Row, ...]] = (
+        ("ts", "ts", _number, _percent),
+        ("cs", "cs", _number, _percent),
+        ("success", "success", bool, None),
+    )
 
 
 def combined_score(outcome: Outcome) -> float:
@@ -87,7 +337,7 @@ def canonical_team_key(agent_ids: Iterable[str]) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Episode:
+class Episode(Record):
     """One remembered task execution.
 
     ``task_index`` is the position in the owning agent's lifelong task
@@ -106,15 +356,18 @@ class Episode:
     lessons: tuple[str, ...] = ()
     related_procedures: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.task_index < 0:
-            raise ValueError(f"task_index must be >= 0, got {self.task_index}")
-        object.__setattr__(self, "team_composition", tuple(self.team_composition))
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "lessons", tuple(self.lessons))
-        object.__setattr__(
-            self, "related_procedures", frozenset(self.related_procedures)
-        )
+    ROWS: ClassVar[tuple[Row, ...]] = (
+        ("agent_id", "agent_id", str, None),
+        ("task_index", "task_index", int, _non_negative),
+        ("timestamp", "timestamp", str, None),
+        ("task_description", "task_description", str, None),
+        ("team_composition", "team_composition", _strings, _non_empty),
+        ("actions", "actions", _strings, None),
+        ("outcome", "outcome", lambda v: v if type(v) is Outcome else from_dict(Outcome, v), None),
+        ("env_context", "env_context", str, None),
+        ("lessons", "lessons", _strings, None),
+        ("related_procedures", "related_procedures", _string_set, None),
+    )
 
     @property
     def episode_id(self) -> str:
@@ -122,7 +375,7 @@ class Episode:
 
 
 @dataclass(frozen=True)
-class Procedure:
+class Procedure(Record):
     """A generalized, reusable strategy distilled from successful episodes.
 
     ``successes`` holds one success per source episode, added as
@@ -131,8 +384,8 @@ class Procedure:
     failed. Both accumulate for the procedure's whole life, and its
     reliability is derived from them (see :func:`derive_reliability`).
     ``source_episodes`` is a set of episode ids in memory and in
-    :func:`procedure_to_dict`; a store snapshot writes it as runs over
-    lesson classes (see :mod:`teammem.store`).
+    :func:`to_dict`; a store snapshot writes it as runs over lesson classes
+    (see :mod:`teammem.store`).
     """
 
     procedure_id: str
@@ -145,16 +398,23 @@ class Procedure:
     failures: int = 0
     source_episodes: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.successes < 0 or self.failures < 0:
-            raise ValueError("procedure counters must be non-negative")
+    ROWS: ClassVar[tuple[Row, ...]] = (
+        ("procedure_id", "procedure_id", str, None),
+        ("owner_id", "owner_id", str, None),
+        ("created_at", "created_at", str, None),
+        ("updated_at", "updated_at", str, None),
+        ("title", "title", str, None),
+        ("knowledge", "knowledge", str, None),
+        ("successes", "successes", int, _non_negative),
+        ("failures", "failures", int, _non_negative),
+        ("source_episodes", "source_episodes", _string_set, _non_empty),
+    )
+
+    def _check(self) -> None:
         if self.updated_at < self.created_at:
             raise ValueError(
                 f"updated_at ({self.updated_at}) precedes created_at ({self.created_at})"
             )
-        if not self.source_episodes:
-            raise ValueError("source_episodes must be non-empty")
-        object.__setattr__(self, "source_episodes", frozenset(self.source_episodes))
 
 
 def derive_reliability(procedure: Procedure) -> float:
@@ -248,149 +508,3 @@ class MemoryItem:
     text_for_embedding: str
     importance_raw: float
     payload: Any = field(default=None, compare=False, repr=False)
-
-
-# ---------------------------------------------------------------------------
-# JSON codecs. Keys are the wire contract; keep them stable.
-# ---------------------------------------------------------------------------
-
-
-def outcome_to_dict(o: Outcome) -> dict[str, Any]:
-    return {"ts": o.ts, "cs": o.cs, "success": o.success}
-
-
-def outcome_from_dict(d: dict[str, Any]) -> Outcome:
-    """Decode an outcome; a ``success`` that is not a bool raises :class:`TypeError`."""
-    if type(d["success"]) is not bool:
-        raise TypeError(f"success must be a bool, got {d['success']!r}")
-    return Outcome(ts=d["ts"], cs=d["cs"], success=d["success"])
-
-
-def episode_to_dict(e: Episode) -> dict[str, Any]:
-    return {
-        "agent_id": e.agent_id,
-        "task_index": e.task_index,
-        "timestamp": e.timestamp,
-        "task_description": e.task_description,
-        "team_composition": list(e.team_composition),
-        "actions": list(e.actions),
-        "outcome": outcome_to_dict(e.outcome),
-        "env_context": e.env_context,
-        "lessons": list(e.lessons),
-        "related_procedures": sorted(e.related_procedures),
-    }
-
-
-def _check_types(d: dict[str, Any], fields: tuple[tuple[str, type], ...]) -> None:
-    """Raise :class:`TypeError` unless each ``d[key]`` is exactly of its type.
-
-    ``type(v) is int`` also rejects a bool, and ``type(v) is list`` a string,
-    which ``tuple()`` or ``frozenset()`` would split into characters.
-    """
-    for key, kind in fields:
-        if type(d[key]) is not kind:
-            raise TypeError(f"{key} must be a {kind.__name__}, got {d[key]!r}")
-
-
-_EPISODE_FIELDS = (
-    ("agent_id", str), ("task_index", int), ("timestamp", str), ("task_description", str),
-    ("team_composition", list), ("actions", list), ("outcome", dict), ("lessons", list),
-    ("related_procedures", list),
-)
-_PROCEDURE_FIELDS = (
-    ("procedure_id", str), ("owner_id", str), ("created_at", str), ("updated_at", str),
-    ("title", str), ("knowledge", str), ("successes", int), ("failures", int),
-    ("source_episodes", list),
-)
-
-
-def episode_from_dict(d: dict[str, Any]) -> Episode:
-    """Decode an episode; a wrongly typed field raises :class:`TypeError`."""
-    _check_types(d, _EPISODE_FIELDS)
-    if type(d.get("env_context", "")) is not str:
-        raise TypeError(f"env_context must be a str, got {d['env_context']!r}")
-    return Episode(
-        agent_id=d["agent_id"],
-        task_index=d["task_index"],
-        timestamp=d["timestamp"],
-        task_description=d["task_description"],
-        team_composition=tuple(d["team_composition"]),
-        actions=tuple(d["actions"]),
-        outcome=outcome_from_dict(d["outcome"]),
-        env_context=d.get("env_context", ""),
-        lessons=tuple(d["lessons"]),
-        related_procedures=frozenset(d["related_procedures"]),
-    )
-
-
-def procedure_to_dict(p: Procedure) -> dict[str, Any]:
-    return {
-        "procedure_id": p.procedure_id,
-        "owner_id": p.owner_id,
-        "created_at": p.created_at,
-        "updated_at": p.updated_at,
-        "title": p.title,
-        "knowledge": p.knowledge,
-        "successes": p.successes,
-        "failures": p.failures,
-        "source_episodes": sorted(p.source_episodes),
-    }
-
-
-def procedure_from_dict(d: dict[str, Any]) -> Procedure:
-    """Decode a procedure; a wrongly typed field raises :class:`TypeError`."""
-    _check_types(d, _PROCEDURE_FIELDS)
-    return Procedure(
-        procedure_id=d["procedure_id"],
-        owner_id=d["owner_id"],
-        created_at=d["created_at"],
-        updated_at=d["updated_at"],
-        title=d["title"],
-        knowledge=d["knowledge"],
-        successes=d["successes"],
-        failures=d["failures"],
-        source_episodes=frozenset(d["source_episodes"]),
-    )
-
-
-# Exactly the encoder json.dumps builds on each call for these two arguments.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def json_line(document: Any) -> str:
-    """``document`` as one compact sorted-key JSON line, newline included.
-
-    It encodes through one shared encoder, which is configuration, not a cache.
-    """
-    return _LINE_ENCODER.encode(document) + "\n"
-
-
-def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
-    """Decode every line of a JSONL file, reading it one line at a time.
-
-    Blank lines are skipped. A line that is not UTF-8, is not JSON or that
-    ``decode`` rejects, and a last line without its newline (a torn append),
-    raise :class:`ValueError` naming the file and the 1-based line.
-    """
-    items = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                if not line.endswith("\n"):
-                    raise ValueError(f"{path}, line {number}: truncated record (no final newline)")
-                try:
-                    items.append(decode(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}, line {number}: malformed record: {exc!r}") from exc
-    except UnicodeDecodeError:
-        # The text reader decodes a chunk at a time, so the error cannot say
-        # which line holds the bad byte. Lines split as text mode splits them.
-        for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}, line {number}: not UTF-8: {exc}") from exc
-        raise
-    return items

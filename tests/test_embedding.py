@@ -28,7 +28,6 @@ from teammem.embedding import (
     hash_embed,
     mean_vector,
     provider_from_config,
-    register_provider,
     tokenize,
 )
 
@@ -161,18 +160,6 @@ def test_unknown_provider_names_the_key():
     with pytest.raises(ValueError) as exc:
         provider_from_config({"provider": "nonexistent"})
     assert "embedding.provider" in str(exc.value)
-
-
-def test_register_provider_makes_name_available():
-    class Fixed:
-        dim = 2
-
-        def embed(self, text):
-            return EmbeddingVector(values=(1.0, 0.0))
-
-    register_provider("fixed-for-test", lambda dim: Fixed())
-    p = provider_from_config({"provider": "fixed-for-test"})
-    assert p.embed("anything").values == (1.0, 0.0)
 
 
 @given(st.text(max_size=200))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-import teammem.embedding as embedding_module
+import teammem.harness as harness_module
 from teammem.harness import (
     _FAMILY_ROWS,
     _SIM_ROWS,
@@ -465,14 +465,14 @@ def test_resume_under_a_different_config_fails_loudly(tmp_path):
 
 
 def test_a_runner_that_cannot_start_freezes_no_config(tmp_path, monkeypatch):
-    def unavailable(dim):
-        raise OSError("model files not found")
+    def unavailable(*args):
+        raise OSError("store volume not mounted")
 
-    monkeypatch.setitem(embedding_module._PROVIDER_FACTORIES, "unavailable", unavailable)
-    cfg = SimConfig(n_tasks=2, embedding_provider="unavailable")
+    monkeypatch.setattr(harness_module, "open_store", unavailable)
     with pytest.raises(OSError):
-        SimRunner(cfg, tmp_path / "run")
+        SimRunner(SimConfig(n_tasks=2, seed=1), tmp_path / "run")
     assert not (tmp_path / "run" / "config.json").exists()
+    monkeypatch.undo()
     # a different config then starts in the same directory
     assert run_sim(SimConfig(n_tasks=2), tmp_path / "run").log.entries
 

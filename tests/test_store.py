@@ -20,7 +20,7 @@ from teammem.store import (
     _encode_sources,
     open_store,
 )
-from teammem.types import Episode, Outcome, Procedure, episode_from_dict, json_line
+from teammem.types import Episode, Outcome, Procedure, json_line
 
 from helpers import record
 
@@ -144,10 +144,10 @@ def test_a_roster_read_back_from_store_meta_is_checked(tmp_path):
     "edit, message",
     [
         (lambda meta: [], "is not a JSON object"),
-        (lambda meta: {**meta, "agents": "agent-1"}, "agents must be a list of strings"),
-        (lambda meta: {**meta, "agents": [1]}, "agents must be a list of strings"),
-        (lambda meta: {**meta, "topology": 3}, "topology must be a topology name"),
-        (lambda meta: {**meta, "topology": "mesh"}, "topology must be a topology name"),
+        (lambda meta: {**meta, "agents": "agent-1"}, "agents: must be a list of strings"),
+        (lambda meta: {**meta, "agents": [1]}, "agents: must be a list of strings"),
+        (lambda meta: {**meta, "topology": 3}, "topology: must be one of local, shared, hybrid"),
+        (lambda meta: {**meta, "topology": "mesh"}, "topology: must be one of local, shared"),
         (lambda meta: {k: v for k, v in meta.items() if k != "agents"}, "lacks agents"),
     ],
     ids=[
@@ -406,6 +406,8 @@ def test_transactive_suitedness_accumulates(tmp_path):
 
 def test_watermark_persists(tmp_path):
     views = open_views(tmp_path, "local")
+    for index in range(1, 8):
+        record(views["agent-1"], episode_for("agent-1", index))
     views["agent-1"].set_consolidation_watermark(7)
     reopened = open_store(tmp_path / "store")
     assert reopened["agent-1"].consolidation_watermark() == 7
@@ -466,12 +468,12 @@ def untitled(doc):
     "edit, message",
     [
         (lambda doc: [], "is not a JSON object"),
-        (lambda doc: {**doc, "watermarks": []}, "watermarks must be"),
-        (lambda doc: {**doc, "watermarks": {"shared": "10"}}, "watermarks must be"),
-        (lambda doc: {**doc, "seq": "3"}, "seq must be"),
-        (lambda doc: {**doc, "seq": True}, "seq must be"),
-        (lambda doc: {**doc, "next_procedure_seq": "x"}, "next_procedure_seq must be"),
-        (lambda doc: {**doc, "procedures": {}}, "procedures must be"),
+        (lambda doc: {**doc, "watermarks": []}, "watermarks: must be"),
+        (lambda doc: {**doc, "watermarks": {"shared": "10"}}, "watermarks: must be"),
+        (lambda doc: {**doc, "seq": "3"}, "seq: must be"),
+        (lambda doc: {**doc, "seq": True}, "seq: must be"),
+        (lambda doc: {**doc, "next_procedure_seq": "x"}, "next_procedure_seq: must be"),
+        (lambda doc: {**doc, "procedures": {}}, "procedures: must be"),
         (lambda doc: {**doc, "procedures": [1]}, "procedures holds a malformed entry"),
         (lambda doc: {**doc, "procedures": untitled(doc)}, "KeyError('title')"),
     ],
@@ -514,7 +516,7 @@ def test_a_wrong_typed_procedure_field_names_the_file(tmp_path, kind, key, _, va
     files = files_of(tmp_path)
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
-    assert str(target) in str(exc.value) and f"{key} must be a" in str(exc.value)
+    assert str(target) in str(exc.value) and f"{key}: must be a" in str(exc.value)
     assert files_of(tmp_path) == files
 
 
@@ -532,8 +534,48 @@ def test_a_wrong_typed_episode_field_names_the_log_and_line(tmp_path, kind, _, k
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert f"{target}, line 2: malformed record" in str(exc.value)
-    assert f"{key} must be a" in str(exc.value)
+    assert f"{key}: must be a" in str(exc.value)
     assert files_of(tmp_path) == files
+
+
+# Snapshot fields that contradict the logs or each other, on a 60-task shared
+# run: (edit of procedural.json, what the error says).
+SNAPSHOT_CONTRADICTIONS = {
+    "next-seq-reused": (
+        lambda doc: {**doc, "next_procedure_seq": 1}, "next_procedure_seq 1 is not past proc-00003"
+    ),
+    "watermark-negative": (
+        lambda doc: {**doc, "watermarks": {SHARED_OWNER: -5}}, "outside its log of 60 records"
+    ),
+    "watermark-past-log": (
+        lambda doc: {**doc, "watermarks": {SHARED_OWNER: 10**6}}, "outside its log of 60 records"
+    ),
+    "seq-past-log": (lambda doc: {**doc, "seq": 10**6}, "past the last logged seq 60"),
+    "procedure-twice": (
+        lambda doc: {**doc, "procedures": doc["procedures"] + doc["procedures"][:1]},
+        "procedures lists ['proc-00001'] more than once",
+    ),
+    "procedure-renamed-ahead": (
+        lambda doc: {**doc, "procedures": [
+            {**doc["procedures"][0], "procedure_id": "proc-99999"}, *doc["procedures"][1:]
+        ]},
+        "is not past proc-99999",
+    ),
+}
+
+
+def test_a_snapshot_that_contradicts_the_logs_fails_the_open(tmp_path):
+    run_sim(SimConfig(topology="shared", team_size=3, n_tasks=60, seed=7), tmp_path / "run")
+    store = tmp_path / "run" / "store"
+    target = store / SHARED_OWNER / "procedural.json"
+    kept = target.read_bytes()
+    for name, (edit, message) in SNAPSHOT_CONTRADICTIONS.items():
+        target.write_text(json.dumps(edit(json.loads(kept))), encoding="utf-8")
+        with pytest.raises(StoreError) as exc:
+            open_store(store)
+        assert str(exc.value).startswith(f"{target}: ") and message in str(exc.value), name
+    target.write_bytes(kept)
+    open_store(store)
 
 
 # -- procedure sources on disk ---------------------------------------------------
@@ -919,7 +961,8 @@ def test_a_log_rejects_a_repeated_episode_id(tmp_path, topology):
     with pytest.raises(StoreError) as exc:
         open_store(store)
     assert f"{log}, line {len(lines) + 1}" in str(exc.value)
-    assert repr(episode_from_dict(json.loads(lines[0])).episode_id) in str(exc.value)
+    first = json.loads(lines[0])
+    assert repr(f"{first['agent_id']}:{first['task_index']}") in str(exc.value)
     assert files_of(store) == files
 
 

@@ -11,7 +11,7 @@ from teammem.embedding import HashEmbedder
 from teammem.harness import SimConfig, SimRunner
 from teammem.lifecycle import ConsolidationConfig, StubGenerator, consolidate, maybe_consolidate
 from teammem.store import SHARED_OWNER, StoreError, open_store
-from teammem.types import Episode, Outcome, Procedure, procedure_to_dict
+from teammem.types import Episode, Outcome, Procedure, to_dict
 
 from helpers import record
 
@@ -396,7 +396,7 @@ def write_old_store(root, version):
         shared.mkdir(parents=True)
         (shared / "episodic.jsonl").write_text(line + "\n", encoding="utf-8")
         dump(shared / "procedural.json", {
-            "next_procedure_seq": 2, "procedures": [procedure_to_dict(procedure("proc-00001"))],
+            "next_procedure_seq": 2, "procedures": [to_dict(procedure("proc-00001"))],
             "schema_version": version, "seq": 1, "watermarks": {SHARED_OWNER: 1},
         })
         return

@@ -219,9 +219,9 @@ def test_a_team_the_fold_cannot_take_is_rejected_before_changing_anything(tmp_pa
     views = open_store(tmp_path / "store", topology, ["agent-1", "agent-2"])
     views["agent-1"].record_task(episode("agent-1", 1, ("agent-1", "agent-2")), "qa", [])
     files = files_of(tmp_path / "store")
-    with pytest.raises(StoreError, match="empty team composition"):
+    with pytest.raises(ValueError, match="team_composition: must not be empty"):
         views["agent-1"].record_task(episode("agent-1", 2, ()), "qa", [])
-    with pytest.raises(StoreError, match="task_type must be a string"):
+    with pytest.raises(StoreError, match="task_type: must be a string"):
         views["agent-1"].record_task(episode("agent-1", 2, ("agent-1",)), 5, [])
     if topology == "hybrid":
         # no view could read the history of an agent outside the roster
@@ -240,9 +240,9 @@ def test_a_team_the_fold_cannot_take_is_rejected_before_changing_anything(tmp_pa
     log = tmp_path / "store" / ("shared" if topology == "shared" else "agent-1") / "episodic.jsonl"
     record = json.loads(log.read_text())
     edits = [
-        ({"team_composition": []}, "empty team composition"),
-        ({"team_composition": ["agent-1", 2]}, "non-string agent id"),
-        ({"task_type": ["qa"]}, "task_type must be a string"),
+        ({"team_composition": []}, "team_composition: must not be empty"),
+        ({"team_composition": ["agent-1", 2]}, "team_composition: must be a list of strings"),
+        ({"task_type": ["qa"]}, "task_type: must be a string"),
     ]
     if topology == "hybrid":
         edits.append(({"team_composition": ["agent-1", "agent-9"]}, "outside the roster"))

@@ -13,13 +13,9 @@ from teammem.types import (
     combined_score,
     derive_agent_reliability,
     derive_reliability,
-    episode_from_dict,
-    episode_to_dict,
-    outcome_from_dict,
+    from_dict,
     outcome_from_scores,
-    outcome_to_dict,
-    procedure_from_dict,
-    procedure_to_dict,
+    to_dict,
 )
 
 
@@ -81,7 +77,7 @@ def test_outcome_from_scores_threshold_edges():
 
 def test_outcome_json_round_trip():
     o = Outcome(ts=72.5, cs=81.0, success=True)
-    assert outcome_from_dict(outcome_to_dict(o)) == o
+    assert from_dict(Outcome, to_dict(o)) == o
 
 
 # -- team keys ---------------------------------------------------------------
@@ -124,9 +120,9 @@ def test_episode_rejects_negative_index():
 
 def test_episode_json_round_trip_sorts_related_procedures():
     e = make_episode(related_procedures=frozenset({"proc-00002", "proc-00001"}))
-    d = episode_to_dict(e)
+    d = to_dict(e)
     assert d["related_procedures"] == ["proc-00001", "proc-00002"]
-    assert episode_from_dict(d) == e
+    assert from_dict(Episode, d) == e
 
 
 # -- procedures ----------------------------------------------------------------
@@ -149,9 +145,9 @@ def test_derive_reliability():
 
 def test_procedure_json_round_trip():
     p = make_procedure()
-    d = procedure_to_dict(p)
+    d = to_dict(p)
     assert d["source_episodes"] == ["agent-1:1", "agent-1:2"]
-    assert procedure_from_dict(d) == p
+    assert from_dict(Procedure, d) == p
 
 
 # -- agent profiles ------------------------------------------------------------

@@ -63,13 +63,9 @@ class ConfigError(Exception):
 _name = _kind(
     (lambda v: isinstance(v, str) and bool(v.strip()), "must be a non-empty string, got {!r}")
 )
-_phrase = _kind((lambda v: bool(v.strip()), "must be a non-empty phrase"))
-_hash = _kind((lambda v: v == "hash", "unknown provider {!r} (known: hash)"))
-
-
-def _float(value: Any) -> float:
-    return float(_number(value))
-
+_phrase = (lambda v: bool(v.strip()), "must be a non-empty phrase")
+_hash = (lambda v: v == "hash", "unknown provider {!r} (known: hash)")
+_float = _kind(convert=lambda v: float(_number(v)))
 
 _FAMILY_ROWS: tuple[Row, ...] = (
     ("key", "key", str, _phrase),
@@ -98,7 +94,7 @@ _SIM_ROWS: tuple[Row, ...] = (
 def _validate(rows: Sequence[Row], config: Any) -> None:
     """Check each field of a config dataclass and store its kind's form in place."""
     try:
-        check_rows(rows, config)
+        check_rows(rows, vars(config))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

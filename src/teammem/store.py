@@ -77,6 +77,7 @@ raises :class:`StoreError` naming the file, and nothing is rewritten.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import enum
@@ -104,7 +105,9 @@ from .types import (
     _non_negative,
     _strings,
     canonical_team_key,
+    check_object,
     check_rows,
+    checked_record,
     from_dict,
     json_line,
     read_jsonl,
@@ -215,53 +218,33 @@ _TASK_ROWS: tuple[Row, ...] = (
     ("task_type", "task_type", str, None),
     ("procedures_used", "procedures_used", _strings, None),
 )
+_LINE_ROWS = Episode.ROWS + _TASK_ROWS
 _META_ROWS: tuple[Row, ...] = (
     ("topology", "topology", _topology, None),
     ("agents", "agents", _strings, _non_empty),
 )
 # Each entry of procedures is a procedure's object, its source_episodes
 # spelled as lesson-class runs (see _encode_sources).
+_list = _kind((lambda v: type(v) is list, "must be a list, got {!r}"))
+_counts = _kind((
+    lambda v: type(v) is dict and all(type(n) is int for n in v.values()),
+    "must be an object of integers, got {!r}",
+))
 _SNAPSHOT_ROWS: tuple[Row, ...] = (
     ("seq", "seq", int, _non_negative),
     ("next_procedure_seq", "next_procedure_seq", int, _at_least_one),
-    ("procedures", "procedures", _kind((lambda v: type(v) is list, "must be a list, got {!r}")),
-     None),
-    ("watermarks", "watermarks", _kind(
-        (lambda v: type(v) is dict and all(type(n) is int for n in v.values()),
-         "must be an object of integers, got {!r}"),
-    ), None),
+    ("procedures", "procedures", _list, None),
+    ("watermarks", "watermarks", _counts, None),
 )
 _PROCEDURE_NUMBER = re.compile(r"proc-([0-9]+)")
-
-
-def _check_snapshot(
-    document: dict[str, Any], ids: list[str], lengths: dict[str, int], last_seq: int
-) -> None:
-    """Raise :class:`ValueError` unless a snapshot agrees with itself and with the logs.
-
-    Its ``seq`` is at most the last ``seq`` logged (a gap is not checked), no
-    procedure id repeats, ``next_procedure_seq`` is past the number of every
-    ``proc-NNNNN`` id, and each watermark lies within its log (``lengths``).
-    """
-    seq, after = document["seq"], document["next_procedure_seq"]
-    top = max((int(found[1]) for i in ids if (found := _PROCEDURE_NUMBER.fullmatch(i))), default=0)
-    repeated = sorted({i for i in ids if ids.count(i) > 1})
-    for holds, message in [
-        (seq <= last_seq, f"seq {seq} is past the last logged seq {last_seq}"),
-        (not repeated, f"procedures lists {repeated} more than once"),
-        (after > top, f"next_procedure_seq {after} is not past proc-{top:05d}"),
-        *((0 <= mark <= lengths[owner], f"watermark {mark} of {owner!r} is outside its log of "
-           f"{lengths[owner]} records") for owner, mark in document["watermarks"].items()),
-    ]:
-        if not holds:
-            raise ValueError(message)
 
 
 def _load_json(path: Path, rows: Sequence[Row]) -> dict[str, Any]:
     """Read a store document: a JSON object of the current schema holding exactly ``rows``.
 
-    Each value is checked, and stored in its kind's form, by its row.
-    Anything else raises :class:`StoreError` naming the file (and the key).
+    Each value is checked, and stored in its kind's form, by its row; the
+    schema_version is dropped. Anything else raises :class:`StoreError`
+    naming the file (and the key).
     """
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
@@ -269,19 +252,15 @@ def _load_json(path: Path, rows: Sequence[Row]) -> dict[str, Any]:
         raise StoreError(f"corrupt JSON in {path}: {exc}") from exc
     if not isinstance(document, dict):
         raise StoreError(f"{path} is not a JSON object")
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise StoreError(
-            f"unsupported schema_version in {path}: {document.get('schema_version')!r}"
-        )
+    version = document.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
+        raise StoreError(f"unsupported schema_version in {path}: {version!r}")
     try:
-        check_rows(rows, document)
+        check_object(rows, document)
     except KeyError as exc:
         raise StoreError(f"{path} lacks {exc.args[0]}") from None
     except ValueError as exc:
         raise StoreError(f"{path}: {exc}") from None
-    if len(document) != len(rows) + 1:  # each row's key and schema_version are there
-        unknown = sorted(document.keys() - {key for key, _, _, _ in rows} - {"schema_version"})
-        raise StoreError(f"{path} holds unknown keys: {', '.join(unknown)}")
     return document
 
 
@@ -440,16 +419,11 @@ class MemoryStore:
             return
 
         def decode(d: Any) -> Episode:
-            if type(d) is not dict:
-                raise ValueError(f"must be an object, got {d!r}")
-            task = {}
-            for key, attribute, _, _ in _TASK_ROWS:
-                if key in d:
-                    task[attribute] = d.pop(key)
-            episode = from_dict(Episode, d)
-            if "procedures_used" not in task:
-                task["procedures_used"] = sorted(episode.related_procedures)
-            check_rows(_TASK_ROWS, task)
+            if type(d) is dict and "procedures_used" not in d:  # related_procedures say it
+                d["procedures_used"] = d.get("related_procedures")
+            check_object(_LINE_ROWS, d)
+            seq, task_type, used = d.pop("seq"), d.pop("task_type"), d.pop("procedures_used")
+            episode = checked_record(Episode, d)
             logs_to = self._episodic_owner.get(episode.agent_id)
             if logs_to is None:
                 raise ValueError(
@@ -459,12 +433,11 @@ class MemoryStore:
                 raise ValueError(f"agent {episode.agent_id!r} does not log to {owner!r}")
             if episode.episode_id in store.episode_class:
                 raise ValueError(f"episode id {episode.episode_id!r} repeats an earlier line")
-            seq = task["seq"]
             if seq in records:
                 earlier = records[seq][0].episode_id
                 raise ValueError(f"seq {seq} repeats the record of episode {earlier!r}")
             self.check_roster(episode.team_composition)
-            records[seq] = (episode, task["task_type"], task["procedures_used"])
+            records[seq] = (episode, task_type, used)
             store.index_classes([episode])
             return episode
 
@@ -501,14 +474,26 @@ class MemoryStore:
             raise StoreError(
                 f"{path}: procedures holds a malformed entry: {exc!r} (read against {against})"
             ) from exc
+        # It must agree with itself and with the logs; a gap in seq is not checked.
+        ids = [procedure.procedure_id for procedure in procedures]
+        if len(set(ids)) != len(ids):
+            repeated = sorted(i for i, n in collections.Counter(ids).items() if n > 1)
+            raise StoreError(f"{path}: procedures lists {repeated} more than once")
+        seq, after = doc["seq"], doc["next_procedure_seq"]
+        numbers = [int(found[1]) for i in ids if (found := _PROCEDURE_NUMBER.fullmatch(i))]
+        top = max(numbers, default=0)
         lengths = {o: len(self._sets[o].episodic) for o in self._covered[owner]}
-        try:
-            _check_snapshot(doc, [p.procedure_id for p in procedures], lengths, last_seq)
-        except ValueError as exc:
-            raise StoreError(f"{path}: {exc}") from None
-        store.procedural = {procedure.procedure_id: procedure for procedure in procedures}
-        store.next_procedure_seq = doc["next_procedure_seq"]
-        checkpoints[owner] = doc["seq"]
+        for holds, message in [
+            (seq <= last_seq, f"seq {seq} is past the last logged seq {last_seq}"),
+            (after > top, f"next_procedure_seq {after} is not past proc-{top:05d}"),
+            *((0 <= mark <= lengths[o], f"watermark {mark} of {o!r} is outside its log of "
+               f"{lengths[o]} records") for o, mark in doc["watermarks"].items()),
+        ]:
+            if not holds:
+                raise StoreError(f"{path}: {message}")
+        store.procedural = dict(zip(ids, procedures))
+        store.next_procedure_seq = after
+        checkpoints[owner] = seq
         for covered, watermark in doc["watermarks"].items():
             self._sets[covered].consolidation_watermark = watermark
 
@@ -534,50 +519,40 @@ class MemoryStore:
         logs = [self._sets[o] for o in self._covered[owner]]
 
         def spelled(procedure: Procedure) -> dict[str, Any]:
-            rows = Procedure.ROWS
-            values = {attribute: getattr(procedure, attribute) for _, attribute, _, _ in rows}
-            values["source_episodes"] = _encode_sources(procedure.source_episodes, logs)
-            return spell(rows, values)
+            # A procedure's attributes are its row keys; its sources spell as runs.
+            sources = _encode_sources(procedure.source_episodes, logs)
+            return {**vars(procedure), "source_episodes": sources}
 
-        snapshot = {
+        return {
+            "schema_version": SCHEMA_VERSION,
             "seq": self._seq,
             "next_procedure_seq": store.next_procedure_seq,
             "procedures": [spelled(store.procedural[pid]) for pid in sorted(store.procedural)],
             "watermarks": {o: self._sets[o].consolidation_watermark for o in self._covered[owner]},
         }
-        return {"schema_version": SCHEMA_VERSION, **spell(_SNAPSHOT_ROWS, snapshot)}
 
     def mark_dirty(self, owner: str) -> None:
         self._dirty.add(owner)
 
     # -- task records ----------------------------------------------------------
 
-    def task_fields(self, task_type: Any, procedures_used: Any) -> dict[str, Any]:
-        """The next task record's own fields, checked by their rows (:class:`ValueError`)."""
-        task = {"seq": self._seq + 1, "task_type": task_type, "procedures_used": procedures_used}
-        check_rows(_TASK_ROWS, task)
-        return task
-
     def add_episode(self, owner: str, episode: Episode, task: dict[str, Any]) -> None:
         """Append a validated episode to the owner's log as the next task record, and apply it.
 
-        ``task`` holds the record's own fields, from :meth:`task_fields`.
+        ``task`` holds its ``task_type`` and ``procedures_used``, checked by their rows.
         """
         store = self._sets[owner]
         store.episodic.append(episode)
         store.index_classes([episode])
-        self._seq = task["seq"]
-        record = {**to_dict(episode), **spell(_TASK_ROWS, task)}
+        self._seq += 1
+        record = {**to_dict(episode), **task, "seq": self._seq}
         if sorted(task["procedures_used"]) == record["related_procedures"]:
             del record["procedures_used"]
         self._pending.setdefault(owner, []).append(json_line(record))
         self._apply_task(episode, task["task_type"], task["procedures_used"])
 
     def check_roster(self, team: tuple[str, ...]) -> None:
-        """Raise :class:`ValueError` if a team names an agent off the roster under ``hybrid``.
-
-        There only an agent's own view reads its collaboration history.
-        """
+        """Raise :class:`ValueError` if a team names an agent off the roster under ``hybrid``."""
         if self._teammates is not None and not self._teammates.issuperset(team):
             outside = sorted(set(team) - self._teammates)
             raise ValueError(f"team composition names agents outside the roster: {outside}")
@@ -600,12 +575,13 @@ class MemoryStore:
             procedure = procedural.get(procedure_id)
             if procedure is None:
                 raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
-            procedural[procedure_id] = replace(
-                procedure,
-                successes=procedure.successes + int(success),
-                failures=procedure.failures + int(not success),
-                updated_at=episode.timestamp,
-            )
+            # every field comes from a checked record, so only the cross-field rule runs
+            procedural[procedure_id] = checked_record(Procedure, {
+                **vars(procedure),
+                "successes": procedure.successes + int(success),
+                "failures": procedure.failures + int(not success),
+                "updated_at": episode.timestamp,
+            })
         self.add_lag(owner)
 
     def add_lag(self, owner: str) -> None:
@@ -851,8 +827,9 @@ class MemoryView:
         owner = self._episodic_owner
         if episode.episode_id in self._store.store_set(owner).episode_class:
             raise StoreError(f"duplicate episode {episode.episode_id!r} in {owner!r} store")
+        task = {"task_type": task_type, "procedures_used": procedures_used}
         try:
-            task = self._store.task_fields(task_type, procedures_used)
+            check_rows(_TASK_ROWS[1:], task)  # the store hands out the seq
             self._store.check_roster(episode.team_composition)
         except ValueError as exc:
             raise StoreError(f"episode {episode.episode_id!r}: {exc}") from exc
@@ -885,6 +862,11 @@ class MemoryView:
         """Insert or replace a procedure, refreshing its ``updated_at``."""
         owner = self._procedure_owner
         store = self._store.store_set(owner)
+        try:
+            "".join(procedure.source_episodes)  # a frozenset is not scanned at construction
+        except TypeError:
+            bad = sorted(procedure.source_episodes, key=repr)
+            raise StoreError(f"source_episodes: must be a list of strings, got {bad!r}") from None
         stamped = replace(procedure, updated_at=timestamp or _now_iso())
         store.procedural[stamped.procedure_id] = stamped
         # an id that allocate_procedure_id would hand out later moves it past

@@ -12,7 +12,7 @@ A stored value object is described by one table, its ``ROWS``: one row per
 field, giving the JSON key, the attribute, the field's kind and an optional
 check (see :data:`Row`). Construction checks every field against the table,
 so an invalid record cannot be built; :func:`from_dict` decodes a record
-through the same check, and :func:`to_dict` spells one from the same rows.
+through the same check, and :func:`to_dict` spells one by the same keys.
 The store's task records, snapshots and meta, the run log and the simulation
 config are described by tables of the same rows.
 """
@@ -20,7 +20,6 @@ config are described by tables of the same rows.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,20 +42,20 @@ MemoryKind = Literal["episodic", "procedural"]
 # ---------------------------------------------------------------------------
 
 # One field of a stored document: (JSON path, attribute, kind, check). A kind
-# is a type, which takes only values of exactly that type (an int kind takes
-# no bool), or a function that takes a value as given (in its JSON form, or as
-# a caller passes it) and returns it as stored. A check then inspects the
-# stored value. Both raise ValueError with a message that gets the path as its
-# prefix. A dotted path names a key inside a section (the config's only); a
-# flat path is the attribute's own name.
-Row = tuple[str, str, Any, Callable[[Any], Any] | None]
+# is int, str or bool, which takes only values of exactly that type (an int
+# kind takes no bool); a record class, which takes a record or its JSON
+# object; or a function that takes a value as given and returns it as stored,
+# raising ValueError. A check is a rule, (test, message): a stored value that
+# fails the test raises ValueError(message.format(value)). Either error gets
+# the path as its prefix. A dotted path (the config's only) names a key
+# inside a section.
+Rule = tuple[Callable[[Any], Any], str]
+Row = tuple[str, str, Any, Rule | None]
 
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
 
 
-def _kind(
-    *rules: tuple[Callable[[Any], bool], str], convert: Callable[[Any], Any] | None = None
-) -> Callable[[Any], Any]:
+def _kind(*rules: Rule, convert: Callable[[Any], Any] | None = None) -> Callable[[Any], Any]:
     """Reject a value failing a ``(test, message)`` rule; return it, through ``convert`` if set."""
 
     def accept(value: Any) -> Any:
@@ -90,82 +89,76 @@ def _strings(value: Any) -> tuple[str, ...]:
 
 
 def _string_set(value: Any) -> frozenset[str]:
-    """A list or tuple of strings, stored as a frozenset; a frozenset is taken as stored.
+    """A list or tuple of strings, stored as a frozenset.
 
-    A frozenset was built in this process, and checking it again would scan
-    a procedure's whole source set on every ``dataclasses.replace``.
+    A frozenset is taken as stored, so that ``dataclasses.replace`` does not
+    rescan a procedure's sources on every evidence bump; the store checks its
+    elements where a procedure is written.
     """
     return value if type(value) is frozenset else frozenset(_strings(value))
 
 
-def _within(low: float, high: float = math.inf) -> Callable[[Any], None]:
-    """A check that a number lies in ``[low, high]``."""
-
-    def check(value: Any) -> None:
-        if not low <= value <= high:
-            bounds = f">= {low}" if high == math.inf else f"in [{low:g}, {high:g}]"
-            raise ValueError(f"must be {bounds}, got {value!r}")
-
-    return check
+_non_negative = (lambda v: v >= 0, "must be >= 0, got {!r}")
+_at_least_one = (lambda v: v >= 1, "must be >= 1, got {!r}")
+_percent = (lambda v: 0.0 <= v <= 100.0, "must be in [0, 100], got {!r}")
+_non_empty = (bool, "must not be empty")
 
 
-_non_negative = _within(0)
-_at_least_one = _within(1)
-_percent = _within(0.0, 100.0)
+def check_rows(rows: Sequence[Row], values: dict[str, Any]) -> None:
+    """Check each row's value in ``values``, and put it back in its kind's form.
 
-
-_non_empty = _kind((bool, "must not be empty"))
-
-
-def check_rows(rows: Sequence[Row], values: Any, record: Any = None) -> None:
-    """Check each row's value of ``values``, and store it in its kind's form.
-
-    ``values`` is a record, whose attributes are read, or a dict by
-    attribute, where a missing key raises :class:`KeyError`. The stored forms
-    go onto ``record`` if one is given (its attributes, a frozen record's
-    too), else back where they were read. A failed kind or check raises
+    ``values`` is a dict by attribute (a record passes its ``vars``), where a
+    missing key raises :class:`KeyError`. A failed kind or check raises
     :class:`ValueError` as ``"<path>: <message>"``.
     """
-    target = values if record is None else record
-    read_dict = type(values) is dict
-    write_dict = type(target) is dict
     for path, attribute, kind, check in rows:
-        given = values[attribute] if read_dict else getattr(values, attribute)
+        given = values[attribute]
         try:
             if type(kind) is not type:
                 value = kind(given)
             elif type(given) is kind:
                 value = given
-            else:
+            elif kind in _TYPE_NAMES:
                 raise ValueError(f"must be {_TYPE_NAMES[kind]}, got {given!r}")
-            if check is not None:
-                check(value)
+            else:
+                value = from_dict(kind, given)
+            if check is not None and not check[0](value):
+                raise ValueError(check[1].format(value))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if value is not given or target is not values:
-            if write_dict:
-                target[attribute] = value
-            else:
-                object.__setattr__(target, attribute, value)
+        if value is not given:
+            values[attribute] = value
 
 
-# The types whose values are their own JSON form; JSON writes a tuple as an array.
-_PLAIN = frozenset({str, int, float, bool, tuple, list, dict, type(None)})
+def check_object(rows: Sequence[Row], document: Any) -> None:
+    """:func:`check_rows` of a JSON object that must hold exactly the rows' keys."""
+    if type(document) is not dict:
+        raise ValueError(f"must be an object, got {document!r}")
+    check_rows(rows, document)
+    if len(document) != len(rows):  # each row's key is there, so any other is unknown
+        unknown = sorted(document.keys() - {attribute for _, attribute, _, _ in rows})
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
 
 
 class Record:
     """A value object stored as the JSON object that its ``ROWS`` describe.
 
     Construction checks every row, then :meth:`_check`, so an invalid record
-    cannot be built; :func:`from_dict` decodes through the same checks
-    without calling ``__post_init__``, so a record adds its rules in
-    :meth:`_check`.
+    cannot be built; :func:`from_dict` decodes through the same checks.
     """
 
     ROWS: ClassVar[tuple[Row, ...]] = ()
+    _SPELLED: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the attributes whose stored form is not their JSON form: sets and records
+        cls._SPELLED = tuple(
+            attribute for _, attribute, kind, _ in cls.ROWS
+            if kind is _string_set or isinstance(kind, type) and issubclass(kind, Record)
+        )
 
     def __post_init__(self) -> None:
-        check_rows(self.ROWS, self)
+        check_rows(self.ROWS, vars(self))  # a frozen record's dict takes the stored forms
         self._check()
 
     def _check(self) -> None:
@@ -178,46 +171,44 @@ R = TypeVar("R", bound=Record)
 def from_dict(cls: type[R], document: Any) -> R:
     """Decode a record of ``cls`` from its JSON object, checked as construction checks it.
 
-    The object's keys are the record's attributes. A missing key raises
-    :class:`KeyError`; anything else wrong, :class:`ValueError`.
+    The object's values are put in their stored form in place. A missing key
+    raises :class:`KeyError`; anything else wrong, :class:`ValueError`.
     """
-    if type(document) is not dict:
-        raise ValueError(f"must be an object, got {document!r}")
+    check_object(cls.ROWS, document)
+    return checked_record(cls, document)
+
+
+def checked_record(cls: type[R], values: dict[str, Any]) -> R:
+    """A record of ``cls`` holding ``values``, each already checked by its row."""
     record = object.__new__(cls)
-    check_rows(cls.ROWS, document, record)
-    if len(document) != len(cls.ROWS):  # each row's key is there, so any other is unknown
-        unknown = sorted(document.keys() - {attribute for _, attribute, _, _ in cls.ROWS})
-        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    record.__dict__.update(values)  # one copy, not a frozen setattr per field
     record._check()
     return record
 
 
-def _spell(value: Any) -> Any:
-    """A stored value in its JSON form; JSON writes a ``str`` enum member as its value."""
-    if type(value) is frozenset:
-        return sorted(value)
-    return to_dict(value) if isinstance(value, Record) else value
-
-
-def to_dict(record: Record) -> dict[str, Any]:
-    """A record as its JSON object; a tuple field stays a tuple."""
-    out = {}
-    for key, attribute, _, _ in record.ROWS:
-        value = getattr(record, attribute)
-        out[key] = value if type(value) in _PLAIN else _spell(value)
-    return out
-
-
 def spell(rows: Sequence[Row], values: dict[str, Any]) -> dict[str, Any]:
-    """The JSON object holding each attribute ``values`` has, at its row's path."""
+    """The JSON object holding each attribute ``values`` has, at its row's path.
+
+    JSON writes a tuple as an array and a ``str`` enum member as its value.
+    """
     out: dict[str, Any] = {}
     for path, attribute, _, _ in rows:
         if attribute in values:
-            value = values[attribute]
             section, _, key = path.rpartition(".")
-            (out.setdefault(section, {}) if section else out)[key] = (
-                value if type(value) in _PLAIN else _spell(value)
-            )
+            (out.setdefault(section, {}) if section else out)[key] = values[attribute]
+    return out
+
+
+def to_dict(record: Record) -> dict[str, Any]:
+    """A record as its JSON object: its attributes, which are its rows' keys.
+
+    A set is spelled sorted and a record by its own attributes; JSON writes a
+    tuple as an array.
+    """
+    out = dict(vars(record))
+    for attribute in record._SPELLED:
+        value = out[attribute]
+        out[attribute] = sorted(value) if type(value) is frozenset else to_dict(value)
     return out
 
 
@@ -231,20 +222,6 @@ def json_line(document: Any) -> str:
     It encodes through one shared encoder, which is configuration, not a cache.
     """
     return _LINE_ENCODER.encode(document) + "\n"
-
-
-# The C scanner under json.loads: a line it reads whole skips json.loads's
-# Python wrapper, which costs about as much as checking the line's rows.
-_SCAN_VALUE = json.JSONDecoder().scan_once
-
-
-def _parse(line: str) -> Any:
-    """``json.loads(line)`` of a line ending in its newline."""
-    try:
-        document, end = _SCAN_VALUE(line, 0)
-    except StopIteration:  # no value at the first character: json.loads decides
-        return json.loads(line)
-    return document if end == len(line) - 1 else json.loads(line)
 
 
 def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
@@ -263,7 +240,7 @@ def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
                 if not line.endswith("\n"):
                     raise ValueError(f"{path}, line {number}: truncated record (no final newline)")
                 try:
-                    items.append(decode(_parse(line)))
+                    items.append(decode(json.loads(line)))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}, line {number}: malformed record: {exc!r}") from exc
     except UnicodeDecodeError:
@@ -363,7 +340,7 @@ class Episode(Record):
         ("task_description", "task_description", str, None),
         ("team_composition", "team_composition", _strings, _non_empty),
         ("actions", "actions", _strings, None),
-        ("outcome", "outcome", lambda v: v if type(v) is Outcome else from_dict(Outcome, v), None),
+        ("outcome", "outcome", Outcome, None),
         ("env_context", "env_context", str, None),
         ("lessons", "lessons", _strings, None),
         ("related_procedures", "related_procedures", _string_set, None),

@@ -49,7 +49,8 @@ from .types import (
     _percent,
     check_rows,
     outcome_from_scores,
-    spell,
+    rows_of,
+    stored,
 )
 
 
@@ -57,38 +58,16 @@ class ConfigError(Exception):
     """Raised when a simulation config is structurally invalid."""
 
 
-# Each config dataclass is described by rows (see types.Row); a dotted path
-# names a key in a section. Loading, dumping, unknown-key detection and
-# validation all walk these rows; defaults are the dataclass defaults.
+# Each config dataclass declares its fields with stored (see types.Row), and
+# its table is read off them; a dotted path names a key in a section.
+# Loading, dumping, unknown-key detection and validation all walk these rows;
+# defaults are the dataclass defaults.
 _name = _kind(
     (lambda v: isinstance(v, str) and bool(v.strip()), "must be a non-empty string, got {!r}")
 )
 _phrase = (lambda v: bool(v.strip()), "must be a non-empty phrase")
 _hash = (lambda v: v == "hash", "unknown provider {!r} (known: hash)")
 _float = _kind(convert=lambda v: float(_number(v)))
-
-_FAMILY_ROWS: tuple[Row, ...] = (
-    ("key", "key", str, _phrase),
-    ("task_type", "task_type", _name, None),
-    ("base_ts", "base_ts", _number, _percent),
-    ("base_cs", "base_cs", _number, _percent),
-    ("memory_bonus", "memory_bonus", _number, None),
-)
-
-_SIM_ROWS: tuple[Row, ...] = (
-    ("topology", "topology", _topology, None),
-    ("team_size", "team_size", int, _at_least_one),
-    ("n_tasks", "n_tasks", int, _at_least_one),
-    ("consolidation.n", "consolidation_n", int, _at_least_one),
-    ("retrieval.k", "retrieval_k", int, _at_least_one),
-    ("retrieval.proc_threshold", "proc_threshold", _float, None),
-    ("seed", "seed", int, None),
-    ("memory_enabled", "memory_enabled", bool, None),
-    ("families", "families", _kind(convert=tuple), _non_empty),
-    ("success_threshold", "success_threshold", _float, None),
-    ("embedding.provider", "embedding_provider", str, _hash),
-    ("embedding.dim", "embedding_dim", int, _at_least_one),
-)
 
 
 def _validate(rows: Sequence[Row], config: Any) -> None:
@@ -123,16 +102,31 @@ def _read(cls: type, rows: Sequence[Row], data: Any, name: str = "") -> dict[str
     return values
 
 
+def _spell(rows: Sequence[Row], values: dict[str, Any]) -> dict[str, Any]:
+    """The JSON object holding each row's attribute in ``values`` at the row's path.
+
+    JSON writes a tuple as an array and a ``str`` enum member as its value.
+    """
+    out: dict[str, Any] = {}
+    for path, attribute, _, _ in rows:
+        section, _, key = path.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[key] = values[attribute]
+    return out
+
+
 @dataclass(frozen=True)
 class TaskFamily:
-    key: str
-    task_type: str = "general"
-    base_ts: float = 55.0
-    base_cs: float = 55.0
-    memory_bonus: float = 10.0
+    key: str = stored(str, _phrase)
+    task_type: str = stored(_name, default="general")
+    base_ts: float = stored(_number, _percent, default=55.0)
+    base_cs: float = stored(_number, _percent, default=55.0)
+    memory_bonus: float = stored(_number, default=10.0)
 
     def __post_init__(self) -> None:
         _validate(_FAMILY_ROWS, self)
+
+
+_FAMILY_ROWS = rows_of(TaskFamily)
 
 
 @dataclass(frozen=True)
@@ -165,18 +159,20 @@ _SIM_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
 @dataclass(frozen=True)
 class SimConfig:
-    topology: Topology = Topology.LOCAL
-    team_size: int = 3
-    n_tasks: int = 30
-    consolidation_n: int = 5
-    retrieval_k: int = 3
-    proc_threshold: float = 0.30
-    seed: int = 0
-    memory_enabled: bool = True
-    families: tuple[TaskFamily, ...] = DEFAULT_FAMILIES
-    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD
-    embedding_provider: str = "hash"
-    embedding_dim: int = 256
+    topology: Topology = stored(_topology, default=Topology.LOCAL)
+    team_size: int = stored(int, _at_least_one, default=3)
+    n_tasks: int = stored(int, _at_least_one, default=30)
+    consolidation_n: int = stored(int, _at_least_one, path="consolidation.n", default=5)
+    retrieval_k: int = stored(int, _at_least_one, path="retrieval.k", default=3)
+    proc_threshold: float = stored(_float, path="retrieval.proc_threshold", default=0.30)
+    seed: int = stored(int, default=0)
+    memory_enabled: bool = stored(bool, default=True)
+    families: tuple[TaskFamily, ...] = stored(
+        _kind(convert=tuple), _non_empty, default=DEFAULT_FAMILIES
+    )
+    success_threshold: float = stored(_float, default=DEFAULT_SUCCESS_THRESHOLD)
+    embedding_provider: str = stored(str, _hash, path="embedding.provider", default="hash")
+    embedding_dim: int = stored(int, _at_least_one, path="embedding.dim", default=256)
 
     def __post_init__(self) -> None:
         _validate(_SIM_ROWS, self)
@@ -184,6 +180,9 @@ class SimConfig:
     @property
     def agent_ids(self) -> tuple[str, ...]:
         return tuple(f"agent-{i + 1}" for i in range(self.team_size))
+
+
+_SIM_ROWS = rows_of(SimConfig)
 
 
 def _read_config_file(path: Path) -> dict[str, Any]:
@@ -226,8 +225,8 @@ def load_sim_config(source: dict[str, Any] | str | Path) -> SimConfig:
 
 
 def config_to_dict(cfg: SimConfig) -> dict[str, Any]:
-    families = [spell(_FAMILY_ROWS, vars(family)) for family in cfg.families]
-    return spell(_SIM_ROWS, {**vars(cfg), "families": families})
+    families = [_spell(_FAMILY_ROWS, vars(family)) for family in cfg.families]
+    return _spell(_SIM_ROWS, {**vars(cfg), "families": families})
 
 
 def sim_timestamp(index: int) -> str:

@@ -167,12 +167,17 @@ def post_task_update(
     """Fold one finished task into memory; returns the stored episode.
 
     Extraction failures never lose the episode: a placeholder lesson is
-    stored and a warning logged. The episode and the evidence counters of
-    the procedures used persist as one task record (see
-    :meth:`MemoryView.record_task`) before return, or at the end of the
-    caller's batch inside one. The record, with its ``task_type``, is all
-    that profiles and team patterns are derived from; nothing else is
-    written for them.
+    stored and a warning logged. Under
+    :class:`~teammem.embedding.HashEmbedder` at dim 1 and at every
+    power-of-two dim up to 256, the default included, the placeholder embeds
+    to the zero vector, so such an episode never joins a cluster or a
+    procedure.
+
+    The episode and the evidence counters of the procedures used persist as
+    one task record (see :meth:`MemoryView.record_task`) before return, or at
+    the end of the caller's batch inside one. The record, with its
+    ``task_type``, is all that profiles and team patterns are derived from;
+    nothing else is written for them.
     """
     lessons = _safe_lessons(generator, task, actions, outcome, role)
     if task_index is None:

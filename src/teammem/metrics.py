@@ -19,12 +19,11 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, ClassVar
+from typing import Any
 
 from . import disk
 from .types import (
     Record,
-    Row,
     _non_negative,
     _number,
     _percent,
@@ -32,6 +31,8 @@ from .types import (
     from_dict,
     json_line,
     read_jsonl,
+    record,
+    stored,
     to_dict,
 )
 
@@ -43,31 +44,18 @@ def token_proxy(text: str) -> int:
     return len(text.split())
 
 
-@dataclass(frozen=True)
+@record
 class RunLogEntry(Record):
-    task_index: int
-    task_id: str
-    ts: float
-    cs: float
-    tokens_in: int
-    tokens_out: int
-    team_size: int
-    kind_used: str
-    retrieved_ids: tuple[str, ...] = ()
-    procedures_used: tuple[str, ...] = ()
-
-    ROWS: ClassVar[tuple[Row, ...]] = (
-        ("task_index", "task_index", int, None),
-        ("task_id", "task_id", str, None),
-        ("ts", "ts", _number, _percent),
-        ("cs", "cs", _number, _percent),
-        ("tokens_in", "tokens_in", int, _non_negative),
-        ("tokens_out", "tokens_out", int, _non_negative),
-        ("team_size", "team_size", int, None),
-        ("kind_used", "kind_used", str, None),
-        ("retrieved_ids", "retrieved_ids", _strings, None),
-        ("procedures_used", "procedures_used", _strings, None),
-    )
+    task_index: int = stored(int)
+    task_id: str = stored(str)
+    ts: float = stored(_number, _percent)
+    cs: float = stored(_number, _percent)
+    tokens_in: int = stored(int, _non_negative)
+    tokens_out: int = stored(int, _non_negative)
+    team_size: int = stored(int)
+    kind_used: str = stored(str)
+    retrieved_ids: tuple[str, ...] = stored(_strings, default=())
+    procedures_used: tuple[str, ...] = stored(_strings, default=())
 
     @property
     def combined(self) -> float:

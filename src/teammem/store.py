@@ -111,7 +111,6 @@ from .types import (
     from_dict,
     json_line,
     read_jsonl,
-    spell,
     to_dict,
 )
 
@@ -409,7 +408,7 @@ class MemoryStore:
 
     def _write_meta(self) -> None:
         meta = {"topology": self.topology, "agents": sorted(self.agents)}
-        _dump_json(self._meta_path, {"schema_version": SCHEMA_VERSION, **spell(_META_ROWS, meta)})
+        _dump_json(self._meta_path, {"schema_version": SCHEMA_VERSION, **meta})
 
     def _load_log(self, owner: str, records: dict[int, _TaskRecord]) -> None:
         """Read one owner's episode log into its store set; add its task records by seq."""
@@ -541,6 +540,8 @@ class MemoryStore:
 
         ``task`` holds its ``task_type`` and ``procedures_used``, checked by their rows.
         """
+        # it may raise, so it runs before any change
+        self._apply_task(episode, task["task_type"], task["procedures_used"])
         store = self._sets[owner]
         store.episodic.append(episode)
         store.index_classes([episode])
@@ -549,7 +550,6 @@ class MemoryStore:
         if sorted(task["procedures_used"]) == record["related_procedures"]:
             del record["procedures_used"]
         self._pending.setdefault(owner, []).append(json_line(record))
-        self._apply_task(episode, task["task_type"], task["procedures_used"])
 
     def check_roster(self, team: tuple[str, ...]) -> None:
         """Raise :class:`ValueError` if a team names an agent off the roster under ``hybrid``."""
@@ -558,31 +558,39 @@ class MemoryStore:
             raise ValueError(f"team composition names agents outside the roster: {outside}")
 
     def _apply_task(self, episode: Episode, task_type: str, procedures_used: Sequence[str]) -> None:
-        """Tally a task record, and count its outcome on each procedure it used."""
+        """Tally a task record, and count its outcome on each procedure it used.
+
+        Every bump is built and checked first: a record that names an unknown
+        procedure, or whose timestamp precedes a used procedure's
+        ``created_at``, raises :class:`StoreError` and changes nothing.
+        """
         owner = self._procedure_owner[episode.agent_id]
         store = self._sets[owner]
         success = episode.outcome.success
+        bumped: dict[str, Procedure] = {}
+        for procedure_id in procedures_used:
+            procedure = bumped.get(procedure_id) or store.procedural.get(procedure_id)
+            if procedure is None:
+                raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
+            try:
+                # every field comes from a checked record, so only the cross-field rule runs
+                bumped[procedure_id] = checked_record(Procedure, {
+                    **vars(procedure),
+                    "successes": procedure.successes + int(success),
+                    "failures": procedure.failures + int(not success),
+                    "updated_at": episode.timestamp,
+                })
+            except ValueError as exc:
+                raise StoreError(f"bumping {procedure_id!r} in {owner!r} store: {exc}") from None
         key = (episode.agent_id, episode.team_composition, task_type)
         counts = store.tally.setdefault(key, [0, 0])
         counts[0] += 1
         counts[1] += success
         if store.team_patterns:  # read off the tally before this record
             store.profiles, store.team_patterns = {}, {}
-        if not procedures_used:
-            return
-        procedural = store.procedural
-        for procedure_id in procedures_used:
-            procedure = procedural.get(procedure_id)
-            if procedure is None:
-                raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
-            # every field comes from a checked record, so only the cross-field rule runs
-            procedural[procedure_id] = checked_record(Procedure, {
-                **vars(procedure),
-                "successes": procedure.successes + int(success),
-                "failures": procedure.failures + int(not success),
-                "updated_at": episode.timestamp,
-            })
-        self.add_lag(owner)
+        if bumped:
+            store.procedural.update(bumped)
+            self.add_lag(owner)
 
     def add_lag(self, owner: str) -> None:
         """Count one more task record that the owner's procedure snapshot lacks."""
@@ -851,7 +859,9 @@ class MemoryView:
         and :func:`open_store` replays what it lacks. The record is tallied
         at once; profiles and team patterns are read off the tally when they
         are next read (see :meth:`MemoryStore.transactive`). Durable before
-        return outside a batch.
+        return outside a batch. A record that fails a check, a bump that
+        would stamp a procedure before its ``created_at`` included, raises
+        :class:`StoreError` and changes nothing.
         """
         task = self._check_append(episode, task_type, procedures_used)
         self._store.add_episode(self._episodic_owner, episode, task)

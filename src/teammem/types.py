@@ -8,20 +8,23 @@ are:
 * transactive: who-knows-what bookkeeping (:class:`AgentProfile`,
   :class:`TeamPattern`), derived from the stored tasks and never stored.
 
-A stored value object is described by one table, its ``ROWS``: one row per
-field, giving the JSON key, the attribute, the field's kind and an optional
-check (see :data:`Row`). Construction checks every field against the table,
-so an invalid record cannot be built; :func:`from_dict` decodes a record
-through the same check, and :func:`to_dict` spells one by the same keys.
-The store's task records, snapshots and meta, the run log and the simulation
-config are described by tables of the same rows.
+A stored value object declares each field once, with :func:`stored`: its
+kind and an optional check. The :func:`record` decorator reads the class's
+table, its ``ROWS``, off those fields in field order: one row per field,
+giving the JSON key, the attribute, the kind and the check (see :data:`Row`).
+Construction checks every field against the table, so an invalid record
+cannot be built; :func:`from_dict` decodes a record through the same check,
+and :func:`to_dict` spells one by the same keys. The simulation config's
+tables are read off its dataclass fields the same way (:func:`rows_of`); the
+store's task records, snapshots and meta, which are documents and not
+classes, keep literal tables of the same rows.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Literal, NamedTuple, Sequence, TypeVar
 
@@ -144,18 +147,13 @@ class Record:
     """A value object stored as the JSON object that its ``ROWS`` describe.
 
     Construction checks every row, then :meth:`_check`, so an invalid record
-    cannot be built; :func:`from_dict` decodes through the same checks.
+    cannot be built; :func:`from_dict` decodes through the same checks. A
+    subclass is made with :func:`record`, which sets its ``ROWS``.
     """
 
-    ROWS: ClassVar[tuple[Row, ...]] = ()
-    _SPELLED: ClassVar[tuple[str, ...]] = ()
-
-    def __init_subclass__(cls) -> None:
-        # the attributes whose stored form is not their JSON form: sets and records
-        cls._SPELLED = tuple(
-            attribute for _, attribute, kind, _ in cls.ROWS
-            if kind is _string_set or isinstance(kind, type) and issubclass(kind, Record)
-        )
+    ROWS: ClassVar[tuple[Row, ...]]
+    # the attributes whose stored form is not their JSON form: sets and records
+    _SPELLED: ClassVar[tuple[str, ...]]
 
     def __post_init__(self) -> None:
         check_rows(self.ROWS, vars(self))  # a frozen record's dict takes the stored forms
@@ -165,7 +163,41 @@ class Record:
         """Rules that tie fields together; none unless a record adds them."""
 
 
+def stored(kind: Any, check: Rule | None = None, *, path: str = "", default: Any = MISSING) -> Any:
+    """A dataclass field stored by the row ``(path, name, kind, check)``.
+
+    ``path`` defaults to the field's name; only the config's sectioned keys
+    give one.
+    """
+    return field(default=default, metadata={"row": (path, kind, check)})
+
+
+def rows_of(cls: type) -> tuple[Row, ...]:
+    """The rows of a dataclass, one per field in field order, each declared by :func:`stored`.
+
+    A field declared otherwise raises :class:`TypeError` naming the class and the field.
+    """
+    rows = []
+    for f in fields(cls):
+        if "row" not in f.metadata:
+            raise TypeError(f"{cls.__name__}.{f.name} is not declared by stored(...)")
+        path, kind, check = f.metadata["row"]
+        rows.append((path or f.name, f.name, kind, check))
+    return tuple(rows)
+
+
 R = TypeVar("R", bound=Record)
+
+
+def record(cls: type[R]) -> type[R]:
+    """Make ``cls`` a frozen dataclass, its ``ROWS`` read off its fields."""
+    cls = dataclass(frozen=True)(cls)
+    cls.ROWS = rows_of(cls)
+    cls._SPELLED = tuple(
+        attribute for _, attribute, kind, _ in cls.ROWS
+        if kind is _string_set or isinstance(kind, type) and issubclass(kind, Record)
+    )
+    return cls
 
 
 def from_dict(cls: type[R], document: Any) -> R:
@@ -184,19 +216,6 @@ def checked_record(cls: type[R], values: dict[str, Any]) -> R:
     record.__dict__.update(values)  # one copy, not a frozen setattr per field
     record._check()
     return record
-
-
-def spell(rows: Sequence[Row], values: dict[str, Any]) -> dict[str, Any]:
-    """The JSON object holding each attribute ``values`` has, at its row's path.
-
-    JSON writes a tuple as an array and a ``str`` enum member as its value.
-    """
-    out: dict[str, Any] = {}
-    for path, attribute, _, _ in rows:
-        if attribute in values:
-            section, _, key = path.rpartition(".")
-            (out.setdefault(section, {}) if section else out)[key] = values[attribute]
-    return out
 
 
 def to_dict(record: Record) -> dict[str, Any]:
@@ -272,7 +291,7 @@ class TypeStats(NamedTuple):
         return self.successes / self.attempts if self.attempts else 0.0
 
 
-@dataclass(frozen=True)
+@record
 class Outcome(Record):
     """Result of one task: teamwork score, completion score, success flag.
 
@@ -281,15 +300,9 @@ class Outcome(Record):
     environment supplies its own verdict.
     """
 
-    ts: float
-    cs: float
-    success: bool
-
-    ROWS: ClassVar[tuple[Row, ...]] = (
-        ("ts", "ts", _number, _percent),
-        ("cs", "cs", _number, _percent),
-        ("success", "success", bool, None),
-    )
+    ts: float = stored(_number, _percent)
+    cs: float = stored(_number, _percent)
+    success: bool = stored(bool)
 
 
 def combined_score(outcome: Outcome) -> float:
@@ -313,7 +326,7 @@ def canonical_team_key(agent_ids: Iterable[str]) -> tuple[str, ...]:
     return key
 
 
-@dataclass(frozen=True)
+@record
 class Episode(Record):
     """One remembered task execution.
 
@@ -322,36 +335,23 @@ class Episode(Record):
     ``timestamp`` is display metadata only; ordering always uses the index.
     """
 
-    agent_id: str
-    task_index: int
-    timestamp: str
-    task_description: str
-    team_composition: tuple[str, ...]
-    actions: tuple[str, ...]
-    outcome: Outcome
-    env_context: str = ""
-    lessons: tuple[str, ...] = ()
-    related_procedures: frozenset[str] = frozenset()
-
-    ROWS: ClassVar[tuple[Row, ...]] = (
-        ("agent_id", "agent_id", str, None),
-        ("task_index", "task_index", int, _non_negative),
-        ("timestamp", "timestamp", str, None),
-        ("task_description", "task_description", str, None),
-        ("team_composition", "team_composition", _strings, _non_empty),
-        ("actions", "actions", _strings, None),
-        ("outcome", "outcome", Outcome, None),
-        ("env_context", "env_context", str, None),
-        ("lessons", "lessons", _strings, None),
-        ("related_procedures", "related_procedures", _string_set, None),
-    )
+    agent_id: str = stored(str)
+    task_index: int = stored(int, _non_negative)
+    timestamp: str = stored(str)
+    task_description: str = stored(str)
+    team_composition: tuple[str, ...] = stored(_strings, _non_empty)
+    actions: tuple[str, ...] = stored(_strings)
+    outcome: Outcome = stored(Outcome)
+    env_context: str = stored(str, default="")
+    lessons: tuple[str, ...] = stored(_strings, default=())
+    related_procedures: frozenset[str] = stored(_string_set, default=frozenset())
 
     @property
     def episode_id(self) -> str:
         return f"{self.agent_id}:{self.task_index}"
 
 
-@dataclass(frozen=True)
+@record
 class Procedure(Record):
     """A generalized, reusable strategy distilled from successful episodes.
 
@@ -365,27 +365,15 @@ class Procedure(Record):
     (see :mod:`teammem.store`).
     """
 
-    procedure_id: str
-    owner_id: str
-    created_at: str
-    updated_at: str
-    title: str
-    knowledge: str
-    successes: int = 0
-    failures: int = 0
-    source_episodes: frozenset[str] = frozenset()
-
-    ROWS: ClassVar[tuple[Row, ...]] = (
-        ("procedure_id", "procedure_id", str, None),
-        ("owner_id", "owner_id", str, None),
-        ("created_at", "created_at", str, None),
-        ("updated_at", "updated_at", str, None),
-        ("title", "title", str, None),
-        ("knowledge", "knowledge", str, None),
-        ("successes", "successes", int, _non_negative),
-        ("failures", "failures", int, _non_negative),
-        ("source_episodes", "source_episodes", _string_set, _non_empty),
-    )
+    procedure_id: str = stored(str)
+    owner_id: str = stored(str)
+    created_at: str = stored(str)
+    updated_at: str = stored(str)
+    title: str = stored(str)
+    knowledge: str = stored(str)
+    successes: int = stored(int, _non_negative, default=0)
+    failures: int = stored(int, _non_negative, default=0)
+    source_episodes: frozenset[str] = stored(_string_set, _non_empty, default=frozenset())
 
     def _check(self) -> None:
         if self.updated_at < self.created_at:

@@ -8,7 +8,7 @@ line for a log.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -22,7 +22,16 @@ from teammem.store import (
     _TASK_ROWS,
     open_store,
 )
-from teammem.types import Episode, Outcome, Procedure, from_dict, to_dict
+from teammem.types import (
+    Episode,
+    Outcome,
+    Procedure,
+    Record,
+    from_dict,
+    record,
+    stored,
+    to_dict,
+)
 
 AGENTS = ["agent-1", "agent-2"]
 OUTCOME = Outcome(ts=80.0, cs=70.0, success=True)
@@ -97,6 +106,25 @@ def test_a_record_refuses_a_missing_or_unknown_key():
         from_dict(Episode, {**document, "extra": 1})
     with pytest.raises(ValueError, match="must be an object"):
         from_dict(Episode, [list(pair) for pair in document.items()])
+
+
+def test_a_field_without_a_row_fails_when_its_class_is_made():
+    # the record's table is read off its fields, so a field cannot go unchecked
+    with pytest.raises(TypeError, match=r"^Tagged\.role is not declared by stored"):
+
+        @record
+        class Tagged(Record):
+            name: str = stored(str)
+            role: str = ""
+
+    # a config's table is read off its fields the same way
+    @dataclass(frozen=True)
+    class Knobs:
+        width: int = stored(int, default=1)
+        depth: int = 2
+
+    with pytest.raises(TypeError, match=r"^Knobs\.depth is not declared by stored"):
+        types_module.rows_of(Knobs)
 
 
 def shared_store(tmp_path):

@@ -1,7 +1,9 @@
 """Task records: the episode log as write-ahead log, snapshots as checkpoints."""
 
+import contextlib
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +128,47 @@ def test_replaying_a_record_over_a_missing_procedure_names_the_record(tmp_path):
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert "task record seq 2" in str(exc.value) and "proc-00001" in str(exc.value)
+
+
+def upserted_in_february(tmp_path):
+    views = open_store(tmp_path / "store", "shared", AGENTS)
+    view = views["agent-1"]
+    february = "2026-02-01T00:00:00+00:00"
+    pinned = replace(procedure("proc-00001"), created_at=february, updated_at=february)
+    view.upsert_procedure(pinned, february)
+    return view
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_bump_that_would_precede_its_procedure_changes_nothing(tmp_path, batched):
+    view = upserted_in_february(tmp_path)
+    view.record_task(episode("agent-1", 1), "incident", [])
+    files = files_of(tmp_path / "store")
+    snapshot = view.snapshot()
+    # a January task used a procedure that is stamped February
+    early = replace(episode("agent-1", 2, ["proc-00001"]), timestamp="2026-01-01T00:00:00+00:00")
+    with pytest.raises(StoreError, match="'proc-00001'.*precedes created_at"):
+        with view.batch() if batched else contextlib.nullcontext():
+            view.record_task(early, "incident", ["proc-00001"])
+    assert view.snapshot() == snapshot
+    view.persist()
+    assert files_of(tmp_path / "store") == files
+    assert open_store(tmp_path / "store")["agent-1"].snapshot() == snapshot
+
+
+def test_replaying_a_bump_that_would_precede_its_procedure_names_the_log(tmp_path):
+    view = upserted_in_february(tmp_path)
+    view.record_task(
+        replace(episode("agent-1", 1), timestamp="2026-03-01T00:00:00+00:00"), "incident",
+        ["proc-00001"],
+    )
+    log = tmp_path / "store" / SHARED_OWNER / "episodic.jsonl"
+    log.write_text(log.read_text().replace("2026-03-01", "2026-01-01"), encoding="utf-8")
+    with pytest.raises(StoreError) as exc:
+        open_store(tmp_path / "store")
+    message = str(exc.value)
+    assert message.startswith(f"{log}: replaying task record seq 1")
+    assert "'proc-00001'" in message and "precedes created_at" in message
 
 
 def test_duplicate_check_keys_are_derived_only(tmp_path):

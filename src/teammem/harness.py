@@ -417,7 +417,6 @@ class SimRunner:
 
         if self.views is not None:
             view = self.views[executor]
-            stamp = sim_timestamp(index)
             # one store flush per task, finished before the run-log append
             with view.batch():
                 post_task_update(
@@ -430,14 +429,11 @@ class SimRunner:
                     task.task_type,
                     team_composition=agents,
                     task_index=index + 1,
-                    timestamp=stamp,
+                    timestamp=sim_timestamp(index),
                 )
+                # a pass stamps with its log's newest episode: the one just recorded
                 new_procedures = maybe_consolidate(
-                    view,
-                    self.consolidation_cfg,
-                    self.generator,
-                    self.embedder,
-                    timestamp=stamp,
+                    view, self.consolidation_cfg, self.generator, self.embedder
                 )
             if new_procedures:
                 self.consolidations.append((index + 1, len(new_procedures)))

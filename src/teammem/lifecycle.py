@@ -183,11 +183,10 @@ def post_task_update(
     if task_index is None:
         own = [e.task_index for e in view.episodes() if e.agent_id == view.agent_id]
         task_index = max(own) + 1 if own else 0
-    stamp = timestamp or _now_iso()
     episode = Episode(
         agent_id=view.agent_id,
         task_index=task_index,
-        timestamp=stamp,
+        timestamp=timestamp or _now_iso(),
         task_description=task,
         team_composition=tuple(team_composition or (view.agent_id,)),
         actions=tuple(actions),
@@ -353,6 +352,11 @@ def consolidate(
     the end. Returns the procedures the pass created, extended or merged
     into that survive pruning. ``cfg`` sets only the interval, which
     :func:`maybe_consolidate` reads.
+
+    Every procedure the pass creates or changes is stamped with
+    ``timestamp``, by default the timestamp of the newest episode in the log
+    (the last appended), so the pass depends on the store alone. A pass over
+    an empty log changes nothing.
     """
     log = view.episodic_store()
     if log.cluster_state is None or log.cluster_state.embedder is not embedder:
@@ -360,7 +364,7 @@ def consolidate(
     classes = list(log.class_numbers)
     with view.batch():
         owner = view.procedure_owner()
-        stamp = timestamp or _now_iso()
+        stamp = timestamp or (log.episodic[-1].timestamp if log.episodic else "")
         live = view.procedures()
         changed: dict[str, Procedure] = {}
         # An unlinked class's episodes are clusters of one, below MIN_SUCCESSES.

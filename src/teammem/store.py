@@ -560,9 +560,10 @@ class MemoryStore:
     def _apply_task(self, episode: Episode, task_type: str, procedures_used: Sequence[str]) -> None:
         """Tally a task record, and count its outcome on each procedure it used.
 
-        Every bump is built and checked first: a record that names an unknown
-        procedure, or whose timestamp precedes a used procedure's
-        ``created_at``, raises :class:`StoreError` and changes nothing.
+        Each bump stamps ``updated_at`` with the episode's timestamp, whatever
+        it is: stamps are display data, and the store's order is ``seq``.
+        Every bump is built first: a record that names an unknown procedure
+        raises :class:`StoreError` and changes nothing.
         """
         owner = self._procedure_owner[episode.agent_id]
         store = self._sets[owner]
@@ -572,16 +573,13 @@ class MemoryStore:
             procedure = bumped.get(procedure_id) or store.procedural.get(procedure_id)
             if procedure is None:
                 raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
-            try:
-                # every field comes from a checked record, so only the cross-field rule runs
-                bumped[procedure_id] = checked_record(Procedure, {
-                    **vars(procedure),
-                    "successes": procedure.successes + int(success),
-                    "failures": procedure.failures + int(not success),
-                    "updated_at": episode.timestamp,
-                })
-            except ValueError as exc:
-                raise StoreError(f"bumping {procedure_id!r} in {owner!r} store: {exc}") from None
+            # every field comes from a checked record, so none is checked again
+            bumped[procedure_id] = checked_record(Procedure, {
+                **vars(procedure),
+                "successes": procedure.successes + int(success),
+                "failures": procedure.failures + int(not success),
+                "updated_at": episode.timestamp,
+            })
         key = (episode.agent_id, episode.team_composition, task_type)
         counts = store.tally.setdefault(key, [0, 0])
         counts[0] += 1
@@ -859,9 +857,9 @@ class MemoryView:
         and :func:`open_store` replays what it lacks. The record is tallied
         at once; profiles and team patterns are read off the tally when they
         are next read (see :meth:`MemoryStore.transactive`). Durable before
-        return outside a batch. A record that fails a check, a bump that
-        would stamp a procedure before its ``created_at`` included, raises
-        :class:`StoreError` and changes nothing.
+        return outside a batch. A record that fails a check raises
+        :class:`StoreError` and changes nothing; a bump is never refused for
+        its stamp, which is display data (the store's order is ``seq``).
         """
         task = self._check_append(episode, task_type, procedures_used)
         self._store.add_episode(self._episodic_owner, episode, task)

@@ -14,10 +14,11 @@ table, its ``ROWS``, off those fields in field order: one row per field,
 giving the JSON key, the attribute, the kind and the check (see :data:`Row`).
 Construction checks every field against the table, so an invalid record
 cannot be built; :func:`from_dict` decodes a record through the same check,
-and :func:`to_dict` spells one by the same keys. The simulation config's
-tables are read off its dataclass fields the same way (:func:`rows_of`); the
-store's task records, snapshots and meta, which are documents and not
-classes, keep literal tables of the same rows.
+and :func:`to_dict` spells one by the same keys. No rule ties two fields
+together. The simulation config's tables are read off its dataclass fields
+the same way (:func:`rows_of`); the store's task records, snapshots and
+meta, which are documents and not classes, keep literal tables of the same
+rows.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def check_object(rows: Sequence[Row], document: Any) -> None:
 class Record:
     """A value object stored as the JSON object that its ``ROWS`` describe.
 
-    Construction checks every row, then :meth:`_check`, so an invalid record
-    cannot be built; :func:`from_dict` decodes through the same checks. A
-    subclass is made with :func:`record`, which sets its ``ROWS``.
+    Construction checks every row, so an invalid record cannot be built;
+    :func:`from_dict` decodes through the same check. A subclass is made
+    with :func:`record`, which sets its ``ROWS``.
     """
 
     ROWS: ClassVar[tuple[Row, ...]]
@@ -157,10 +158,6 @@ class Record:
 
     def __post_init__(self) -> None:
         check_rows(self.ROWS, vars(self))  # a frozen record's dict takes the stored forms
-        self._check()
-
-    def _check(self) -> None:
-        """Rules that tie fields together; none unless a record adds them."""
 
 
 def stored(kind: Any, check: Rule | None = None, *, path: str = "", default: Any = MISSING) -> Any:
@@ -214,7 +211,6 @@ def checked_record(cls: type[R], values: dict[str, Any]) -> R:
     """A record of ``cls`` holding ``values``, each already checked by its row."""
     record = object.__new__(cls)
     record.__dict__.update(values)  # one copy, not a frozen setattr per field
-    record._check()
     return record
 
 
@@ -363,6 +359,12 @@ class Procedure(Record):
     ``source_episodes`` is a set of episode ids in memory and in
     :func:`to_dict`; a store snapshot writes it as runs over lesson classes
     (see :mod:`teammem.store`).
+
+    ``created_at`` is the stamp of the pass or call that made the procedure,
+    and ``updated_at`` the stamp of its latest change: a consolidation pass,
+    an upsert or a recorded use, which takes its episode's ``timestamp``.
+    Like that ``timestamp``, both are display data: no rule orders them, and
+    the store orders its records by ``seq`` alone.
     """
 
     procedure_id: str = stored(str)
@@ -374,12 +376,6 @@ class Procedure(Record):
     successes: int = stored(int, _non_negative, default=0)
     failures: int = stored(int, _non_negative, default=0)
     source_episodes: frozenset[str] = stored(_string_set, _non_empty, default=frozenset())
-
-    def _check(self) -> None:
-        if self.updated_at < self.created_at:
-            raise ValueError(
-                f"updated_at ({self.updated_at}) precedes created_at ({self.created_at})"
-            )
 
 
 def derive_reliability(procedure: Procedure) -> float:

@@ -2,12 +2,13 @@
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
 from teammem.cli import main
-from teammem.harness import ConfigError, SimRunner, load_sim_config
+from teammem.harness import ConfigError, SimConfig, SimRunner, load_sim_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -141,6 +142,45 @@ def test_consolidate_command_covers_every_hybrid_agent(tmp_path, capsys):
     assert "agent-1: 1 new procedures, 0 extended" in out
     assert "agent-2: 0 new procedures, 1 extended" in out
     assert "total new procedures: 1" in out
+
+
+def halfway(tmp_path, topology):
+    """A 36-task run with no pass of its own, stopped after 18 tasks; returns its config."""
+    cfg = SimConfig(topology=topology, team_size=2, n_tasks=36, consolidation_n=100)
+    runner = SimRunner(cfg, tmp_path / "out")
+    for _ in range(18):
+        runner.step()
+    return cfg
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_run_resumes_after_a_consolidation(tmp_path, capsys, topology):
+    cfg = halfway(tmp_path, topology)
+    assert main(["consolidate", "--store", str(tmp_path / "out" / "store")]) == 0
+    assert "total new procedures: 0" not in capsys.readouterr().out
+    # the run's own stamps bump the pass's procedures, whatever the pass stamped
+    result = SimRunner(cfg, tmp_path / "out").run()
+    assert len(result.log) == 36
+    assert any(entry.procedures_used for entry in result.log.entries[18:])
+
+
+def store_bytes(root):
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_consolidation_leaves_the_same_bytes_at_any_hour(tmp_path, monkeypatch, topology):
+    halfway(tmp_path, topology)
+    before = store_bytes(tmp_path / "out" / "store")
+    for clock in ("2026-10-21T00:19:54+00:00", "2031-05-05T12:00:00+00:00"):
+        monkeypatch.setattr("teammem.store._now_iso", lambda clock=clock: clock)
+        monkeypatch.setattr("teammem.lifecycle._now_iso", lambda clock=clock: clock)
+        copy = tmp_path / clock[:4]
+        shutil.copytree(tmp_path / "out" / "store", copy)
+        assert main(["consolidate", "--store", str(copy)]) == 0
+    after = store_bytes(tmp_path / "2026")
+    assert after != before  # the pass wrote procedures
+    assert after == store_bytes(tmp_path / "2031")
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -432,6 +432,17 @@ def test_store_bytes_match_the_pinned_digests(tmp_path, topology):
     assert digests == pinned
 
 
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_run_never_reads_the_clock(tmp_path, monkeypatch, topology):
+    def no_clock():
+        raise AssertionError("the simulation read the wall clock")
+
+    monkeypatch.setattr("teammem.store._now_iso", no_clock)
+    monkeypatch.setattr("teammem.lifecycle._now_iso", no_clock)
+    result = run_sim(SimConfig(topology=topology, team_size=3, n_tasks=60, seed=7), tmp_path)
+    assert len(result.log) == 60 and result.consolidations
+
+
 def test_resumed_run_matches_uninterrupted_run(tmp_path):
     cfg = SimConfig(n_tasks=8, seed=5)
     run_sim(cfg, tmp_path / "full")

@@ -130,45 +130,56 @@ def test_replaying_a_record_over_a_missing_procedure_names_the_record(tmp_path):
     assert "task record seq 2" in str(exc.value) and "proc-00001" in str(exc.value)
 
 
-def upserted_in_february(tmp_path):
+def upserted_at(tmp_path, created):
     views = open_store(tmp_path / "store", "shared", AGENTS)
     view = views["agent-1"]
-    february = "2026-02-01T00:00:00+00:00"
-    pinned = replace(procedure("proc-00001"), created_at=february, updated_at=february)
-    view.upsert_procedure(pinned, february)
+    pinned = replace(procedure("proc-00001"), created_at=created, updated_at=created)
+    view.upsert_procedure(pinned, created)
     return view
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_a_bump_that_would_precede_its_procedure_changes_nothing(tmp_path, batched):
-    view = upserted_in_february(tmp_path)
+# A bump is stamped with its task's timestamp, whatever the procedure's: a
+# January task that used a procedure stamped February, and a task an hour
+# after creation written at another UTC offset, whose string sorts first.
+@pytest.mark.parametrize(
+    "batched, created, stamp",
+    [
+        pytest.param(False, "2026-02-01T00:00:00+00:00", "2026-01-01T00:00:00+00:00",
+                     id="write-through"),
+        pytest.param(True, "2026-02-01T00:00:00+00:00", "2026-01-01T00:00:00+00:00",
+                     id="batched"),
+        pytest.param(False, "2026-01-01T10:00:00+02:00", "2026-01-01T09:00:00+00:00",
+                     id="mixed-offset"),
+    ],
+)
+def test_a_bump_stamped_before_its_procedure_is_applied(tmp_path, batched, created, stamp):
+    view = upserted_at(tmp_path, created)
     view.record_task(episode("agent-1", 1), "incident", [])
-    files = files_of(tmp_path / "store")
-    snapshot = view.snapshot()
-    # a January task used a procedure that is stamped February
-    early = replace(episode("agent-1", 2, ["proc-00001"]), timestamp="2026-01-01T00:00:00+00:00")
-    with pytest.raises(StoreError, match="'proc-00001'.*precedes created_at"):
-        with view.batch() if batched else contextlib.nullcontext():
-            view.record_task(early, "incident", ["proc-00001"])
-    assert view.snapshot() == snapshot
-    view.persist()
-    assert files_of(tmp_path / "store") == files
-    assert open_store(tmp_path / "store")["agent-1"].snapshot() == snapshot
+    early = replace(episode("agent-1", 2, ["proc-00001"]), timestamp=stamp)
+    with view.batch() if batched else contextlib.nullcontext():
+        view.record_task(early, "incident", ["proc-00001"])
+    bumped = view.get_procedure("proc-00001")
+    assert (bumped.successes, bumped.failures) == (2, 0)
+    assert (bumped.created_at, bumped.updated_at) == (created, stamp)
+    assert open_store(tmp_path / "store")["agent-1"].snapshot() == view.snapshot()
+    view.upsert_procedure(procedure("proc-00002"))  # a checkpoint: the bump joins the snapshot
+    reopened = open_store(tmp_path / "store")["agent-1"]
+    assert reopened.checkpoint_lag()[SHARED_OWNER] == {"procedural": 0}
+    assert reopened.get_procedure("proc-00001") == bumped
 
 
-def test_replaying_a_bump_that_would_precede_its_procedure_names_the_log(tmp_path):
-    view = upserted_in_february(tmp_path)
+def test_replaying_a_bump_stamped_before_its_procedure_keeps_the_counters(tmp_path):
+    view = upserted_at(tmp_path, "2026-02-01T00:00:00+00:00")
     view.record_task(
         replace(episode("agent-1", 1), timestamp="2026-03-01T00:00:00+00:00"), "incident",
         ["proc-00001"],
     )
     log = tmp_path / "store" / SHARED_OWNER / "episodic.jsonl"
     log.write_text(log.read_text().replace("2026-03-01", "2026-01-01"), encoding="utf-8")
-    with pytest.raises(StoreError) as exc:
-        open_store(tmp_path / "store")
-    message = str(exc.value)
-    assert message.startswith(f"{log}: replaying task record seq 1")
-    assert "'proc-00001'" in message and "precedes created_at" in message
+    replayed = open_store(tmp_path / "store")["agent-1"].get_procedure("proc-00001")
+    live = view.get_procedure("proc-00001")
+    assert (replayed.successes, replayed.failures) == (live.successes, live.failures) == (2, 0)
+    assert replayed.updated_at == "2026-01-01T00:00:00+00:00"
 
 
 def test_duplicate_check_keys_are_derived_only(tmp_path):

@@ -132,8 +132,6 @@ def test_procedure_validation():
     with pytest.raises(ValueError):
         make_procedure(successes=-1)
     with pytest.raises(ValueError):
-        make_procedure(updated_at="2025-12-31T23:59:59+00:00")
-    with pytest.raises(ValueError):
         make_procedure(source_episodes=frozenset())
 
 

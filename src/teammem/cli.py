@@ -6,7 +6,7 @@ Subcommands:
 * ``sweep``: run the team-size grid with and without memory.
 * ``metrics``: summarize a run log, optionally against a baseline log.
 * ``consolidate``: force a consolidation pass over an existing store.
-* ``inspect``: print what each agent sees, and how far each procedure snapshot lags the log.
+* ``inspect``: print what each agent sees.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(f"  procedures visible: {len(view.procedures())}")
         print(f"  profiles visible: {len(profiles)}")
         print(f"  team patterns visible: {len(view.team_patterns())}")
-    print("task records past each snapshot's checkpoint:")
-    for owner, lag in views[agent_ids[0]].checkpoint_lag().items():
-        print(f"  {owner}: " + ", ".join(f"{kind} {n}" for kind, n in lag.items()))
     return 0
 
 

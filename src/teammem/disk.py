@@ -32,7 +32,7 @@ def _write(path: str | Path, flags: int, text: str) -> None:
         os.close(fd)
 
 
-def append(path: Path, text: str) -> None:
+def append(path: str | Path, text: str) -> None:
     """Append ``text`` to ``path``, creating the file and its directory."""
     _write(path, _APPEND, text)
 

@@ -153,7 +153,7 @@ def write_runlog(path: Path | str, log: RunLog) -> None:
 
 
 def append_runlog_entry(path: Path | str, entry: RunLogEntry) -> None:
-    disk.append(Path(path), json_line(to_dict(entry)))
+    disk.append(path, json_line(to_dict(entry)))
 
 
 def read_runlog(path: Path | str) -> RunLog:

@@ -4,42 +4,39 @@ On disk a store root looks like::
 
     root/
       store_meta.json              # schema version + topology + agent roster
-      <owner>/episodic.jsonl       # episode log; owner is "shared" or an agent id
-      <owner>/procedural.json      # procedure snapshot + consolidation watermarks
+      <owner>/episodic.jsonl       # task records; owner is "shared" or an agent id
+      <owner>/procedural.jsonl     # pass records of a procedure owner
 
 The topology is decided once, when the store opens, as two maps over the
 roster: each agent's *episodic owner* (whose log holds its episodes) and its
 *procedure owner* (whose store set holds its procedures and transactive tally).
 Under ``local`` both are the agent, under ``shared`` both are "shared", and
-under ``hybrid`` they are the agent and "shared". The owner directories, the
-episodic owners whose watermarks a procedure snapshot holds and the owners
-:meth:`MemoryStore.checkpoint_lag` lists derive from the two maps, and a view
-resolves its two owners when it is built. Under ``hybrid`` every view sees
-all profile aggregates and team patterns, but only its own agent's
-collaboration history.
+under ``hybrid`` they are the agent and "shared". The owner directories and
+the episodic owners whose watermarks a procedure owner keeps derive from the
+two maps, and a view resolves its two owners when it is built. Under
+``hybrid`` every view sees all profile aggregates and team patterns, but
+only its own agent's collaboration history.
 
-Episodes are never modified once stored, so they live in an append-only log,
-``episodic.jsonl``, in append order. A flush appends only the lines added
-since the previous flush. Reading a log rejects a malformed or truncated
-(torn) line, a byte that is not UTF-8, a record whose agent's episodic owner
-is not the log's, an episode id that an earlier line holds, a ``seq`` that
-an earlier record of any log holds, and a team or task type that
-:meth:`MemoryView.record_task` would reject, naming the file and the line.
+``store_meta.json`` is written once, when the store is created; every later
+write appends lines to a log through :mod:`teammem.disk`. A flush takes the
+queued lines off the queue before it appends them, so a failed append is
+never written twice. Reading a log rejects a malformed or torn line, a byte
+that is not UTF-8 and a record that breaks a writer's rule, naming the file
+and the line.
 
-The log is also a write-ahead log, and every line of it is a *task record*.
-:meth:`MemoryView.record_task` stores one finished task (its episode and
-procedure outcomes) as a single compact sorted-key JSON line: the episode
-plus its ``task_type``, a store-wide sequence number ``seq`` and, when the
-episode's ``related_procedures`` do not already say it, the
-``procedures_used``. Appending that line is the task's commit point.
-``procedural.json`` is a snapshot that names the last ``seq`` it includes, so
-it may lag the log. It also holds the consolidation watermark of every
-episodic owner whose procedures it keeps, so a consolidation pass and its
-watermark land in one rename. Opening a store replays into it the task
-records logged after it, all logs merged in ``seq`` order; it never takes a
-record twice, and opening writes nothing. A flush appends the logs first
-(the commit point); if that leaves any procedure snapshot dirty, it is a
-checkpoint and rewrites every dirty snapshot.
+:meth:`MemoryView.record_task` stores one finished task as a *task record*,
+one compact sorted-key JSON line of ``episodic.jsonl``: the episode plus its
+``task_type``, a store-wide sequence number ``seq`` and, when the episode's
+``related_procedures`` do not already say it, the ``procedures_used``. Its
+``team_composition`` is left out when it is the meta's (sorted) roster, and
+the loader fills in one shared tuple. Appending the line is the task's
+commit point. Every other change (a procedure upserted or removed, a
+watermark moved, a procedure id handed out) joins its procedure owner's open
+pass, which the next flush or task record closes into one :class:`PassRecord`
+line of ``procedural.jsonl``; a pass that changed nothing appends nothing.
+Opening a store replays each procedure owner's task records and pass records
+merged in ``seq`` order, summing each procedure's bumps between two pass
+records; it never takes a record twice, and writes nothing.
 
 Transactive state (agent profiles, collaboration histories, team patterns)
 is not stored at all. Each procedure owner keeps a tally of its task records,
@@ -48,28 +45,10 @@ as it is logged or loaded; profiles and team patterns are read off the tally
 and kept until the next record. A ``transactive.json`` left by an older
 build is ignored.
 
-Every other mutation (procedure upserts and removals, watermark moves)
-marks its procedure snapshot dirty, and the snapshot is rewritten whole as
-compact sorted-key JSON. Every write goes through :mod:`teammem.disk`: log
-lines by ``append``, snapshots and meta by ``replace`` (temp file plus rename).
-
-A snapshot spells each procedure's ``source_episodes`` as runs over lesson
-classes. An episode's *class* is its log, its ``lessons`` tuple and its
-``outcome.success``; a class's members are ordered by log position. The
-sources become a list, sorted by first id, of entries that are either an
-episode id (a lone source, or an id in no log) or a pair ``[first, last]``
-standing for every member of one class from ``first`` to ``last``
-inclusive. Each class's sources split into maximal runs of consecutive
-members, so the spelling is exact and canonical for any set; consolidation
-takes a prefix of each class, which is one pair, so the snapshot's size
-follows the number of classes, not the length of the history. Pairs are
-decoded once every log is read, and a pair that names an id in no log, ends
-in two classes or runs backwards fails the open.
-
 All writes go through an agent's :class:`MemoryView` (single writer). Outside
 a batch, each mutating call flushes before it returns (write-through). Inside
-:meth:`MemoryView.batch`, mutating calls only queue log lines and mark
-snapshots dirty, and leaving the outermost batch writes each file once.
+:meth:`MemoryView.batch`, mutating calls only queue log lines and open
+passes, and leaving the outermost batch appends to each file once.
 
 Only the current schema version is read; a store file of any other version
 raises :class:`StoreError` naming the file, and nothing is rewritten.
@@ -77,7 +56,6 @@ raises :class:`StoreError` naming the file, and nothing is rewritten.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import copy
 import enum
@@ -88,7 +66,7 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from . import disk
 from .types import (
@@ -98,6 +76,7 @@ from .types import (
     Procedure,
     Row,
     TeamPattern,
+    Record,
     TypeStats,
     _at_least_one,
     _kind,
@@ -111,10 +90,12 @@ from .types import (
     from_dict,
     json_line,
     read_jsonl,
+    record,
+    stored,
     to_dict,
 )
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 SHARED_OWNER = "shared"
 
 # An episode's lesson class within its log: its lessons and its success flag.
@@ -155,7 +136,7 @@ class StoreSet:
     class's number in order of first appearance, each class's episode ids in
     log order, and every episode id's class number. Filled on load and on
     each append, they are the one grouping of the log by lessons, serving the
-    duplicate check, the snapshot spelling of sources and ``cluster_state``,
+    duplicate check, the pass records' spelling of sources and ``cluster_state``,
     consolidation's single-link clustering of the classes (extended over the
     classes added since its last pass).
     ``episodic_index`` is retrieval's :class:`~teammem.retrieval.EpisodicIndex`
@@ -209,9 +190,10 @@ _topology = _kind(
     convert=Topology,
 )
 
-# The rows of each store document, besides its schema_version. A task record
-# is an episode's rows plus these; its procedures_used is left out when the
-# episode's related_procedures say it.
+# The rows of the store's meta document, besides its schema_version, and those
+# a task record adds to an episode's. A task record leaves out its
+# procedures_used when the episode's related_procedures say it, and its
+# team_composition when that is the meta's roster.
 _TASK_ROWS: tuple[Row, ...] = (
     ("seq", "seq", int, _at_least_one),
     ("task_type", "task_type", str, None),
@@ -222,20 +204,72 @@ _META_ROWS: tuple[Row, ...] = (
     ("topology", "topology", _topology, None),
     ("agents", "agents", _strings, _non_empty),
 )
-# Each entry of procedures is a procedure's object, its source_episodes
-# spelled as lesson-class runs (see _encode_sources).
 _list = _kind((lambda v: type(v) is list, "must be a list, got {!r}"))
 _counts = _kind((
     lambda v: type(v) is dict and all(type(n) is int for n in v.values()),
     "must be an object of integers, got {!r}",
 ))
-_SNAPSHOT_ROWS: tuple[Row, ...] = (
-    ("seq", "seq", int, _non_negative),
-    ("next_procedure_seq", "next_procedure_seq", int, _at_least_one),
-    ("procedures", "procedures", _list, None),
-    ("watermarks", "watermarks", _counts, None),
-)
+
+
+@record
+class PassRecord(Record):
+    """A closed pass: the last task ``seq`` it follows, and what it changed.
+
+    A change holds a ``procedure_id``, the sources it adds or drops as
+    ``source_episodes`` runs (see :func:`_encode_sources`), and each field
+    :func:`_derived` does not give. ``removed`` and ``next_procedure_seq``
+    (the counter, when an id was handed out unused) are left out when idle.
+    """
+
+    seq: int = stored(int, _non_negative)
+    procedures: list[dict[str, Any]] = stored(_list)
+    watermarks: dict[str, int] = stored(_counts)
+    removed: tuple[str, ...] = stored(_strings)
+    next_procedure_seq: int = stored(int, _at_least_one)
+
+
 _PROCEDURE_NUMBER = re.compile(r"proc-([0-9]+)")
+_PROCEDURE_ROWS = {row[1]: row for row in Procedure.ROWS}
+
+
+class _OpenPass(NamedTuple):  # the store as a pass found it
+    next_procedure_seq: int
+    watermarks: dict[str, int]  # of every covered log
+    procedures: dict[str, Procedure | None]  # only those the pass changed
+
+
+def _next_after(next_seq: int, procedure_id: str) -> int:
+    """The id counter once ``procedure_id`` is in use: past it, if it is a ``proc-NNNNN`` id."""
+    found = _PROCEDURE_NUMBER.fullmatch(procedure_id)
+    return max(next_seq, int(found[1]) + 1) if found else next_seq
+
+
+def _derived(base: Procedure | None, owner: str, added: int, stamp: str) -> dict[str, Any]:
+    """A procedure's fields, all but its sources, after a change that spells only its sources.
+
+    As a consolidation pass does it: each of the ``added`` sources adds a
+    success, and ``stamp`` (the time of the task record at the pass's
+    ``seq``) is the new ``updated_at``, and a new procedure's ``created_at``;
+    a new procedure's change always spells its title and knowledge.
+    """
+    values = vars(base) if base is not None else {
+        "owner_id": owner, "created_at": stamp, "successes": 0, "failures": 0,
+    }
+    return {**values, "updated_at": stamp, "successes": values["successes"] + added}
+
+
+def _bump(procedures: dict[str, Procedure], bumps: dict[str, list[Any]]) -> None:
+    """Add each procedure's summed ``[successes, failures, last stamp]``, building it once."""
+    for procedure_id, (successes, failures, stamp) in bumps.items():
+        procedure = procedures[procedure_id]
+        # every field comes from a checked record, so none is checked again
+        procedures[procedure_id] = checked_record(Procedure, {
+            **vars(procedure),
+            "successes": procedure.successes + successes,
+            "failures": procedure.failures + failures,
+            "updated_at": stamp,
+        })
+    bumps.clear()
 
 
 def _load_json(path: Path, rows: Sequence[Row]) -> dict[str, Any]:
@@ -264,7 +298,7 @@ def _load_json(path: Path, rows: Sequence[Row]) -> dict[str, Any]:
 
 
 def _encode_sources(sources: Iterable[str], logs: Sequence[StoreSet]) -> list[Any]:
-    """Spell a source set as snapshot entries: lone ids and ``[first, last]`` runs.
+    """Spell a source set as entries of lone ids and ``[first, last]`` runs.
 
     Each lesson class's sources split into maximal runs of consecutive
     members; a run of one, and an id in none of ``logs``, is a bare id. The
@@ -297,8 +331,10 @@ def _encode_sources(sources: Iterable[str], logs: Sequence[StoreSet]) -> list[An
     return sorted([*entries, *left], key=lambda entry: entry if type(entry) is str else entry[0])
 
 
-def _decode_sources(entries: list[Any], logs: Sequence[StoreSet]) -> list[str]:
-    """The episode ids that a snapshot's ``source_episodes`` entries spell."""
+def _decode_sources(entries: Any, logs: Sequence[StoreSet]) -> list[str]:
+    """The episode ids that ``source_episodes`` entries spell; a list of runs is checked here."""
+    if type(entries) is not list:
+        raise ValueError(f"must be a list of ids and pairs of ids, got {entries!r}")
     ids: list[str] = []
     for entry in entries:
         if type(entry) is str:
@@ -314,8 +350,12 @@ def _decode_sources(entries: list[Any], logs: Sequence[StoreSet]) -> list[str]:
         if log.episode_class.get(last) != number:
             raise ValueError(f"source pair {entry!r} ends in two lesson classes")
         members = log.class_members[number]
-        start, stop = members.index(first), members.index(last)
-        if start > stop:
+        # a run most often ends the class, and is short: search it back from its end
+        stop = len(members) - 1 if members[-1] == last else members.index(last)
+        start = stop
+        while start >= 0 and members[start] != first:
+            start -= 1
+        if start < 0:
             raise ValueError(f"source pair {entry!r} runs backwards")
         ids += members[start : stop + 1]
     return ids
@@ -345,6 +385,8 @@ class MemoryStore:
         # The agents a task record's team may name under hybrid, where only an
         # agent's own view reads its collaboration history; any agent elsewhere.
         self._teammates = frozenset(agents) if topology is Topology.HYBRID else None
+        # The team a task record leaves unspelled: the roster as the meta holds it.
+        self._roster = tuple(sorted(agents))
         # Each agent's two owners. The owners (agents first) and each procedure
         # owner's covered episodic owners (sorted) derive from them, in roster order.
         self._episodic_owner = {
@@ -358,20 +400,18 @@ class MemoryStore:
             covered.setdefault(owner, set()).add(self._episodic_owner[agent])
         self._covered = {owner: sorted(logs) for owner, logs in covered.items()}
         self._owners = list(dict.fromkeys([*self._episodic_owner.values(), *covered]))
-        # Dirty procedure snapshots, and each owner's log lines not yet appended.
-        self._dirty: set[str] = set()
+        # Each procedure owner's open pass, each log's lines not yet appended,
+        # and the seq and timestamp of the last task record.
+        self._passes: dict[str, _OpenPass] = {}
         self._batch_depth = 0
-        self._pending: dict[str, list[str]] = {}
-        # Task records: the last seq handed out, and how many records each
-        # procedure snapshot on disk lacks.
-        self._seq = 0
-        self._lag: dict[str, int] = {}
-        # Each owner's episode log, and each procedure owner's snapshot, joined once.
+        self._pending: dict[Path, list[str]] = {}
+        self._seq, self._stamp = 0, ""
+        # Each owner's episode log, and each procedure owner's pass log, joined once.
         self._log_paths = {o: self.root / o / "episodic.jsonl" for o in self._owners}
-        self._snapshot_paths = {o: self.root / o / "procedural.json" for o in self._covered}
+        self._pass_paths = {o: self.root / o / "procedural.jsonl" for o in self._covered}
         self._load_or_init()
 
-    # -- load / save ---------------------------------------------------------
+    # -- load ----------------------------------------------------------------
 
     def _load_or_init(self) -> None:
         if self._meta_path.exists():
@@ -387,7 +427,8 @@ class MemoryStore:
                     f"{list(meta['agents'])!r}, reopened with {sorted(self.agents)!r}"
                 )
         else:
-            self._write_meta()
+            meta = {"topology": self.topology, "agents": list(self._roster)}
+            _dump_json(self._meta_path, {"schema_version": SCHEMA_VERSION, **meta})
 
         expected = set(self._owners)
         for entry in sorted(self.root.iterdir()):
@@ -398,17 +439,18 @@ class MemoryStore:
                 )
 
         records: dict[int, _TaskRecord] = {}
-        checkpoints: dict[str, int] = {}
         self._sets: dict[str, StoreSet] = {owner: StoreSet() for owner in self._owners}
         for owner in self._owners:
             self._load_log(owner, records)
-        for owner in self._covered:
-            self._load_snapshot(owner, checkpoints, max(records, default=0))
-        self._replay(records, checkpoints)
-
-    def _write_meta(self) -> None:
-        meta = {"topology": self.topology, "agents": sorted(self.agents)}
-        _dump_json(self._meta_path, {"schema_version": SCHEMA_VERSION, **meta})
+        if records:
+            self._seq = max(records)
+            self._stamp = records[self._seq][0].timestamp
+        # each procedure owner replays its own task records, in seq order
+        replayed: dict[str, list[int]] = {owner: [] for owner in self._covered}
+        for seq in sorted(records):
+            replayed[self._procedure_owner[records[seq][0].agent_id]].append(seq)
+        for owner, seqs in replayed.items():
+            self._replay(owner, seqs, records)
 
     def _load_log(self, owner: str, records: dict[int, _TaskRecord]) -> None:
         """Read one owner's episode log into its store set; add its task records by seq."""
@@ -416,10 +458,14 @@ class MemoryStore:
         log_path = self._log_paths[owner]
         if not log_path.exists():
             return
+        roster = self._roster
 
         def decode(d: Any) -> Episode:
-            if type(d) is dict and "procedures_used" not in d:  # related_procedures say it
-                d["procedures_used"] = d.get("related_procedures")
+            if type(d) is dict:  # fill in what the writer left out
+                if "procedures_used" not in d:  # related_procedures say it
+                    d["procedures_used"] = d.get("related_procedures")
+                if "team_composition" not in d:  # the roster
+                    d["team_composition"] = roster
             check_object(_LINE_ROWS, d)
             seq, task_type, used = d.pop("seq"), d.pop("task_type"), d.pop("procedures_used")
             episode = checked_record(Episode, d)
@@ -445,111 +491,144 @@ class MemoryStore:
         except ValueError as exc:
             raise StoreError(str(exc)) from exc
 
-    def _load_snapshot(self, owner: str, checkpoints: dict[str, int], last_seq: int) -> None:
-        """Read one owner's procedure snapshot, once every log is read.
+    def _replay(self, owner: str, seqs: list[int], records: dict[int, _TaskRecord]) -> None:
+        """Replay one procedure owner's task records (``seqs``, ascending) and pass records.
 
-        Its procedures go into the owner's store set and its watermarks into
-        the sets they cover; the last seq it includes goes to ``checkpoints``.
-        ``last_seq`` is the last seq any log holds.
+        Bumps are summed per procedure up to each pass record, and to the end.
         """
-        path = self._snapshot_paths[owner]
-        if not path.exists():
-            return
         store = self._sets[owner]
-        doc = _load_json(path, _SNAPSHOT_ROWS)
-        bad = sorted(doc["watermarks"].keys() ^ set(self._covered[owner]))
-        if bad:
-            raise StoreError(f"{path} holds watermarks for the wrong owners: {bad}")
-        logs = [self._sets[o] for o in self._covered[owner]]
-        procedures = []
-        try:
-            for d in doc["procedures"]:
-                if type(d) is dict and type(d.get("source_episodes")) is list:
-                    d["source_episodes"] = _decode_sources(d["source_episodes"], logs)
-                procedures.append(from_dict(Procedure, d))
-        except (KeyError, TypeError, ValueError) as exc:
-            # A source pair is read against the logs, so a damaged log can fail it.
-            against = ", ".join(str(self._log_paths[o]) for o in self._covered[owner])
-            raise StoreError(
-                f"{path}: procedures holds a malformed entry: {exc!r} (read against {against})"
-            ) from exc
-        # It must agree with itself and with the logs; a gap in seq is not checked.
-        ids = [procedure.procedure_id for procedure in procedures]
-        if len(set(ids)) != len(ids):
-            repeated = sorted(i for i, n in collections.Counter(ids).items() if n > 1)
-            raise StoreError(f"{path}: procedures lists {repeated} more than once")
-        seq, after = doc["seq"], doc["next_procedure_seq"]
-        numbers = [int(found[1]) for i in ids if (found := _PROCEDURE_NUMBER.fullmatch(i))]
-        top = max(numbers, default=0)
-        lengths = {o: len(self._sets[o].episodic) for o in self._covered[owner]}
-        for holds, message in [
-            (seq <= last_seq, f"seq {seq} is past the last logged seq {last_seq}"),
-            (after > top, f"next_procedure_seq {after} is not past proc-{top:05d}"),
-            *((0 <= mark <= lengths[o], f"watermark {mark} of {o!r} is outside its log of "
-               f"{lengths[o]} records") for o, mark in doc["watermarks"].items()),
-        ]:
-            if not holds:
-                raise StoreError(f"{path}: {message}")
-        store.procedural = dict(zip(ids, procedures))
-        store.next_procedure_seq = after
-        checkpoints[owner] = seq
-        for covered, watermark in doc["watermarks"].items():
-            self._sets[covered].consolidation_watermark = watermark
+        path = self._pass_paths[owner]
+        bumps: dict[str, list[Any]] = {}
+        # the sources of each procedure a pass record changed, frozen at the end
+        sources: dict[str, set[str]] = {}
+        done = 0  # how many of seqs are replayed
 
-    def _replay(self, records: dict[int, _TaskRecord], checkpoints: dict[str, int]) -> None:
-        """Tally every task record in ``seq`` order; bump procedures only past each snapshot."""
-        self._seq = max(records, default=0)  # no snapshot's seq is past it
-        for seq in sorted(records):
-            episode, task_type, used = records[seq]
-            owner = self._procedure_owner[episode.agent_id]
-            if checkpoints.get(owner, 0) >= seq:
-                used = ()
+        def replay_to(last: int) -> None:
+            nonlocal done
+            while done < len(seqs) and seqs[done] <= last:
+                episode, task_type, used = records[seqs[done]]
+                try:
+                    self._count(episode, task_type, used, bumps)
+                except StoreError as exc:
+                    log = self._log_paths[self._episodic_owner[episode.agent_id]]
+                    raise StoreError(
+                        f"{log}: replaying task record seq {seqs[done]} into {path}: {exc}"
+                    ) from exc
+                done += 1
+            _bump(store.procedural, bumps)
+
+        def decode(d: Any) -> PassRecord:
+            if type(d) is dict:  # fill in what the writer left out; see _apply_pass
+                d.setdefault("removed", [])
+                d.setdefault("next_procedure_seq", store.next_procedure_seq)
+            passed = from_dict(PassRecord, d)
+            if passed.seq > self._seq:
+                raise ValueError(f"seq {passed.seq} is past the last logged seq {self._seq}")
+            if done and seqs[done - 1] > passed.seq:
+                raise ValueError(f"seq {passed.seq} is before the replayed seq {seqs[done - 1]}")
+            replay_to(passed.seq)
+            stamp = records[passed.seq][0].timestamp if passed.seq in records else ""
+            self._apply_pass(owner, passed, stamp, sources)
+            return passed
+
+        if path.exists():
             try:
-                self._apply_task(episode, task_type, used)
-            except StoreError as exc:
-                log = self._log_paths[self._episodic_owner[episode.agent_id]]
-                raise StoreError(
-                    f"{log}: replaying task record seq {seq} into "
-                    f"{self._snapshot_paths[owner]}: {exc}"
-                ) from exc
+                read_jsonl(path, decode)
+            except ValueError as exc:
+                raise StoreError(str(exc)) from exc
+        replay_to(self._seq)
+        for procedure_id, held in sources.items():
+            procedure = store.procedural[procedure_id]
+            store.procedural[procedure_id] = checked_record(
+                Procedure, {**vars(procedure), "source_episodes": frozenset(held)}
+            )
 
-    def _document(self, owner: str) -> dict[str, Any]:
+    def _apply_pass(
+        self, owner: str, passed: PassRecord, stamp: str, sources: dict[str, set[str]]
+    ) -> None:
+        """Apply a pass record read back; what does not agree with the store raises ValueError.
+
+        A changed procedure's sources are kept in ``sources``, and its
+        ``source_episodes`` is left stale until the caller freezes them, so a
+        change costs what it spells, not the size of the set.
+        ``next_procedure_seq`` never moves the counter back, so the value the
+        loader fills in for a record that leaves it out changes nothing.
+        """
         store = self._sets[owner]
         logs = [self._sets[o] for o in self._covered[owner]]
+        lengths = {o: len(self._sets[o].episodic) for o in self._covered[owner]}
+        procedures = store.procedural
+        next_seq = store.next_procedure_seq
+        for change in passed.procedures:
+            if type(change) is not dict:
+                raise ValueError(f"procedures holds {change!r}, which is not an object")
+            check_rows(Procedure.ROWS[:1], change)
+            procedure_id = change.pop("procedure_id")
+            unknown = change.keys() - _PROCEDURE_ROWS.keys()
+            if unknown:
+                raise ValueError(f"change of {procedure_id!r} holds unknown keys {sorted(unknown)}")
+            try:
+                flipped = frozenset(_decode_sources(change.pop("source_episodes", []), logs))
+            except ValueError as exc:  # read against the logs, which may be the damaged ones
+                against = ", ".join(str(self._log_paths[o]) for o in lengths)
+                raise ValueError(f"source_episodes: {exc} (read against {against})") from None
+            base = procedures.get(procedure_id)
+            if base is None and not {"title", "knowledge"} <= change.keys():
+                raise ValueError(f"the change of unknown procedure {procedure_id!r} is no new one")
+            if base is None:
+                held = sources[procedure_id] = set()
+            elif procedure_id not in sources:
+                held = sources[procedure_id] = set(base.source_episodes)
+            else:
+                held = sources[procedure_id]
+            added = len(flipped) - len(flipped & held)
+            held ^= flipped
+            if not held:
+                raise ValueError(f"source_episodes: the change of {procedure_id!r} leaves none")
+            # the derived fields come from a checked procedure, so only the spelled ones are checked
+            check_rows([_PROCEDURE_ROWS[key] for key in change], change)
+            stale = base.source_episodes if base else frozenset(held)
+            procedures[procedure_id] = checked_record(Procedure, {
+                **_derived(base, owner, added, stamp), **change,
+                "procedure_id": procedure_id, "source_episodes": stale,
+            })
+            next_seq = _next_after(next_seq, procedure_id)
+        for procedure_id in passed.removed:
+            if procedures.pop(procedure_id, None) is None:
+                raise ValueError(f"removed names unknown procedure {procedure_id!r}")
+            sources.pop(procedure_id, None)
+        foreign = sorted(passed.watermarks.keys() - lengths.keys())
+        if foreign:
+            raise ValueError(f"watermarks names logs {owner!r} does not cover: {foreign}")
+        for log, mark in passed.watermarks.items():
+            if not 0 <= mark <= lengths[log]:
+                raise ValueError(
+                    f"watermark {mark} of {log!r} is outside its log of {lengths[log]} records"
+                )
+            self._sets[log].consolidation_watermark = mark
+        store.next_procedure_seq = max(passed.next_procedure_seq, next_seq)
 
-        def spelled(procedure: Procedure) -> dict[str, Any]:
-            # A procedure's attributes are its row keys; its sources spell as runs.
-            sources = _encode_sources(procedure.source_episodes, logs)
-            return {**vars(procedure), "source_episodes": sources}
-
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seq": self._seq,
-            "next_procedure_seq": store.next_procedure_seq,
-            "procedures": [spelled(store.procedural[pid]) for pid in sorted(store.procedural)],
-            "watermarks": {o: self._sets[o].consolidation_watermark for o in self._covered[owner]},
-        }
-
-    def mark_dirty(self, owner: str) -> None:
-        self._dirty.add(owner)
-
-    # -- task records ----------------------------------------------------------
+    # -- task records and passes ---------------------------------------------------
 
     def add_episode(self, owner: str, episode: Episode, task: dict[str, Any]) -> None:
-        """Append a validated episode to the owner's log as the next task record, and apply it.
+        """Queue a validated episode as the owner's next task record, after any open pass.
 
         ``task`` holds its ``task_type`` and ``procedures_used``, checked by their rows.
         """
+        self._close_passes()
         # it may raise, so it runs before any change
         self._apply_task(episode, task["task_type"], task["procedures_used"])
         store = self._sets[owner]
         store.episodic.append(episode)
         store.index_classes([episode])
         self._seq += 1
-        record = {**to_dict(episode), **task, "seq": self._seq}
-        if sorted(task["procedures_used"]) == record["related_procedures"]:
-            del record["procedures_used"]
-        self._pending.setdefault(owner, []).append(json_line(record))
+        self._stamp = episode.timestamp
+        line = {**to_dict(episode), **task, "seq": self._seq}
+        if sorted(task["procedures_used"]) == line["related_procedures"]:
+            del line["procedures_used"]
+        if line["team_composition"] == self._roster:
+            del line["team_composition"]
+        self._pending.setdefault(self._log_paths[owner], []).append(json_line(line))
 
     def check_roster(self, team: tuple[str, ...]) -> None:
         """Raise :class:`ValueError` if a team names an agent off the roster under ``hybrid``."""
@@ -561,45 +640,84 @@ class MemoryStore:
         """Tally a task record, and count its outcome on each procedure it used.
 
         Each bump stamps ``updated_at`` with the episode's timestamp, whatever
-        it is: stamps are display data, and the store's order is ``seq``.
-        Every bump is built first: a record that names an unknown procedure
-        raises :class:`StoreError` and changes nothing.
+        it is: stamps are display data, and the store's order is ``seq``. A
+        record that names an unknown procedure raises :class:`StoreError`
+        and changes nothing.
         """
+        bumps: dict[str, list[Any]] = {}
+        store = self._count(episode, task_type, procedures_used, bumps)
+        _bump(store.procedural, bumps)
+
+    def _count(
+        self, episode: Episode, task_type: str, used: Sequence[str], bumps: dict[str, list[Any]]
+    ) -> StoreSet:
+        """Tally a task record, and add its outcome to ``bumps``; returns its owner's set."""
         owner = self._procedure_owner[episode.agent_id]
         store = self._sets[owner]
-        success = episode.outcome.success
-        bumped: dict[str, Procedure] = {}
-        for procedure_id in procedures_used:
-            procedure = bumped.get(procedure_id) or store.procedural.get(procedure_id)
-            if procedure is None:
+        for procedure_id in used:
+            if procedure_id not in store.procedural:
                 raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
-            # every field comes from a checked record, so none is checked again
-            bumped[procedure_id] = checked_record(Procedure, {
-                **vars(procedure),
-                "successes": procedure.successes + int(success),
-                "failures": procedure.failures + int(not success),
-                "updated_at": episode.timestamp,
-            })
+        success = episode.outcome.success
+        for procedure_id in used:
+            counts = bumps.setdefault(procedure_id, [0, 0, ""])
+            counts[not success] += 1
+            counts[2] = episode.timestamp
         key = (episode.agent_id, episode.team_composition, task_type)
         counts = store.tally.setdefault(key, [0, 0])
         counts[0] += 1
         counts[1] += success
         if store.team_patterns:  # read off the tally before this record
             store.profiles, store.team_patterns = {}, {}
-        if bumped:
-            store.procedural.update(bumped)
-            self.add_lag(owner)
+        return store
 
-    def add_lag(self, owner: str) -> None:
-        """Count one more task record that the owner's procedure snapshot lacks."""
-        self._lag[owner] = self._lag.get(owner, 0) + 1
+    def begin_pass(self, owner: str) -> dict[str, Procedure | None]:
+        """Open the owner's pass if none is; its procedures as they stood before it changed them."""
+        opened = self._passes.get(owner)
+        if opened is None:
+            marks = {o: self._sets[o].consolidation_watermark for o in self._covered[owner]}
+            opened = _OpenPass(self._sets[owner].next_procedure_seq, marks, {})
+            self._passes[owner] = opened
+        return opened.procedures
 
-    def checkpoint_lag(self) -> dict[str, dict[str, int]]:
-        """Task records logged past each procedure snapshot's checkpoint, by owner.
-
-        Only the procedure owners are listed, in roster order.
-        """
-        return {owner: {"procedural": self._lag.get(owner, 0)} for owner in self._covered}
+    def _close_passes(self) -> None:
+        """Queue the pass record of each open pass that changed anything, and close them all."""
+        for owner, opened in self._passes.items():
+            store = self._sets[owner]
+            logs = [self._sets[o] for o in self._covered[owner]]
+            changes, removed = [], []
+            next_seq = opened.next_procedure_seq
+            for procedure_id in sorted(opened.procedures):
+                base = opened.procedures[procedure_id]
+                procedure = store.procedural.get(procedure_id)
+                if procedure is None:
+                    if base is not None:
+                        removed.append(procedure_id)
+                elif procedure != base:
+                    was = base.source_episodes if base else frozenset()
+                    flipped = procedure.source_episodes ^ was
+                    derived = _derived(base, owner, len(flipped - was), self._stamp)
+                    change = {
+                        k: v for k, v in vars(procedure).items()
+                        if k != "source_episodes" and (k not in derived or derived[k] != v)
+                    }
+                    change["procedure_id"] = procedure_id
+                    if flipped:
+                        change["source_episodes"] = _encode_sources(flipped, logs)
+                    changes.append(change)
+                    next_seq = _next_after(next_seq, procedure_id)
+            moved = {
+                o: self._sets[o].consolidation_watermark
+                for o, mark in opened.watermarks.items()
+                if self._sets[o].consolidation_watermark != mark
+            }
+            line: dict[str, Any] = {"seq": self._seq, "procedures": changes, "watermarks": moved}
+            if removed:
+                line["removed"] = removed
+            if store.next_procedure_seq != next_seq:
+                line["next_procedure_seq"] = store.next_procedure_seq
+            if changes or moved or len(line) > 3:
+                self._pending.setdefault(self._pass_paths[owner], []).append(json_line(line))
+        self._passes.clear()
 
     def transactive(self, owner: str) -> StoreSet:
         """The owner's store set, with profiles and team patterns read off its tally.
@@ -644,32 +762,18 @@ class MemoryStore:
 
     # -- flush -----------------------------------------------------------------
 
-    def _append_log(self, owner: str) -> None:
-        """Append the owner's pending episode-log lines."""
-        disk.append(self._log_paths[owner], "".join(self._pending[owner]))
-        del self._pending[owner]
-
-    def _write_snapshot(self, owner: str) -> None:
-        _dump_json(self._snapshot_paths[owner], self._document(owner))
-        self._lag.pop(owner, None)
-
     def flush(self) -> None:
-        """Write every pending change once.
+        """Close every open pass, then append the queued lines, taken off the queue first.
 
-        Logs are appended first (the commit point), then each dirty procedure
-        snapshot, with one rename. A snapshot that only lags the log is not
-        written, as opening replays what it lacks; its owner's next pass (in
-        a sim, every ``consolidation.n`` of its tasks) rewrites it. A no-op
-        when nothing changed, and deferred to the end of the outermost
-        :meth:`batch` when called inside one.
+        A no-op when nothing changed, and deferred to the end of the
+        outermost :meth:`batch` when called inside one.
         """
         if self._batch_depth:
             return
-        for owner in sorted(self._pending):
-            self._append_log(owner)
-        for owner in sorted(self._dirty):
-            self._write_snapshot(owner)
-        self._dirty.clear()
+        self._close_passes()
+        pending, self._pending = self._pending, {}
+        for path, lines in pending.items():
+            disk.append(path, "".join(lines))
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -807,16 +911,16 @@ class MemoryView:
                 f"watermark {value!r} of {owner!r} is outside its log of "
                 f"{len(store.episodic)} records"
             )
+        self._store.begin_pass(self._procedure_owner)
         store.consolidation_watermark = value
-        self._store.mark_dirty(self._procedure_owner)
         self._store.flush()
 
     def allocate_procedure_id(self) -> str:
         owner = self._procedure_owner
         store = self._store.store_set(owner)
+        self._store.begin_pass(owner)
         pid = f"proc-{store.next_procedure_seq:05d}"
         store.next_procedure_seq += 1
-        self._store.mark_dirty(owner)
         return pid
 
     # -- writes ---------------------------------------------------------------
@@ -853,13 +957,13 @@ class MemoryView:
         The episode is appended to this view's episode log. Each of
         ``procedures_used`` gets one bump of its success or failure counter,
         stamped with the episode's timestamp. Only the episode log line is
-        written: the procedure snapshot catches up at the next checkpoint,
-        and :func:`open_store` replays what it lacks. The record is tallied
-        at once; profiles and team patterns are read off the tally when they
-        are next read (see :meth:`MemoryStore.transactive`). Durable before
-        return outside a batch. A record that fails a check raises
-        :class:`StoreError` and changes nothing; a bump is never refused for
-        its stamp, which is display data (the store's order is ``seq``).
+        written: no pass record holds a bump, and :func:`open_store` replays
+        every one. The record is tallied at once; profiles and team patterns
+        are read off the tally when they are next read (see
+        :meth:`MemoryStore.transactive`). Durable before return outside a
+        batch. A record that fails a check raises :class:`StoreError` and
+        changes nothing; a bump is never refused for its stamp, which is
+        display data (the store's order is ``seq``).
         """
         task = self._check_append(episode, task_type, procedures_used)
         self._store.add_episode(self._episodic_owner, episode, task)
@@ -876,14 +980,13 @@ class MemoryView:
             bad = sorted(procedure.source_episodes, key=repr)
             raise StoreError(f"source_episodes: must be a list of strings, got {bad!r}") from None
         stamped = replace(procedure, updated_at=timestamp or _now_iso())
-        store.procedural[stamped.procedure_id] = stamped
+        pid = stamped.procedure_id
+        self._store.begin_pass(owner).setdefault(pid, store.procedural.get(pid))
+        store.procedural[pid] = stamped
         # an id that allocate_procedure_id would hand out later moves it past
-        found = _PROCEDURE_NUMBER.fullmatch(stamped.procedure_id)
-        if found and int(found[1]) >= store.next_procedure_seq:
-            store.next_procedure_seq = int(found[1]) + 1
-        self._store.mark_dirty(owner)
+        store.next_procedure_seq = _next_after(store.next_procedure_seq, pid)
         self._store.flush()
-        return stamped.procedure_id
+        return pid
 
     def remove_procedures(self, procedure_ids: Iterable[str]) -> None:
         owner = self._procedure_owner
@@ -891,20 +994,11 @@ class MemoryView:
         removed = False
         for pid in procedure_ids:
             if pid in store.procedural:
+                self._store.begin_pass(owner).setdefault(pid, store.procedural[pid])
                 del store.procedural[pid]
                 removed = True
         if removed:
-            self._store.mark_dirty(owner)
             self._store.flush()
-
-    def checkpoint_lag(self) -> dict[str, dict[str, int]]:
-        """Task records logged past each procedure snapshot's checkpoint, store-wide.
-
-        Keyed by owner, then by snapshot kind (``procedural``). A lag lasts
-        until its owner's snapshot is next written, and opening the store
-        replays it.
-        """
-        return self._store.checkpoint_lag()
 
     def persist(self) -> None:
         """Flush any pending writes; no-op on a clean store and inside a batch."""

@@ -15,10 +15,10 @@ giving the JSON key, the attribute, the kind and the check (see :data:`Row`).
 Construction checks every field against the table, so an invalid record
 cannot be built; :func:`from_dict` decodes a record through the same check,
 and :func:`to_dict` spells one by the same keys. No rule ties two fields
-together. The simulation config's tables are read off its dataclass fields
-the same way (:func:`rows_of`); the store's task records, snapshots and
-meta, which are documents and not classes, keep literal tables of the same
-rows.
+together. The simulation config's tables, and the store's pass record's,
+are read off their dataclass fields the same way (:func:`rows_of`); the
+store's task records and meta, which are documents and not classes, keep
+literal tables of the same rows.
 """
 
 from __future__ import annotations
@@ -357,8 +357,8 @@ class Procedure(Record):
     failed. Both accumulate for the procedure's whole life, and its
     reliability is derived from them (see :func:`derive_reliability`).
     ``source_episodes`` is a set of episode ids in memory and in
-    :func:`to_dict`; a store snapshot writes it as runs over lesson classes
-    (see :mod:`teammem.store`).
+    :func:`to_dict`; a store's pass record writes the sources a change adds
+    as runs over lesson classes (see :mod:`teammem.store`).
 
     ``created_at`` is the stamp of the pass or call that made the procedure,
     and ``updated_at`` the stamp of its latest change: a consolidation pass,

@@ -18,8 +18,8 @@ from teammem.store import (
     SHARED_OWNER,
     StoreError,
     _META_ROWS,
-    _SNAPSHOT_ROWS,
     _TASK_ROWS,
+    PassRecord,
     open_store,
 )
 from teammem.types import (
@@ -174,34 +174,47 @@ def test_a_task_record_with_a_wrongly_typed_field_is_not_appended(tmp_path, key,
     assert len(open_store(tmp_path / "store")["agent-1"].episodes()) == 2
 
 
+def edit_pass_record(tmp_path, edit):
+    """Edit the first pass record of :func:`shared_store`; returns the procedure log."""
+    target = tmp_path / "store" / SHARED_OWNER / "procedural.jsonl"
+    first, *rest = target.read_text().splitlines()
+    doc = json.loads(first)
+    edit(doc)
+    target.write_text("\n".join([json.dumps(doc), *rest]) + "\n", encoding="utf-8")
+    return target
+
+
+# A pass record (which replaced the procedure snapshot) spells each changed
+# procedure field by its procedure row.
 @pytest.mark.parametrize("name, key, value", rows_of(("Procedure", Procedure.ROWS)))
 def test_a_snapshot_procedure_with_a_wrongly_typed_field_names_the_file(
     tmp_path, name, key, value
 ):
     shared_store(tmp_path)
-    target = tmp_path / "store" / SHARED_OWNER / "procedural.json"
-    doc = json.loads(target.read_text())
-    doc["procedures"][0][key] = value
-    target.write_text(json.dumps(doc), encoding="utf-8")
+    target = edit_pass_record(tmp_path, lambda doc: doc["procedures"][0].update({key: value}))
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
-    assert str(target) in str(exc.value) and f"{key}: " in str(exc.value)
+    assert f"{target}, line 1" in str(exc.value) and f"{key}: " in str(exc.value)
 
 
+# "snapshot" names the pass record's rows, which replaced the snapshot's.
 @pytest.mark.parametrize(
-    "name, key, value", rows_of(("snapshot", _SNAPSHOT_ROWS), ("meta", _META_ROWS))
+    "name, key, value", rows_of(("snapshot", PassRecord.ROWS), ("meta", _META_ROWS))
 )
 def test_a_store_document_with_a_wrongly_typed_value_names_the_file(tmp_path, name, key, value):
     shared_store(tmp_path)
-    target = tmp_path / "store" / (
-        "store_meta.json" if name == "meta" else f"{SHARED_OWNER}/procedural.json"
-    )
-    doc = json.loads(target.read_text())
-    doc[key] = value
-    target.write_text(json.dumps(doc), encoding="utf-8")
+    if name == "meta":
+        target = tmp_path / "store" / "store_meta.json"
+        doc = json.loads(target.read_text())
+        doc[key] = value
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        where = str(target)
+    else:
+        target = edit_pass_record(tmp_path, lambda doc: doc.update({key: value}))
+        where = f"{target}, line 1"
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
-    assert str(target) in str(exc.value) and f"{key}: " in str(exc.value)
+    assert where in str(exc.value) and f"{key}: " in str(exc.value)
 
 
 def test_the_store_writer_refuses_what_its_loader_refuses(tmp_path):
@@ -209,7 +222,7 @@ def test_the_store_writer_refuses_what_its_loader_refuses(tmp_path):
     with pytest.raises(StoreError, match="agents: must be a list of strings"):
         open_store(tmp_path / "other", "shared", ["agent-1", 2])
     assert not (tmp_path / "other").exists()
-    # snapshot: a watermark must be a count within its log
+    # pass record: a watermark must be a count within its log
     views = shared_store(tmp_path)
     files = files_of(tmp_path)
     for watermark in ("2", True, -1, 3):

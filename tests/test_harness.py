@@ -572,19 +572,22 @@ def test_each_step_flushes_every_store_file_once(tmp_path, writes, topology):
     for task in range(1, cfg.n_tasks + 1):
         executor = cfg.agent_ids[(task - 1) % cfg.team_size]
         own_log = store / ("shared" if topology == "shared" else executor) / "episodic.jsonl"
+        passes = store / ("agent-1" if topology == "local" else "shared") / "procedural.jsonl"
         logs = {p: p.read_bytes() for p in store.rglob("*.jsonl")}
         writes.clear()
         runner.step()
-        replaced = [path for op, path, _ in writes if op == "replace"]
-        assert max(Counter(replaced).values(), default=1) == 1, f"task {task}: {Counter(replaced)}"
-        after = own_log.read_bytes()
-        before = logs.get(own_log, b"")
-        assert after.startswith(before)
-        assert after[len(before):].count(b"\n") == 1
-        assert all(p.read_bytes() == data for p, data in logs.items() if p != own_log)
-        written[task] = sum(p.stat().st_size for p in replaced) + len(after) - len(before)
-    # procedures list their source episodes, so a little growth remains; whole
-    # history rewrites would add tens of KiB over these 80 tasks
+        appended = [path for op, path, _ in writes if path.is_relative_to(store)]
+        assert {op for op, _, _ in writes} == {"append"}
+        assert max(Counter(appended).values()) == 1, f"task {task}: {Counter(appended)}"
+        for log, lines in ((own_log, {1}), (passes, {0, 1})):
+            after, before = log.read_bytes() if log.exists() else b"", logs.get(log, b"")
+            assert after.startswith(before)
+            assert after[len(before):].count(b"\n") in lines, (task, log)
+        unchanged = logs.keys() - {own_log, passes}
+        assert all(p.read_bytes() == logs[p] for p in unchanged)
+        written[task] = sum(len(text.encode()) for _, path, text in writes if path in appended)
+    # a pass record spells only what the pass changed, so a step's bytes do not
+    # grow with history; whole history rewrites would add tens of KiB here
     assert written[100] <= written[20] + 4096
 
 
@@ -600,13 +603,15 @@ def test_a_run_writes_every_file_through_the_seam_in_task_order(tmp_path, writes
         start = len(writes)
         runner.step()
         step = writes[start:]
-        # one episode-log line, then the task's run-log line
-        appended = [(path.name, text.count("\n")) for op, path, text in step if op == "append"]
-        assert appended == [("episodic.jsonl", 1), ("runlog.jsonl", 1)], index
-        # a snapshot is replaced only when a consolidation pass moved a watermark
+        # one episode-log line, a pass record when a consolidation pass moved a
+        # watermark, then the task's run-log line; nothing is replaced
         checkpoint = view.consolidation_watermark() != watermark
-        replaced = [path.name for op, path, _ in step if op == "replace"]
-        assert replaced == (["procedural.json"] if checkpoint else []), index
+        appended = [(path.name, text.count("\n")) for op, path, text in step if op == "append"]
+        assert appended == [
+            ("episodic.jsonl", 1), *([("procedural.jsonl", 1)] if checkpoint else []),
+            ("runlog.jsonl", 1),
+        ], index
+        assert [op for op, _, _ in step] == ["append"] * len(appended), index
         checkpoints.append(checkpoint)
     assert any(checkpoints) and not all(checkpoints)
     # the appends, and each file's last replace, are every byte the run left

@@ -28,7 +28,7 @@ from teammem.lifecycle import (
     stub_generalize,
 )
 from teammem.retrieval import _episodic_index, episodic_items
-from teammem.store import MemoryView, open_store
+from teammem.store import MemoryView, _encode_sources, open_store
 from teammem.types import Episode, Outcome, Procedure
 
 from helpers import record
@@ -917,26 +917,32 @@ def assert_sources_are_class_prefixes(views, view, root):
     """Within each lesson class, ``view``'s procedures hold a prefix of its members.
 
     A class is one episode log's episodes with one lesson tuple and success
-    flag, in log order. Sources are successes, and the snapshot spells a
-    procedure's sources in one entry per class they touch.
+    flag, in log order. Sources are successes, and a procedure's sources
+    spell as one entry per class they touch; each change of a pass record
+    on disk spells at most that many.
     """
     classes = {}
     for log in {id(v.episodic_store()): v.episodic_store() for v in views.values()}.values():
         for e in log.episodic:
             classes.setdefault((id(log), e.lessons, e.outcome.success), []).append(e.episode_id)
-    snapshot = root / view.procedure_owner() / "procedural.json"
+    logs = [v.episodic_store() for v in views.values() if v.procedure_owner() == view.procedure_owner()]
+    logs = list({id(log): log for log in logs}.values())
+    passes = root / view.procedure_owner() / "procedural.jsonl"
+    lines = passes.read_text().splitlines() if passes.exists() else []
+    on_disk = [c for line in lines for c in json.loads(line)["procedures"]]
     procedures = view.procedures()
-    on_disk = json.loads(snapshot.read_text())["procedures"] if procedures else []
-    assert sorted(d["procedure_id"] for d in on_disk) == sorted(procedures)
-    for d in on_disk:
-        sources = procedures[d["procedure_id"]].source_episodes
+    assert set(procedures) <= {c["procedure_id"] for c in on_disk}
+    for pid, procedure in procedures.items():
         touched = 0
         for (_, _, success), members in classes.items():
-            held = [m in sources for m in members]
+            held = [m in procedure.source_episodes for m in members]
             if any(held):
-                assert success and held == sorted(held, reverse=True), d["procedure_id"]
+                assert success and held == sorted(held, reverse=True), pid
                 touched += 1
-        assert len(d["source_episodes"]) == touched, d["procedure_id"]
+        assert len(_encode_sources(procedure.source_episodes, logs)) == touched, pid
+        for change in on_disk:
+            if change["procedure_id"] == pid:
+                assert len(change.get("source_episodes", [])) <= touched, pid
 
 
 # -- the watermark trigger ---------------------------------------------------------

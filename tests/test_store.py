@@ -70,7 +70,7 @@ def test_store_meta_written_on_create(tmp_path):
     meta = json.loads((tmp_path / "store" / "store_meta.json").read_text())
     assert meta == {
         "agents": ["agent-1", "agent-2"],
-        "schema_version": 5,
+        "schema_version": 6,
         "topology": "hybrid",
     }
 
@@ -418,8 +418,8 @@ def test_corrupt_json_names_the_file(tmp_path):
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
     views["agent-1"].set_consolidation_watermark(1)
-    target = tmp_path / "store" / "agent-1" / "procedural.json"
-    target.write_text("{not json", encoding="utf-8")
+    target = tmp_path / "store" / "agent-1" / "procedural.jsonl"
+    target.write_text("{not json\n", encoding="utf-8")
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert str(target) in str(exc.value)
@@ -428,8 +428,7 @@ def test_corrupt_json_names_the_file(tmp_path):
 def test_unsupported_schema_version_rejected(tmp_path):
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
-    views["agent-1"].set_consolidation_watermark(1)
-    target = tmp_path / "store" / "agent-1" / "procedural.json"
+    target = tmp_path / "store" / "store_meta.json"
     doc = json.loads(target.read_text())
     doc["schema_version"] = 99
     target.write_text(json.dumps(doc), encoding="utf-8")
@@ -437,27 +436,29 @@ def test_unsupported_schema_version_rejected(tmp_path):
         open_store(tmp_path / "store")
 
 
+# The pass record's keys that it always spells; removed and next_procedure_seq
+# are left out when they say nothing.
 @pytest.mark.parametrize(
     "kind, key",
     [
         ("procedural", "watermarks"),
         ("procedural", "seq"),
-        ("procedural", "next_procedure_seq"),
         ("procedural", "procedures"),
     ],
 )
 def test_a_snapshot_without_a_required_key_names_the_file_and_key(tmp_path, kind, key):
+    """A pass record (which replaced the procedure snapshot) lacking a key fails the open."""
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
     views["agent-1"].upsert_procedure(procedure_for("proc-00001", "agent-1", ["agent-1:1"]))
     record(views["agent-1"], finished_episode("agent-1", 2), "incident")
-    target = tmp_path / "store" / "agent-1" / f"{kind}.json"
+    target = tmp_path / "store" / "agent-1" / f"{kind}.jsonl"
     doc = json.loads(target.read_text())
     del doc[key]
-    target.write_text(json.dumps(doc), encoding="utf-8")
+    target.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
-    assert str(exc.value) == f"{target} lacks {key}"
+    assert f"{target}, line 1: malformed record: KeyError({key!r})" in str(exc.value)
 
 
 def untitled(doc):
@@ -467,15 +468,15 @@ def untitled(doc):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc: [], "is not a JSON object"),
+        (lambda doc: [], "must be an object"),
         (lambda doc: {**doc, "watermarks": []}, "watermarks: must be"),
         (lambda doc: {**doc, "watermarks": {"shared": "10"}}, "watermarks: must be"),
         (lambda doc: {**doc, "seq": "3"}, "seq: must be"),
         (lambda doc: {**doc, "seq": True}, "seq: must be"),
         (lambda doc: {**doc, "next_procedure_seq": "x"}, "next_procedure_seq: must be"),
         (lambda doc: {**doc, "procedures": {}}, "procedures: must be"),
-        (lambda doc: {**doc, "procedures": [1]}, "procedures holds a malformed entry"),
-        (lambda doc: {**doc, "procedures": untitled(doc)}, "KeyError('title')"),
+        (lambda doc: {**doc, "procedures": [1]}, "procedures holds 1, which is not an object"),
+        (lambda doc: {**doc, "procedures": untitled(doc)}, "unknown procedure 'proc-00001'"),
     ],
     ids=[
         "not-an-object", "watermarks-list", "watermark-str", "seq-str", "seq-bool",
@@ -483,15 +484,17 @@ def untitled(doc):
     ],
 )
 def test_a_wrong_typed_snapshot_value_names_the_file_and_key(tmp_path, edit, message):
+    """A wrongly typed value of a pass record fails the open, naming the line."""
     views = open_views(tmp_path, "shared")
     record(views["agent-1"], episode_for("agent-1", 1))
     views["agent-1"].upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
-    target = tmp_path / "store" / SHARED_OWNER / "procedural.json"
-    target.write_text(json.dumps(edit(json.loads(target.read_text()))), encoding="utf-8")
+    target = tmp_path / "store" / SHARED_OWNER / "procedural.jsonl"
+    edited = edit(json.loads(target.read_text()))
+    target.write_text(json.dumps(edited) + "\n", encoding="utf-8")
     files = files_of(tmp_path)
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
-    assert str(target) in str(exc.value) and message in str(exc.value)
+    assert f"{target}, line 1" in str(exc.value) and message in str(exc.value)
     assert files_of(tmp_path) == files
 
 
@@ -509,14 +512,14 @@ def test_a_wrong_typed_procedure_field_names_the_file(tmp_path, kind, key, _, va
     views = open_views(tmp_path, "shared")
     record(views["agent-1"], episode_for("agent-1", 1))
     views["agent-1"].upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
-    target = tmp_path / "store" / SHARED_OWNER / "procedural.json"
+    target = tmp_path / "store" / SHARED_OWNER / "procedural.jsonl"
     doc = json.loads(target.read_text())
     doc["procedures"][0][key] = value
-    target.write_text(json.dumps(doc), encoding="utf-8")
+    target.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     files = files_of(tmp_path)
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
-    assert str(target) in str(exc.value) and f"{key}: must be a" in str(exc.value)
+    assert f"{target}, line 1" in str(exc.value) and f"{key}: must be a" in str(exc.value)
     assert files_of(tmp_path) == files
 
 
@@ -538,12 +541,10 @@ def test_a_wrong_typed_episode_field_names_the_log_and_line(tmp_path, kind, _, k
     assert files_of(tmp_path) == files
 
 
-# Snapshot fields that contradict the logs or each other, on a 60-task shared
-# run: (edit of procedural.json, what the error says).
+# Pass record fields that contradict the logs or the records before them, on
+# a 60-task shared run: (edit of the last pass record that extends a
+# procedure, what the error says).
 SNAPSHOT_CONTRADICTIONS = {
-    "next-seq-reused": (
-        lambda doc: {**doc, "next_procedure_seq": 1}, "next_procedure_seq 1 is not past proc-00003"
-    ),
     "watermark-negative": (
         lambda doc: {**doc, "watermarks": {SHARED_OWNER: -5}}, "outside its log of 60 records"
     ),
@@ -551,29 +552,37 @@ SNAPSHOT_CONTRADICTIONS = {
         lambda doc: {**doc, "watermarks": {SHARED_OWNER: 10**6}}, "outside its log of 60 records"
     ),
     "seq-past-log": (lambda doc: {**doc, "seq": 10**6}, "past the last logged seq 60"),
-    "procedure-twice": (
-        lambda doc: {**doc, "procedures": doc["procedures"] + doc["procedures"][:1]},
-        "procedures lists ['proc-00001'] more than once",
+    "seq-back": (lambda doc: {**doc, "seq": 1}, "seq 1 is before the replayed seq"),
+    "removed-unknown": (
+        lambda doc: {**doc, "removed": ["proc-99999"]}, "unknown procedure 'proc-99999'"
     ),
     "procedure-renamed-ahead": (
         lambda doc: {**doc, "procedures": [
             {**doc["procedures"][0], "procedure_id": "proc-99999"}, *doc["procedures"][1:]
         ]},
-        "is not past proc-99999",
+        "unknown procedure 'proc-99999'",
     ),
 }
 
 
 def test_a_snapshot_that_contradicts_the_logs_fails_the_open(tmp_path):
+    """A pass record (which replaced the snapshot) that contradicts the logs fails the open."""
     run_sim(SimConfig(topology="shared", team_size=3, n_tasks=60, seed=7), tmp_path / "run")
     store = tmp_path / "run" / "store"
-    target = store / SHARED_OWNER / "procedural.json"
+    target = store / SHARED_OWNER / "procedural.jsonl"
     kept = target.read_bytes()
+    lines = kept.decode().splitlines()
+    number = max(
+        n for n, line in enumerate(lines, start=1)
+        if [c for c in json.loads(line)["procedures"] if "title" not in c]
+    )
     for name, (edit, message) in SNAPSHOT_CONTRADICTIONS.items():
-        target.write_text(json.dumps(edit(json.loads(kept))), encoding="utf-8")
+        edited = json.dumps(edit(json.loads(lines[number - 1])))
+        target.write_text("\n".join([*lines[: number - 1], edited, *lines[number:]]) + "\n")
         with pytest.raises(StoreError) as exc:
             open_store(store)
-        assert str(exc.value).startswith(f"{target}: ") and message in str(exc.value), name
+        assert str(exc.value).startswith(f"{target}, line {number}: "), name
+        assert message in str(exc.value), name
     target.write_bytes(kept)
     open_store(store)
 
@@ -584,17 +593,19 @@ def test_a_snapshot_that_contradicts_the_logs_fails_the_open(tmp_path):
 def two_class_store(tmp_path, sources):
     """A shared store with a class of three episodes, one of one, and a procedure.
 
-    Returns the views and the procedure snapshot's path.
+    Returns the views and the path of the procedure log, whose one pass record
+    holds the procedure.
     """
     views = open_views(tmp_path, "shared")
     for i in (1, 2, 3):
         record(views["agent-1"], episode_for("agent-1", i))
     record(views["agent-2"], episode_for("agent-2", 4, ("another lesson",)))
     views["agent-1"].upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, sources))
-    return views, tmp_path / "store" / SHARED_OWNER / "procedural.json"
+    return views, tmp_path / "store" / SHARED_OWNER / "procedural.jsonl"
 
 
 def test_a_snapshot_spells_a_run_of_one_lesson_class_as_a_pair(tmp_path):
+    """A pass record's change spells a run of one lesson class as a pair."""
     sources = ["agent-1:1", "agent-1:2", "agent-1:3", "agent-2:4", "ghost:9"]
     views, target = two_class_store(tmp_path, sources)
     doc = json.loads(target.read_text())
@@ -625,7 +636,7 @@ def test_a_malformed_source_entry_names_the_file(tmp_path, pair, message):
     _, target = two_class_store(tmp_path, ["agent-1:1", "agent-1:2"])
     doc = json.loads(target.read_text())
     doc["procedures"][0]["source_episodes"] = [pair]
-    target.write_text(json.dumps(doc), encoding="utf-8")
+    target.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     files = files_of(tmp_path)
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
@@ -689,15 +700,15 @@ def test_the_source_spelling_decodes_to_its_set_and_is_canonical(pool, data):
     assert set(_decode_sources(entries, logs)) == prefixes
 
 
+# A pass record holds only the watermarks it moved, each of a log its owner covers.
 @pytest.mark.parametrize(
     "topology, owner, watermarks, bad",
     [
         ("local", "agent-1", {"agent-1": 1, "agent-2": 0}, ["agent-2"]),
-        ("local", "agent-1", {}, ["agent-1"]),
-        ("shared", SHARED_OWNER, {"agent-1": 1}, ["agent-1", "shared"]),
-        ("hybrid", SHARED_OWNER, {"agent-1": 1, "agent-9": 0}, ["agent-2", "agent-9"]),
+        ("shared", SHARED_OWNER, {"agent-1": 1}, ["agent-1"]),
+        ("hybrid", SHARED_OWNER, {"agent-1": 1, "agent-9": 0}, ["agent-9"]),
     ],
-    ids=["local-extra", "local-missing", "shared-foreign", "hybrid-swapped"],
+    ids=["local-extra", "shared-foreign", "hybrid-swapped"],
 )
 def test_snapshot_watermarks_must_cover_exactly_its_episodic_owners(
     tmp_path, topology, owner, watermarks, bad
@@ -705,12 +716,12 @@ def test_snapshot_watermarks_must_cover_exactly_its_episodic_owners(
     views = open_views(tmp_path, topology)
     record(views["agent-1"], episode_for("agent-1", 1))
     views["agent-1"].set_consolidation_watermark(1)
-    target = tmp_path / "store" / owner / "procedural.json"
+    target = tmp_path / "store" / owner / "procedural.jsonl"
     doc = json.loads(target.read_text())
-    target.write_text(json.dumps({**doc, "watermarks": watermarks}), encoding="utf-8")
+    target.write_text(json.dumps({**doc, "watermarks": watermarks}) + "\n", encoding="utf-8")
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
-    assert str(target) in str(exc.value) and str(bad) in str(exc.value)
+    assert f"{target}, line 1" in str(exc.value) and str(bad) in str(exc.value)
 
 
 def test_no_tmp_files_left_behind(tmp_path):
@@ -735,7 +746,7 @@ def test_persist_is_a_noop_on_clean_store(tmp_path):
     record(views["agent-1"], episode_for("agent-1", 1))
     owner_dir = tmp_path / "store" / "agent-1"
     views["agent-1"].set_consolidation_watermark(1)
-    targets = [owner_dir / "procedural.json", owner_dir / "episodic.jsonl"]
+    targets = [owner_dir / "procedural.jsonl", owner_dir / "episodic.jsonl"]
     before = {t: t.read_bytes() for t in targets}
     mtime = {t: t.stat().st_mtime_ns for t in targets}
     views["agent-1"].persist()
@@ -770,10 +781,9 @@ def test_owners_follow_the_roster_order_for_every_topology(
     assert [views[agent].procedure_owner() for agent in roster] == procedure_owners
     store = tmp_path / "store"
     assert sorted(p.name for p in store.iterdir() if p.is_dir()) == directories
-    assert list(views["c"].checkpoint_lag()) == list(covered)
     for owner, logs in covered.items():
-        snapshot = json.loads((store / owner / "procedural.json").read_text())
-        assert list(snapshot["watermarks"]) == logs
+        lines = (store / owner / "procedural.jsonl").read_text().splitlines()
+        assert sorted(log for line in lines for log in json.loads(line)["watermarks"]) == logs
 
 
 # -- episode log and batches -----------------------------------------------------
@@ -793,20 +803,26 @@ def test_episodes_are_appended_as_one_line_each(tmp_path):
     lines = log_lines(tmp_path)
     assert [json.loads(line)["task_index"] for line in lines] == [1, 2]
     assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True, separators=(",", ":"))
-    assert not (tmp_path / "store" / "agent-1" / "procedural.json").exists()
+    assert not (tmp_path / "store" / "agent-1" / "procedural.jsonl").exists()
 
 
 def test_the_snapshot_is_rewritten_on_a_watermark_move_not_on_an_append(tmp_path):
+    """The procedure log, which replaced the snapshot, gains a line on a watermark move only."""
     views = open_views(tmp_path, "local")
     record(views["agent-1"], episode_for("agent-1", 1))
     views["agent-1"].set_consolidation_watermark(1)
-    snapshot = tmp_path / "store" / "agent-1" / "procedural.json"
-    inode = snapshot.stat().st_ino  # a rewrite renames a new file into place
+    passes = tmp_path / "store" / "agent-1" / "procedural.jsonl"
+    first = passes.read_bytes()
     record(views["agent-1"], episode_for("agent-1", 2))
-    assert snapshot.stat().st_ino == inode
+    assert passes.read_bytes() == first
     views["agent-1"].set_consolidation_watermark(2)
-    assert snapshot.stat().st_ino != inode
-    assert json.loads(snapshot.read_text())["watermarks"] == {"agent-1": 2}
+    views["agent-1"].set_consolidation_watermark(2)  # no move, no line
+    assert passes.read_bytes().startswith(first)
+    lines = [json.loads(line) for line in passes.read_text().splitlines()]
+    assert lines == [
+        {"procedures": [], "seq": 1, "watermarks": {"agent-1": 1}},
+        {"procedures": [], "seq": 2, "watermarks": {"agent-1": 2}},
+    ]
     assert len(log_lines(tmp_path)) == 2
 
 
@@ -877,7 +893,7 @@ def test_a_seq_repeated_in_another_log_names_the_second_record(tmp_path):
     "name, where",
     [
         ("store_meta.json", ""),
-        ("shared/procedural.json", ""),
+        ("shared/procedural.jsonl", ", line 2"),
         ("shared/episodic.jsonl", ", line 2"),
     ],
 )
@@ -979,11 +995,13 @@ def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, writes):
         assert writes == []
         assert not (tmp_path / "store" / SHARED_OWNER).exists()
     shared = tmp_path / "store" / SHARED_OWNER
-    # the log first (the commit point), then the snapshot
+    # the task record first, then the pass record of the upserts around it:
+    # the first closed when the record was queued, the second at the flush
     assert [(op, path) for op, path, _ in writes] == [
+        ("append", shared / "procedural.jsonl"),
         ("append", shared / "episodic.jsonl"),
-        ("replace", shared / "procedural.json"),
     ]
+    assert writes[0][2].count("\n") == 2
     assert len(log_lines(tmp_path, SHARED_OWNER)) == 1
     reopened = open_store(tmp_path / "store")["agent-2"].snapshot()
     assert reopened == view.snapshot()

@@ -1,9 +1,10 @@
-"""Task records: the episode log as write-ahead log, snapshots as checkpoints."""
+"""Task records and pass records: every store write after the meta is an append."""
 
 import contextlib
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_record_task_writes_one_log_line_and_no_snapshot(tmp_path, writes):
     assert live.updated_at == "2026-01-01T00:02:00+00:00"
     assert views["agent-2"].profiles()["agent-1"].total_tasks == 2
     assert open_store(tmp_path / "store")["agent-2"].snapshot() == views["agent-2"].snapshot()
-    assert view.checkpoint_lag()[SHARED_OWNER] == {"procedural": 2}
+    assert not (tmp_path / "store" / SHARED_OWNER / "procedural.json").exists()
 
 
 def test_procedures_used_is_logged_when_the_episode_does_not_say_it(tmp_path):
@@ -121,10 +122,7 @@ def test_replaying_a_record_over_a_missing_procedure_names_the_record(tmp_path):
     view.upsert_procedure(procedure("proc-00001"))
     view.record_task(episode("agent-1", 1), "incident", [])
     view.record_task(episode("agent-1", 2, ["proc-00001"]), "incident", ["proc-00001"])
-    path = tmp_path / "store" / SHARED_OWNER / "procedural.json"
-    doc = read_doc(path)
-    doc["procedures"] = []
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "store" / SHARED_OWNER / "procedural.jsonl").unlink()  # the upsert's record
     with pytest.raises(StoreError) as exc:
         open_store(tmp_path / "store")
     assert "task record seq 2" in str(exc.value) and "proc-00001" in str(exc.value)
@@ -162,9 +160,8 @@ def test_a_bump_stamped_before_its_procedure_is_applied(tmp_path, batched, creat
     assert (bumped.successes, bumped.failures) == (2, 0)
     assert (bumped.created_at, bumped.updated_at) == (created, stamp)
     assert open_store(tmp_path / "store")["agent-1"].snapshot() == view.snapshot()
-    view.upsert_procedure(procedure("proc-00002"))  # a checkpoint: the bump joins the snapshot
+    view.upsert_procedure(procedure("proc-00002"))  # a pass record after the bump
     reopened = open_store(tmp_path / "store")["agent-1"]
-    assert reopened.checkpoint_lag()[SHARED_OWNER] == {"procedural": 0}
     assert reopened.get_procedure("proc-00001") == bumped
 
 
@@ -207,32 +204,15 @@ def test_reopening_after_every_step_gives_the_live_state(tmp_path, topology):
     cfg = SimConfig(topology=topology, n_tasks=40, seed=5)
     runner = SimRunner(cfg, tmp_path / "run")
     root = tmp_path / "run" / "store"
-    replayed = 0
-    multi_log_bumps = 0
+    used = 0
     for _ in range(cfg.n_tasks):
-        runner.step()
+        used += bool(runner.step().procedures_used)
         files = files_of(root)
         reopened = open_store(root)
         assert files_of(root) == files  # opening writes nothing
         for agent, view in runner.views.items():
             assert reopened[agent].snapshot() == view.snapshot()
-        lag = reopened[cfg.agent_ids[0]].checkpoint_lag()
-        replayed += sum(n for kinds in lag.values() for n in kinds.values())
-        if topology == "hybrid" and lag[SHARED_OWNER]["procedural"] >= 2:
-            # consecutive tasks run on different agents, so a lag of two or
-            # more means records from several logs bump the shared snapshot
-            on_disk = read_doc(root / SHARED_OWNER / "procedural.json")["procedures"]
-            live = runner.views[cfg.agent_ids[0]].procedures()
-            multi_log_bumps += sum(
-                live[d["procedure_id"]].successes + live[d["procedure_id"]].failures
-                - d["successes"] - d["failures"] >= 2
-                and live[d["procedure_id"]].updated_at != d["updated_at"]
-                for d in on_disk
-                if d["procedure_id"] in live
-            )
-    assert replayed > 0
-    if topology == "hybrid":
-        assert multi_log_bumps > 0
+    assert used > 0  # replay bumped procedures
 
 
 # -- checkpoints under faults --------------------------------------------------------
@@ -271,13 +251,13 @@ def find_checkpoint_step(cfg, out):
 
 
 def cut_each_write(cfg, base, tmp_path, monkeypatch, writes):
-    """Rerun the step after ``base`` on a copy of it, once per whole-file write.
+    """Rerun the step after ``base`` on a copy of it, once per pass-record append.
 
-    Run ``k`` fails at the step's ``k``-th ``disk.replace``, before it lands;
-    yields ``k`` and the store root it left. Stops at the first run that
-    finishes its step.
+    Run ``k`` fails at the step's ``k``-th append to a ``procedural.jsonl``,
+    before it lands; yields ``k`` and the store root it left. Stops at the
+    first run that finishes its step.
     """
-    record = disk.replace  # the writes fixture's
+    record = disk.append  # the writes fixture's
     k = 0
     while True:
         k += 1
@@ -286,12 +266,13 @@ def cut_each_write(cfg, base, tmp_path, monkeypatch, writes):
         runner = SimRunner(cfg, out)
         start = len(writes)
 
-        def failing_replace(path, text):
-            if sum(op == "replace" for op, _, _ in writes[start:]) == k - 1:
+        def failing_append(path, text):
+            passes = sum(p.name == "procedural.jsonl" for _, p, _ in writes[start:])
+            if Path(path).name == "procedural.jsonl" and passes == k - 1:
                 raise Boom(path)
             record(path, text)
 
-        monkeypatch.setattr(disk, "replace", failing_replace)
+        monkeypatch.setattr(disk, "append", failing_append)
         try:
             runner.step()
         except Boom:
@@ -299,7 +280,7 @@ def cut_each_write(cfg, base, tmp_path, monkeypatch, writes):
         else:
             return
         finally:
-            monkeypatch.setattr(disk, "replace", record)
+            monkeypatch.setattr(disk, "append", record)
         yield k, out / "store"
 
 
@@ -336,8 +317,8 @@ def test_a_checkpoint_cut_at_any_write_loses_and_doubles_no_evidence(
         # outcomes counted) or as after it: nothing in between, nothing twice
         got = evidence(reopened[executor].procedures())
         assert got in (evidence(before_pass), after_pass), k
-    # the flush writes every dirty snapshot: one file
-    assert k >= 1
+    # the flush appends one pass record
+    assert k == 1
 
 
 @pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
@@ -364,57 +345,185 @@ def test_a_cut_never_separates_a_consolidation_pass_from_its_watermark(
     assert k >= 1
 
 
-# -- the checkpoint rule -----------------------------------------------------------
+# -- pass records ------------------------------------------------------------------
 
 
-def test_a_direct_consolidation_checkpoints_every_lagging_snapshot(tmp_path):
+def test_a_direct_consolidation_checkpoints_every_lagging_snapshot(tmp_path, writes):
+    """A direct pass over 200 bumping task records appends one pass record, holding no bump."""
     # the shape of a store built by post_task_update plus one consolidate,
-    # which moves no watermark: writing the new procedures is the checkpoint
+    # which moves no watermark
     views = open_store(tmp_path / "store", "shared", AGENTS)
     views["agent-1"].upsert_procedure(procedure("proc-00001"))
     for i in range(200):
         agent = AGENTS[i % 2]
         views[agent].record_task(episode(agent, i, ["proc-00001"]), "incident", ["proc-00001"])
-    assert views["agent-1"].checkpoint_lag()[SHARED_OWNER]["procedural"] == 200
+    writes.clear()
     assert consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
-    lag = open_store(tmp_path / "store")["agent-1"].checkpoint_lag()
-    assert lag == {SHARED_OWNER: {"procedural": 0}}
+    path = tmp_path / "store" / SHARED_OWNER / "procedural.jsonl"
+    assert [(op, p) for op, p, _ in writes] == [("append", path)]
+    line = json.loads(writes[0][2])
+    assert line["seq"] == 200 and line["watermarks"] == {}
+    assert all("failures" not in change for change in line["procedures"])
+    reopened = open_store(tmp_path / "store")
+    assert reopened["agent-2"].snapshot() == views["agent-2"].snapshot()
 
 
 def test_a_local_pass_writes_only_its_own_snapshot_and_others_keep_their_lag(
     tmp_path, writes
 ):
+    """A local pass appends to its own procedure log only; the others' logs keep their bytes."""
     agents = ["agent-1", "agent-2", "agent-3"]
     root = tmp_path / "store"
     views = open_store(root, "local", agents)
     for agent in agents:
         views[agent].upsert_procedure(procedure("proc-00001", owner=agent))
-    # agent-2 and agent-3 use their procedure, so their snapshots lag their logs
+    # agent-2 and agent-3 use their procedure, so replay bumps it
     for i, agent in enumerate(["agent-2", "agent-3", "agent-2"]):
         views[agent].record_task(episode(agent, i, ["proc-00001"]), "incident", ["proc-00001"])
     for i in range(5):
         record(views["agent-1"], episode("agent-1", i))
-    lag = {"agent-1": {"procedural": 0}, "agent-2": {"procedural": 2}, "agent-3": {"procedural": 1}}
-    assert views["agent-1"].checkpoint_lag() == lag
-    lagging = {agent: (root / agent / "procedural.json").read_bytes() for agent in agents[1:]}
+    others = {agent: (root / agent / "procedural.jsonl").read_bytes() for agent in agents[1:]}
 
     writes.clear()
     watermark = views["agent-1"].consolidation_watermark()
     with views["agent-1"].batch():  # as a sim task runs its pass
         maybe_consolidate(views["agent-1"], ConsolidationConfig(), StubGenerator(), HashEmbedder())
     assert views["agent-1"].consolidation_watermark() == watermark + 5
-    # the pass rewrote its own snapshot once and caught no other owner up
     assert [(op, path) for op, path, _ in writes] == [
-        ("replace", root / "agent-1" / "procedural.json")
+        ("append", root / "agent-1" / "procedural.jsonl")
     ]
-    assert views["agent-1"].checkpoint_lag() == lag
-    assert {agent: (root / agent / "procedural.json").read_bytes() for agent in agents[1:]} == (
-        lagging
+    assert {agent: (root / agent / "procedural.jsonl").read_bytes() for agent in agents[1:]} == (
+        others
     )
     reopened = open_store(root)
-    assert reopened["agent-1"].checkpoint_lag() == lag
     for agent in agents:
         assert reopened[agent].snapshot() == views[agent].snapshot()
+        assert reopened[agent].procedures() == views[agent].procedures()
+
+
+def live_state(views):
+    """Everything a reopen must give back, for every view."""
+    state = {}
+    for agent, view in sorted(views.items()):
+        owner = view._store.store_set(view.procedure_owner())
+        state[agent] = (
+            view.episodes(), view.procedures(), view.consolidation_watermark(),
+            owner.next_procedure_seq, view.profiles(), view.team_patterns(),
+        )
+    return state
+
+
+@pytest.mark.parametrize("n_tasks", [60, 240])
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_reopen_and_a_fresh_runner_per_task_give_the_live_state(tmp_path, topology, n_tasks):
+    cfg = SimConfig(topology=topology, n_tasks=n_tasks, seed=7)
+    live = SimRunner(cfg, tmp_path / "live")
+    live.run()
+    state = live_state(live.views)
+    assert live_state(open_store(tmp_path / "live" / "store")) == state
+    for _ in range(n_tasks):  # criterion 8's resume, one task per runner
+        SimRunner(cfg, tmp_path / "resumed").step()
+    assert live_state(SimRunner(cfg, tmp_path / "resumed").views) == state
+    assert files_of(tmp_path / "resumed" / "store").keys() != set()
+    resumed = {p.relative_to(tmp_path / "resumed"): data for p, (data, _) in
+               files_of(tmp_path / "resumed").items()}
+    assert resumed == {p.relative_to(tmp_path / "live"): data for p, (data, _) in
+                       files_of(tmp_path / "live").items()}
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_run_appends_every_write_after_the_meta(tmp_path, writes, topology):
+    cfg = SimConfig(topology=topology, n_tasks=60, seed=7)
+    runner = SimRunner(cfg, tmp_path / "run")
+    created = [(op, path.name) for op, path, _ in writes]
+    assert created == [("replace", "store_meta.json"), ("replace", "config.json")]
+    writes.clear()
+    runner.run()
+    assert {op for op, _, _ in writes} == {"append"}
+    assert {path.name for _, path, _ in writes} == {
+        "episodic.jsonl", "procedural.jsonl", "runlog.jsonl"
+    }
+    assert not list((tmp_path / "run").rglob("procedural.json"))
+
+
+def test_an_id_handed_out_and_never_upserted_is_not_handed_out_again(tmp_path):
+    views = open_store(tmp_path / "store", "shared", AGENTS)
+    view = views["agent-1"]
+    record(view, episode("agent-1", 1))
+    assert view.allocate_procedure_id() == "proc-00001"
+    view.persist()
+    assert view.allocate_procedure_id() == "proc-00002"
+    view.upsert_procedure(procedure("proc-00002"))
+    reopened = open_store(tmp_path / "store")["agent-1"]
+    assert reopened.allocate_procedure_id() == "proc-00003"
+    lines = (tmp_path / "store" / SHARED_OWNER / "procedural.jsonl").read_text().splitlines()
+    assert [json.loads(line).get("next_procedure_seq") for line in lines] == [2, None]
+
+
+@pytest.mark.parametrize(
+    "team, spelled",
+    [
+        (("agent-1", "agent-2", "agent-3"), False),
+        (("agent-3", "agent-1", "agent-2"), True),  # the roster, reordered
+        (("agent-1", "agent-3"), True),  # a sub-team
+    ],
+    ids=["roster", "reordered", "sub-team"],
+)
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_team_is_spelled_unless_it_is_the_roster(tmp_path, topology, team, spelled):
+    roster = ["agent-2", "agent-1", "agent-3"]
+    views = open_store(tmp_path / "store", topology, roster)
+    record(views["agent-1"], replace(episode("agent-1", 1), team_composition=team))
+    owner = SHARED_OWNER if topology == "shared" else "agent-1"
+    line = json.loads((tmp_path / "store" / owner / "episodic.jsonl").read_text())
+    assert ("team_composition" in line) is spelled
+    reopened = open_store(tmp_path / "store")["agent-1"]
+    (loaded,) = reopened.episodes()
+    assert loaded.team_composition == team
+    if not spelled:  # one shared tuple: the roster the store holds
+        assert loaded.team_composition is reopened._store._roster
+        key = next(iter(reopened._store.store_set(reopened.procedure_owner()).tally))
+        assert key[1] is reopened._store._roster
+
+
+def write_torn_task_6(topology, tmp_path, monkeypatch):
+    """A 12-task run whose task-6 store append writes half its bytes, then fails; the log."""
+    import errno
+    import os
+
+    cfg = SimConfig(topology=topology, team_size=3, n_tasks=12, seed=5)
+    runner = SimRunner(cfg, tmp_path / "run")
+    for _ in range(5):
+        runner.step()
+    real = os.write
+
+    def half_then_enospc(fd, data):
+        real(fd, bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", half_then_enospc)
+    with pytest.raises(OSError):
+        runner.step()
+    monkeypatch.setattr(os, "write", real)
+    with pytest.raises(StoreError):  # task 6 is applied in memory, and its retry is refused
+        runner.step()
+    executor = cfg.agent_ids[5 % cfg.team_size]
+    return tmp_path / "run" / "store" / (SHARED_OWNER if topology == "shared" else executor)
+
+
+@pytest.mark.parametrize("topology", ["local", "shared", "hybrid"])
+def test_a_failed_append_is_never_written_twice(tmp_path, monkeypatch, topology):
+    log = write_torn_task_6(topology, tmp_path, monkeypatch) / "episodic.jsonl"
+    text = log.read_text()
+    lines = text.split("\n")
+    # every line but the last is whole; the last is at most one torn fragment
+    assert all(json.loads(line) for line in lines[:-1])
+    fragment = lines[-1]
+    assert 0 < len(fragment) < len(lines[-2])
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(fragment)
+    with pytest.raises(StoreError, match=f"{log}, line {len(lines)}: truncated record"):
+        open_store(log.parent.parent)
 
 
 # -- other schema versions ---------------------------------------------------------
@@ -434,8 +543,9 @@ def write_old_store(root, version):
     Version 1 kept the episodes inside ``episodic.json``; versions 2 and 3
     logged them in ``episodic.jsonl`` and kept the watermark in
     ``episodic.json``, and version 2 stored the derived profile fields.
-    Version 4 logged task records, kept the watermarks in
-    ``procedural.json`` and listed every source episode id there.
+    Versions 4 and 5 logged task records and kept the procedures and the
+    watermarks in a ``procedural.json`` snapshot; version 4 listed every
+    source episode id there.
     """
 
     def dump(path, document):
@@ -445,7 +555,7 @@ def write_old_store(root, version):
     meta = {"agents": AGENTS, "schema_version": version, "topology": "shared"}
     dump(root / "store_meta.json", meta)
     shared = root / SHARED_OWNER
-    if version == 4:
+    if version >= 4:
         line = json.dumps({**OLD_EPISODE, "seq": 1, "task_type": "incident"}, sort_keys=True)
         shared.mkdir(parents=True)
         (shared / "episodic.jsonl").write_text(line + "\n", encoding="utf-8")
@@ -472,7 +582,7 @@ def write_old_store(root, version):
     })
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_a_store_of_an_older_schema_version_is_rejected_untouched(tmp_path, version):
     root = tmp_path / "store"
     write_old_store(root, version)

@@ -575,8 +575,9 @@ class MemoryStore:
             base = procedures.get(procedure_id)
             if base is None and not {"title", "knowledge"} <= change.keys():
                 raise ValueError(f"the change of unknown procedure {procedure_id!r} is no new one")
-            if base is None:
+            if base is None:  # an existing procedure's id is already counted
                 held = sources[procedure_id] = set()
+                next_seq = _next_after(next_seq, procedure_id)
             elif procedure_id not in sources:
                 held = sources[procedure_id] = set(base.source_episodes)
             else:
@@ -592,7 +593,6 @@ class MemoryStore:
                 **_derived(base, owner, added, stamp), **change,
                 "procedure_id": procedure_id, "source_episodes": stale,
             })
-            next_seq = _next_after(next_seq, procedure_id)
         for procedure_id in passed.removed:
             if procedures.pop(procedure_id, None) is None:
                 raise ValueError(f"removed names unknown procedure {procedure_id!r}")

@@ -349,9 +349,10 @@ def consolidate(
 
     Then procedures whose source sets are dominated are pruned. The
     episodic store is never modified, and every change is flushed once, at
-    the end, as one pass record that holds only what changed. Returns the procedures the pass created, extended or merged
-    into that survive pruning. ``cfg`` sets only the interval, which
-    :func:`maybe_consolidate` reads.
+    the end, as one pass record that holds only what changed. Returns the
+    procedures the pass created, extended or merged into that survive
+    pruning. ``cfg`` sets only the interval, which :func:`maybe_consolidate`
+    reads.
 
     Every procedure the pass creates or changes is stamped with
     ``timestamp``, by default the timestamp of the newest episode in the log

@@ -35,8 +35,8 @@ watermark moved, a procedure id handed out) joins its procedure owner's open
 pass, which the next flush or task record closes into one :class:`PassRecord`
 line of ``procedural.jsonl``; a pass that changed nothing appends nothing.
 Opening a store replays each procedure owner's task records and pass records
-merged in ``seq`` order, summing each procedure's bumps between two pass
-records; it never takes a record twice, and writes nothing.
+merged in ``seq`` order, on each procedure's fields, and builds each
+procedure once; it never takes a record twice, and writes nothing.
 
 Transactive state (agent profiles, collaboration histories, team patterns)
 is not stored at all. Each procedure owner keeps a tally of its task records,
@@ -244,32 +244,18 @@ def _next_after(next_seq: int, procedure_id: str) -> int:
     return max(next_seq, int(found[1]) + 1) if found else next_seq
 
 
-def _derived(base: Procedure | None, owner: str, added: int, stamp: str) -> dict[str, Any]:
-    """A procedure's fields, all but its sources, after a change that spells only its sources.
+def _derived(base: dict[str, Any] | None, owner: str, added: int, stamp: str) -> dict[str, Any]:
+    """A procedure's fields after a change that spells only its sources; ``base``, those before.
 
     As a consolidation pass does it: each of the ``added`` sources adds a
     success, and ``stamp`` (the time of the task record at the pass's
     ``seq``) is the new ``updated_at``, and a new procedure's ``created_at``;
     a new procedure's change always spells its title and knowledge.
     """
-    values = vars(base) if base is not None else {
+    values = base if base is not None else {
         "owner_id": owner, "created_at": stamp, "successes": 0, "failures": 0,
     }
     return {**values, "updated_at": stamp, "successes": values["successes"] + added}
-
-
-def _bump(procedures: dict[str, Procedure], bumps: dict[str, list[Any]]) -> None:
-    """Add each procedure's summed ``[successes, failures, last stamp]``, building it once."""
-    for procedure_id, (successes, failures, stamp) in bumps.items():
-        procedure = procedures[procedure_id]
-        # every field comes from a checked record, so none is checked again
-        procedures[procedure_id] = checked_record(Procedure, {
-            **vars(procedure),
-            "successes": procedure.successes + successes,
-            "failures": procedure.failures + failures,
-            "updated_at": stamp,
-        })
-    bumps.clear()
 
 
 def _load_json(path: Path, rows: Sequence[Row]) -> dict[str, Any]:
@@ -350,13 +336,11 @@ def _decode_sources(entries: Any, logs: Sequence[StoreSet]) -> list[str]:
         if log.episode_class.get(last) != number:
             raise ValueError(f"source pair {entry!r} ends in two lesson classes")
         members = log.class_members[number]
-        # a run most often ends the class, and is short: search it back from its end
-        stop = len(members) - 1 if members[-1] == last else members.index(last)
-        start = stop
-        while start >= 0 and members[start] != first:
-            start -= 1
-        if start < 0:
-            raise ValueError(f"source pair {entry!r} runs backwards")
+        start = members.index(first)
+        try:
+            stop = members.index(last, start)
+        except ValueError:  # last is in the class, so before first
+            raise ValueError(f"source pair {entry!r} runs backwards") from None
         ids += members[start : stop + 1]
     return ids
 
@@ -494,13 +478,17 @@ class MemoryStore:
     def _replay(self, owner: str, seqs: list[int], records: dict[int, _TaskRecord]) -> None:
         """Replay one procedure owner's task records (``seqs``, ascending) and pass records.
 
-        Bumps are summed per procedure up to each pass record, and to the end.
+        Each procedure is replayed as a dict of its fields, its sources a
+        set, and built once at the end. A pass record that does not agree
+        with the store fails the open. Its ``next_procedure_seq`` never moves
+        the counter back, so the value filled in for a record that leaves it
+        out changes nothing.
         """
         store = self._sets[owner]
         path = self._pass_paths[owner]
-        bumps: dict[str, list[Any]] = {}
-        # the sources of each procedure a pass record changed, frozen at the end
-        sources: dict[str, set[str]] = {}
+        logs = [self._sets[o] for o in self._covered[owner]]
+        lengths = {o: len(self._sets[o].episodic) for o in self._covered[owner]}
+        fields: dict[str, dict[str, Any]] = {}
         done = 0  # how many of seqs are replayed
 
         def replay_to(last: int) -> None:
@@ -508,58 +496,15 @@ class MemoryStore:
             while done < len(seqs) and seqs[done] <= last:
                 episode, task_type, used = records[seqs[done]]
                 try:
-                    self._count(episode, task_type, used, bumps)
+                    self._count(episode, task_type, used, fields)
                 except StoreError as exc:
                     log = self._log_paths[self._episodic_owner[episode.agent_id]]
                     raise StoreError(
                         f"{log}: replaying task record seq {seqs[done]} into {path}: {exc}"
                     ) from exc
                 done += 1
-            _bump(store.procedural, bumps)
 
-        def decode(d: Any) -> PassRecord:
-            if type(d) is dict:  # fill in what the writer left out; see _apply_pass
-                d.setdefault("removed", [])
-                d.setdefault("next_procedure_seq", store.next_procedure_seq)
-            passed = from_dict(PassRecord, d)
-            if passed.seq > self._seq:
-                raise ValueError(f"seq {passed.seq} is past the last logged seq {self._seq}")
-            if done and seqs[done - 1] > passed.seq:
-                raise ValueError(f"seq {passed.seq} is before the replayed seq {seqs[done - 1]}")
-            replay_to(passed.seq)
-            stamp = records[passed.seq][0].timestamp if passed.seq in records else ""
-            self._apply_pass(owner, passed, stamp, sources)
-            return passed
-
-        if path.exists():
-            try:
-                read_jsonl(path, decode)
-            except ValueError as exc:
-                raise StoreError(str(exc)) from exc
-        replay_to(self._seq)
-        for procedure_id, held in sources.items():
-            procedure = store.procedural[procedure_id]
-            store.procedural[procedure_id] = checked_record(
-                Procedure, {**vars(procedure), "source_episodes": frozenset(held)}
-            )
-
-    def _apply_pass(
-        self, owner: str, passed: PassRecord, stamp: str, sources: dict[str, set[str]]
-    ) -> None:
-        """Apply a pass record read back; what does not agree with the store raises ValueError.
-
-        A changed procedure's sources are kept in ``sources``, and its
-        ``source_episodes`` is left stale until the caller freezes them, so a
-        change costs what it spells, not the size of the set.
-        ``next_procedure_seq`` never moves the counter back, so the value the
-        loader fills in for a record that leaves it out changes nothing.
-        """
-        store = self._sets[owner]
-        logs = [self._sets[o] for o in self._covered[owner]]
-        lengths = {o: len(self._sets[o].episodic) for o in self._covered[owner]}
-        procedures = store.procedural
-        next_seq = store.next_procedure_seq
-        for change in passed.procedures:
+        def apply(change: Any, stamp: str) -> None:
             if type(change) is not dict:
                 raise ValueError(f"procedures holds {change!r}, which is not an object")
             check_rows(Procedure.ROWS[:1], change)
@@ -572,41 +517,64 @@ class MemoryStore:
             except ValueError as exc:  # read against the logs, which may be the damaged ones
                 against = ", ".join(str(self._log_paths[o]) for o in lengths)
                 raise ValueError(f"source_episodes: {exc} (read against {against})") from None
-            base = procedures.get(procedure_id)
+            base = fields.get(procedure_id)
             if base is None and not {"title", "knowledge"} <= change.keys():
                 raise ValueError(f"the change of unknown procedure {procedure_id!r} is no new one")
             if base is None:  # an existing procedure's id is already counted
-                held = sources[procedure_id] = set()
-                next_seq = _next_after(next_seq, procedure_id)
-            elif procedure_id not in sources:
-                held = sources[procedure_id] = set(base.source_episodes)
-            else:
-                held = sources[procedure_id]
+                store.next_procedure_seq = _next_after(store.next_procedure_seq, procedure_id)
+            held = base["source_episodes"] if base else set()
             added = len(flipped) - len(flipped & held)
             held ^= flipped
             if not held:
                 raise ValueError(f"source_episodes: the change of {procedure_id!r} leaves none")
-            # the derived fields come from a checked procedure, so only the spelled ones are checked
+            # the derived fields come from checked ones, so only the spelled ones are checked
             check_rows([_PROCEDURE_ROWS[key] for key in change], change)
-            stale = base.source_episodes if base else frozenset(held)
-            procedures[procedure_id] = checked_record(Procedure, {
+            fields[procedure_id] = {
                 **_derived(base, owner, added, stamp), **change,
-                "procedure_id": procedure_id, "source_episodes": stale,
-            })
-        for procedure_id in passed.removed:
-            if procedures.pop(procedure_id, None) is None:
-                raise ValueError(f"removed names unknown procedure {procedure_id!r}")
-            sources.pop(procedure_id, None)
-        foreign = sorted(passed.watermarks.keys() - lengths.keys())
-        if foreign:
-            raise ValueError(f"watermarks names logs {owner!r} does not cover: {foreign}")
-        for log, mark in passed.watermarks.items():
-            if not 0 <= mark <= lengths[log]:
-                raise ValueError(
-                    f"watermark {mark} of {log!r} is outside its log of {lengths[log]} records"
-                )
-            self._sets[log].consolidation_watermark = mark
-        store.next_procedure_seq = max(passed.next_procedure_seq, next_seq)
+                "procedure_id": procedure_id, "source_episodes": held,
+            }
+
+        def decode(d: Any) -> PassRecord:
+            if type(d) is dict:  # fill in what the writer left out
+                d.setdefault("removed", [])
+                d.setdefault("next_procedure_seq", store.next_procedure_seq)
+            passed = from_dict(PassRecord, d)
+            if passed.seq > self._seq:
+                raise ValueError(f"seq {passed.seq} is past the last logged seq {self._seq}")
+            if done and seqs[done - 1] > passed.seq:
+                raise ValueError(f"seq {passed.seq} is before the replayed seq {seqs[done - 1]}")
+            replay_to(passed.seq)
+            stamp = records[passed.seq][0].timestamp if passed.seq in records else ""
+            for change in passed.procedures:
+                apply(change, stamp)
+            for procedure_id in passed.removed:
+                if fields.pop(procedure_id, None) is None:
+                    raise ValueError(f"removed names unknown procedure {procedure_id!r}")
+            foreign = sorted(passed.watermarks.keys() - lengths.keys())
+            if foreign:
+                raise ValueError(f"watermarks names logs {owner!r} does not cover: {foreign}")
+            for log, mark in passed.watermarks.items():
+                if not 0 <= mark <= lengths[log]:
+                    raise ValueError(
+                        f"watermark {mark} of {log!r} is outside its log of {lengths[log]} records"
+                    )
+                self._sets[log].consolidation_watermark = mark
+            store.next_procedure_seq = max(passed.next_procedure_seq, store.next_procedure_seq)
+            return passed
+
+        if path.exists():
+            try:
+                read_jsonl(path, decode)
+            except ValueError as exc:
+                raise StoreError(str(exc)) from exc
+        replay_to(self._seq)
+        # every field is checked where it is read, so none is checked again
+        store.procedural = {
+            procedure_id: checked_record(
+                Procedure, {**values, "source_episodes": frozenset(values["source_episodes"])}
+            )
+            for procedure_id, values in fields.items()
+        }
 
     # -- task records and passes ---------------------------------------------------
 
@@ -644,31 +612,35 @@ class MemoryStore:
         record that names an unknown procedure raises :class:`StoreError`
         and changes nothing.
         """
-        bumps: dict[str, list[Any]] = {}
-        store = self._count(episode, task_type, procedures_used, bumps)
-        _bump(store.procedural, bumps)
+        procedures = self._sets[self._procedure_owner[episode.agent_id]].procedural
+        fields = {pid: dict(vars(procedures[pid])) for pid in procedures_used if pid in procedures}
+        self._count(episode, task_type, procedures_used, fields)
+        # every field comes from a checked record, so none is checked again
+        procedures.update({pid: checked_record(Procedure, v) for pid, v in fields.items()})
 
     def _count(
-        self, episode: Episode, task_type: str, used: Sequence[str], bumps: dict[str, list[Any]]
-    ) -> StoreSet:
-        """Tally a task record, and add its outcome to ``bumps``; returns its owner's set."""
+        self, episode: Episode, task_type: str, used: Sequence[str], fields: dict[str, Any]
+    ) -> None:
+        """Count a task record's outcome on the ``fields`` of each procedure it used, and tally it.
+
+        A procedure that ``fields`` lacks raises :class:`StoreError` before the tally.
+        """
         owner = self._procedure_owner[episode.agent_id]
         store = self._sets[owner]
-        for procedure_id in used:
-            if procedure_id not in store.procedural:
-                raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
         success = episode.outcome.success
+        counter = "successes" if success else "failures"
         for procedure_id in used:
-            counts = bumps.setdefault(procedure_id, [0, 0, ""])
-            counts[not success] += 1
-            counts[2] = episode.timestamp
+            values = fields.get(procedure_id)
+            if values is None:
+                raise StoreError(f"unknown procedure_id {procedure_id!r} in {owner!r} store")
+            values[counter] += 1
+            values["updated_at"] = episode.timestamp
         key = (episode.agent_id, episode.team_composition, task_type)
         counts = store.tally.setdefault(key, [0, 0])
         counts[0] += 1
         counts[1] += success
         if store.team_patterns:  # read off the tally before this record
             store.profiles, store.team_patterns = {}, {}
-        return store
 
     def begin_pass(self, owner: str) -> dict[str, Procedure | None]:
         """Open the owner's pass if none is; its procedures as they stood before it changed them."""
@@ -695,7 +667,7 @@ class MemoryStore:
                 elif procedure != base:
                     was = base.source_episodes if base else frozenset()
                     flipped = procedure.source_episodes ^ was
-                    derived = _derived(base, owner, len(flipped - was), self._stamp)
+                    derived = _derived(base and vars(base), owner, len(flipped - was), self._stamp)
                     change = {
                         k: v for k, v in vars(procedure).items()
                         if k != "source_episodes" and (k not in derived or derived[k] != v)
@@ -772,8 +744,9 @@ class MemoryStore:
             return
         self._close_passes()
         pending, self._pending = self._pending, {}
-        for path, lines in pending.items():
-            disk.append(path, "".join(lines))
+        # every episode log first: no pass record lands before the task record of its seq
+        for path in sorted(pending, key=lambda path: path.name != "episodic.jsonl"):
+            disk.append(path, "".join(pending[path]))
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:

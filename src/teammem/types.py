@@ -239,6 +239,25 @@ def json_line(document: Any) -> str:
     return _LINE_ENCODER.encode(document) + "\n"
 
 
+# The scanner json.loads runs once it has skipped leading whitespace.
+_SCAN_VALUE = json.JSONDecoder().scan_once
+
+
+def _loads_line(line: str) -> Any:
+    """``json.loads(line)`` of a line ending in a newline, in one scanner call when it can.
+
+    Only a line whose value ends just before its newline is taken from the
+    scanner; json.loads reads any other again, and raises what it raises.
+    """
+    try:
+        value, end = _SCAN_VALUE(line, 0)
+        if end == len(line) - 1:
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
 def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
     """Decode every line of a JSONL file, reading it one line at a time.
 
@@ -250,12 +269,12 @@ def read_jsonl(path: Path | str, decode: Callable[[Any], T]) -> list[T]:
     try:
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
-                if not line.strip():
+                if line.isspace():
                     continue
                 if not line.endswith("\n"):
                     raise ValueError(f"{path}, line {number}: truncated record (no final newline)")
                 try:
-                    items.append(decode(json.loads(line)))
+                    items.append(decode(_loads_line(line)))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}, line {number}: malformed record: {exc!r}") from exc
     except UnicodeDecodeError:

@@ -1,6 +1,7 @@
 """Metric math against an exact-rational oracle, plus log and report IO."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from teammem.metrics import (
     token_proxy,
     write_runlog,
 )
+from teammem.types import read_jsonl
 
 
 def entry(i, s, tokens_in=10, tokens_out=5, task_id=None):
@@ -205,6 +207,25 @@ def test_damaged_runlog_names_file_and_line(tmp_path, damage, line, problem):
         read_runlog(path)
     assert not isinstance(exc.value, json.JSONDecodeError)
     assert f"{path}, line {line}: {problem}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [' {"a": 1}\n', '{"a": 1} \n', '"text"\n', "NaN\n", "[1, 2]\n",
+     '{"a": 1} {"b": 2}\n', '\ufeff{"a": 1}\n', '{"a": }\n', "\n{}\n"],
+    ids=["leading-space", "trailing-space", "string", "nan", "list",
+         "extra-data", "bom", "no-value", "blank-line"],
+)
+def test_a_log_line_reads_as_json_loads_reads_it(tmp_path, line):
+    path = tmp_path / "log.jsonl"
+    path.write_text(line, encoding="utf-8")
+    try:
+        expected = [json.loads(part) for part in line.splitlines() if part.strip()]
+    except json.JSONDecodeError as error:
+        with pytest.raises(ValueError, match=re.escape(repr(error))):
+            read_jsonl(path, lambda value: value)
+    else:
+        assert json.dumps(read_jsonl(path, lambda value: value)) == json.dumps(expected)
 
 
 def test_read_runlog_from_golden_fixture():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from teammem import disk
 from teammem.harness import SimConfig, run_sim
 from teammem.store import (
     SHARED_OWNER,
@@ -995,16 +996,37 @@ def test_batch_flushes_each_file_once_at_the_outermost_exit(tmp_path, writes):
         assert writes == []
         assert not (tmp_path / "store" / SHARED_OWNER).exists()
     shared = tmp_path / "store" / SHARED_OWNER
-    # the task record first, then the pass record of the upserts around it:
+    # the task record first, then the pass records of the upserts around it:
     # the first closed when the record was queued, the second at the flush
     assert [(op, path) for op, path, _ in writes] == [
-        ("append", shared / "procedural.jsonl"),
         ("append", shared / "episodic.jsonl"),
+        ("append", shared / "procedural.jsonl"),
     ]
-    assert writes[0][2].count("\n") == 2
+    assert [json.loads(line)["seq"] for line in writes[1][2].splitlines()] == [0, 1]
     assert len(log_lines(tmp_path, SHARED_OWNER)) == 1
     reopened = open_store(tmp_path / "store")["agent-2"].snapshot()
     assert reopened == view.snapshot()
+
+
+def test_a_batch_cut_between_its_two_appends_opens_without_its_passes(tmp_path, monkeypatch):
+    views = open_views(tmp_path, "shared")
+    view = views["agent-1"]
+    real = disk.append
+
+    def failing_append(path, text):
+        if Path(path).name == "procedural.jsonl":
+            raise OSError(28, "No space left on device")
+        real(path, text)
+
+    monkeypatch.setattr(disk, "append", failing_append)
+    with pytest.raises(OSError):
+        with view.batch():
+            view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"]))
+            record(view, finished_episode("agent-1"))
+            view.upsert_procedure(procedure_for("proc-00001", SHARED_OWNER, ["agent-1:1"], s=2))
+    reopened = open_store(tmp_path / "store")["agent-2"]
+    assert [episode.episode_id for episode in reopened.episodes()] == ["agent-1:1"]
+    assert reopened.procedures() == {}
 
 
 def test_batch_flushes_what_it_applied_when_the_block_raises(tmp_path):
